@@ -6,8 +6,9 @@ spec, a graph6 record, a graph6 file (first record), or an edge list file;
 records against a dim/edim predicate; ``verify`` runs the named conformance
 suites or the small-order census; ``ratio`` builds a ratio witness.
 
-Exit codes: 0 on success, 2 on usage errors, 1 on computation errors such as
-disconnected input.  Results go to stdout, diagnostics to stderr.
+Exit codes: 0 on success, 2 on usage errors (including sizes that graph6
+cannot encode), 1 on computation errors such as disconnected input.  Results
+go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -20,12 +21,20 @@ from .families import (
     FamilyGraph,
     InvalidParams,
     RealizeError,
+    chain_order,
     parse_family_spec,
     realize,
 )
 from .graph import Graph, GraphError
-from .graph6 import Graph6Error, decode_graph6, encode_graph6
-from .scan import OrderTooLarge, Predicate, ratio_witness, scan, verify_small_orders
+from .graph6 import MAX_ORDER, Graph6Error, decode_graph6, encode_graph6
+from .scan import (
+    OrderTooLarge,
+    Predicate,
+    ratio_chain,
+    ratio_witness,
+    scan,
+    verify_small_orders,
+)
 from .solver import edge_metric_dimension, metric_dimension
 from .verify import SUITES, run_suites
 
@@ -39,6 +48,17 @@ FAMILY_SPEC_EXAMPLES = (
 )
 
 _EPILOG = "family spec examples: " + "  ".join(FAMILY_SPEC_EXAMPLES)
+
+
+class UsageError(ValueError):
+    """Arguments the command refuses before doing any work (exit code 2)."""
+
+
+def _check_order(order: int, what: str) -> None:
+    if order >= MAX_ORDER:
+        raise UsageError(
+            f"{what} has order {order}, but graph6 output needs order < {MAX_ORDER}"
+        )
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -204,6 +224,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    _check_order(args.order, "the requested graph")
     fam = realize(args.dim, args.edim, args.order)
     record = encode_graph6(fam.graph)
     if args.format == "records":
@@ -243,7 +264,7 @@ def _cmd_scan(args) -> int:
             f"matches={len(report.matches)} wall={report.wall_time:.1f}s"
         )
         if not report.complete:
-            print("warning: scan incomplete (input error)", file=sys.stderr)
+            print(f"warning: scan incomplete (input error: {report.io_error})", file=sys.stderr)
         for m in report.matches:
             print(f"  line {m.line}: {m.record}  dim={m.dim} edim={m.edim}")
         for lineno, msg in report.errors[:20]:
@@ -281,6 +302,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
+    _check_order(chain_order(*ratio_chain(args.target)), "the ratio witness")
     w = ratio_witness(args.target)
     record = encode_graph6(w.graph.graph)
     print(f"g6={record}")
@@ -299,6 +321,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (GraphError, Graph6Error, InvalidParams, RealizeError, OrderTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -73,9 +73,8 @@ class Graph:
         return cls(n, adj, _validate=False)
 
     def _check_rows(self) -> None:
-        mask_all = (1 << self.n) - 1
         for u, row in enumerate(self.adj):
-            if row & ~mask_all:
+            if row >> self.n:
                 raise GraphError(f"adjacency row {u} has bits beyond vertex {self.n - 1}")
             if (row >> u) & 1:
                 raise SelfLoop(f"self-loop at vertex {u}")

@@ -1,9 +1,12 @@
 """High-throughput predicate scans over graph6 streams and small-order censuses.
 
-``scan`` decodes a line-oriented graph6 stream, solves both dimensions for
-every connected graph, and records the ones matching a dim/edim predicate.
-Reports are deterministic regardless of worker count: counts are additive
-and matches are sorted by line number at the end.
+``scan`` decodes a line-oriented graph6 stream and records the connected
+graphs matching a dim/edim predicate.  Each graph is evaluated dim first:
+the vertex dimension is solved exactly, and the edge search then stops at
+the largest edge dimension the predicate accepts for that ``dim``, so the
+exact ``edim`` is computed in full only where a match is possible.  Reports
+are deterministic regardless of worker count: counts are additive and
+matches are sorted by line number at the end.
 
 ``verify_small_orders`` exhausts every labelled connected graph up to order
 seven without any external stream.  Its hot loop avoids graph objects: each
@@ -45,8 +48,8 @@ class Predicate:
     Kinds: ``lt`` (edim < dim), ``gt`` (edim > dim), ``eq``, ``diff``
     (dim - edim equals ``diff``) and ``ratio`` (dim/edim at least ``ratio``,
     counting a positive dim over edim zero as infinite).  The optional caps
-    bound the subset search for early exit; capped-out searches are finished
-    exactly before a graph is reported, so caps never change the match set.
+    split each subset search for early exit; a capped-out search resumes
+    above the cap, so caps never change the match set.
     """
 
     kind: str
@@ -86,6 +89,22 @@ class Predicate:
             return dim > 0
         return Fraction(dim, edim) >= self.ratio
 
+    def max_edim(self, dim: int) -> int | None:
+        """Largest edge dimension that can match a graph of this ``dim``.
+
+        ``None`` means no upper limit (``gt``, or a ratio of at most zero).
+        A negative value means no edge dimension matches.
+        """
+        if self.kind == "lt":
+            return dim - 1
+        if self.kind == "eq":
+            return dim
+        if self.kind == "diff":
+            return dim - self.diff
+        if self.kind == "ratio" and self.ratio > 0:
+            return math.floor(dim / self.ratio)
+        return None
+
 
 @dataclass(frozen=True)
 class ScanMatch:
@@ -106,44 +125,45 @@ class ScanReport:
     error_total: int = 0
     wall_time: float = 0.0
     complete: bool = True
+    io_error: str | None = None  # why the scan stopped early, if it did
     resumed_from: int = 0
 
 
-def _finish_exact(g: Graph, kind: str, cap: int | None) -> ResolveResult:
-    solve = metric_dimension if kind == "vertex" else edge_metric_dimension
-    res = solve(g, max_k=cap)
-    if res is None:
-        res = solve(g, min_k=(cap or 0) + 1)
-    assert res is not None
-    return res
+def _search(g: Graph, kind: str, cap: int | None, top: int | None) -> ResolveResult | None:
+    """Minimum generator of at most ``top`` landmarks (no limit for None).
 
-
-def _evaluate(g: Graph, pred: Predicate) -> tuple[bool, int, int]:
-    """Decide the predicate for one graph, returning exact dimensions.
-
-    For the one-sided kinds the cheaper dimension is solved first and the
-    other searched only up to that cardinality; the search resumes exactly
-    when the graph turns out to be a match candidate.
+    The early-exit ``cap`` splits the search at that cardinality; the second
+    part resumes above it, so the result is the same as one search to ``top``.
     """
-    if pred.kind in ("lt", "gt"):
-        if pred.kind == "lt":
-            edim = _finish_exact(g, "edge", pred.edim_cap).dimension
-            probe = metric_dimension(g, max_k=edim)
-            if probe is not None:
-                return pred.matches(probe.dimension, edim), probe.dimension, edim
-            dim = metric_dimension(g, min_k=edim + 1)
-            assert dim is not None
-            return True, dim.dimension, edim
-        dim = _finish_exact(g, "vertex", pred.dim_cap).dimension
-        probe = edge_metric_dimension(g, max_k=dim)
-        if probe is not None:
-            return pred.matches(dim, probe.dimension), dim, probe.dimension
-        edim_res = edge_metric_dimension(g, min_k=dim + 1)
-        assert edim_res is not None
-        return True, dim, edim_res.dimension
-    dim = _finish_exact(g, "vertex", pred.dim_cap).dimension
-    edim = _finish_exact(g, "edge", pred.edim_cap).dimension
-    return pred.matches(dim, edim), dim, edim
+    solve = metric_dimension if kind == "vertex" else edge_metric_dimension
+    if cap is not None and (top is None or cap < top):
+        res = solve(g, max_k=cap)
+        if res is not None:
+            return res
+        return solve(g, min_k=cap + 1, max_k=top)
+    return solve(g, max_k=top)
+
+
+def _evaluate(g: Graph, pred: Predicate) -> tuple[int, int] | None:
+    """Exact ``(dim, edim)`` of a graph matching the predicate, else None.
+
+    The vertex dimension is solved exactly first; it is the cheaper of the
+    two.  One edge search follows, capped at ``pred.max_edim(dim)``.  Levels
+    ascend, so a generator found within the cap gives the exact ``edim``,
+    and finding none proves that no accepted ``edim`` exists.  For ``gt``
+    the search is uncapped: it stops at ``dim`` or below on a non-match and
+    runs on to the exact ``edim`` that every match reports.
+    """
+    dim_res = _search(g, "vertex", pred.dim_cap, None)
+    assert dim_res is not None
+    dim = dim_res.dimension
+    top = pred.max_edim(dim)
+    if top is not None and top < 0:
+        return None
+    edim_res = _search(g, "edge", pred.edim_cap, top)
+    if edim_res is None or not pred.matches(dim, edim_res.dimension):
+        return None
+    return dim, edim_res.dimension
 
 
 def _normalize_line(raw: str | bytes) -> str:
@@ -166,9 +186,9 @@ def _scan_batch(payload: tuple[list[tuple[int, str]], Predicate]):
         if not g.is_connected():
             continue
         connected += 1
-        ok, dim, edim = _evaluate(g, pred)
-        if ok:
-            matches.append(ScanMatch(lineno, line, dim, edim))
+        dims = _evaluate(g, pred)
+        if dims is not None:
+            matches.append(ScanMatch(lineno, line, *dims))
     return len(batch), decoded, connected, errors, matches
 
 
@@ -290,8 +310,9 @@ def scan(
                 for line_mark, fut in pending:
                     last_line = line_mark
                     absorb(fut.result())
-    except OSError:
+    except OSError as exc:
         report.complete = False
+        report.io_error = str(exc)
     report.matches.sort(key=lambda m: m.line)
     if checkpoint and report.complete:
         _write_checkpoint(checkpoint, last_line, report)
@@ -547,22 +568,31 @@ class RatioWitness:
         return Fraction(self.predicted_dim, self.predicted_edim)
 
 
-def ratio_witness(q, *, confirm_order_limit: int = 24) -> RatioWitness:
-    """Chain whose vertex-to-edge dimension ratio is at least ``q >= 1``.
+def ratio_chain(q) -> tuple[int, int, int, int]:
+    """Chain parameters ``(n1, n2, n3, ell)`` of the witness for ``q >= 1``.
 
     Even six-cycles pin the edge dimension at two while each extra copy adds
     one to the vertex dimension, so ``ell`` copies give ratio ``(2+ell)/2``.
-    The dimensions are confirmed by the exact solver when the order stays
-    within ``confirm_order_limit``.
     """
     q = Fraction(q)
     if q < 1:
         raise ValueError(f"ratio target must be at least 1, got {q}")
-    ell = max(1, math.ceil(2 * q - 2))
-    chain = make_chain(6, 1, 2, ell)
+    return 6, 1, 2, max(1, math.ceil(2 * q - 2))
+
+
+def ratio_witness(q, *, confirm_order_limit: int = 24) -> RatioWitness:
+    """Chain whose vertex-to-edge dimension ratio is at least ``q >= 1``.
+
+    The chain is the one ``ratio_chain(q)`` describes.  Its dimensions are
+    confirmed by the exact solver when the order stays within
+    ``confirm_order_limit``.
+    """
+    params = ratio_chain(q)
+    ell = params[3]
+    chain = make_chain(*params)
     predicted_dim, predicted_edim = 2 + ell, 2
     confirmed_dim = confirmed_edim = None
-    if chain_order(6, 1, 2, ell) <= confirm_order_limit:
+    if chain_order(*params) <= confirm_order_limit:
         dim_res = metric_dimension(chain.graph)
         edim_res = edge_metric_dimension(chain.graph)
         assert dim_res is not None and edim_res is not None

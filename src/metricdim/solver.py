@@ -217,18 +217,25 @@ def _minimum_generator(
 ) -> ResolveResult | None:
     dm = _require_connected(g)
     n = g.n
+    ground_size = n if kind == "vertex" else len(g.edges)
+    top = n if max_k is None else min(max_k, n)
+    # Every landmark z sorts the ground set into at most ecc(z)+1 <= diam+1
+    # distance classes, so top landmarks tell at most (diam+1)**top items
+    # apart.  This is the level search's root prune, taken before any
+    # landmark classes are built.  Past bit_length the power already beats
+    # ground_size, so the exponent is clamped there to keep it small.
+    bound = min(top, ground_size.bit_length())
+    if max_k is not None and ground_size > (max(map(max, dm)) + 1) ** bound:
+        return None
     if kind == "vertex":
-        ground_size = n
         landmark_classes: list[list[int]] = [
             _vertex_classes(dm, z, n) for z in range(n)
         ]
     else:
         edges = g.edges
-        ground_size = len(edges)
         landmark_classes = [_edge_classes(dm, z, edges) for z in range(n)]
     init = [(1 << ground_size) - 1] if ground_size > 1 else []
     m_max = max((len(c) for c in landmark_classes), default=1)
-    top = n if max_k is None else min(max_k, n)
     for k in range(min_k, top + 1):
         witness = _level_search(k, init, landmark_classes, n, m_max)
         if witness is not None:

@@ -155,3 +155,44 @@ def test_ratio_command(capsys):
 def test_help_family_specs_parse():
     for spec in FAMILY_SPEC_EXAMPLES:
         parse_family_spec(spec)
+
+
+def _refuse_to_build(monkeypatch):
+    import metricdim.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli, "realize", refuse)
+    monkeypatch.setattr(cli, "ratio_witness", refuse)
+
+
+def test_realize_refuses_order_beyond_graph6(capsys, monkeypatch):
+    _refuse_to_build(monkeypatch)
+    code, out, err = run(
+        capsys, "realize", "--dim", "2", "--edim", "4", "--order", "1000000000"
+    )
+    assert code == 2
+    assert not out
+    assert "error:" in err and "graph6" in err
+
+
+def test_ratio_refuses_target_beyond_graph6(capsys, monkeypatch):
+    _refuse_to_build(monkeypatch)
+    code, out, err = run(capsys, "ratio", "--target", "1e9")
+    assert code == 2
+    assert not out
+    assert "error:" in err and "graph6" in err
+
+
+def test_scan_io_failure_reports_the_error(capsys, monkeypatch):
+    import sys
+
+    def broken():
+        yield b"A_\n"
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": broken()})())
+    code, _, err = run(capsys, "scan", "--pred", "lt")
+    assert code == 1
+    assert "scan incomplete" in err and "disk gone" in err

@@ -13,18 +13,21 @@ from metricdim import (
     decode_graph6,
     disjoint_union,
     edge_metric_dimension,
+    edge_metric_dimension_naive,
     encode_graph6,
     enumerate_labeled_connected,
     make_chain,
     make_complete,
     make_cycle,
+    make_gadget,
     make_path,
     metric_dimension,
+    metric_dimension_naive,
     ratio_witness,
     scan,
     verify_small_orders,
 )
-from conftest import random_connected_graph
+from conftest import random_connected_graph, relabel
 
 
 def connected_labeled_count(n: int) -> int:
@@ -166,6 +169,53 @@ def test_scan_caps_never_change_matches():
         )
 
 
+# Independent statement of each predicate, over exact integers only.
+_PREDICATE_ORACLES = {
+    "lt": lambda d, e: e < d,
+    "gt": lambda d, e: e > d,
+    "eq": lambda d, e: e == d,
+    "diff:-2": lambda d, e: d - e == -2,
+    "diff:-1": lambda d, e: d - e == -1,
+    "diff:0": lambda d, e: d == e,
+    "diff:1": lambda d, e: d - e == 1,
+    "ratio:1": lambda d, e: d > 0 if e == 0 else d >= e,
+    "ratio:3/2": lambda d, e: d > 0 if e == 0 else 2 * d >= 3 * e,
+    "ratio:2": lambda d, e: d > 0 if e == 0 else d >= 2 * e,
+}
+
+
+def test_scan_predicates_match_naive_oracle():
+    # every kind of predicate, evaluated dim first with a capped edge
+    # search, must report exactly the graphs and dimensions that the naive
+    # solvers give; the gadgets are the rare edim < dim graphs
+    rng = random.Random(97)
+    graphs = [g for n in range(1, 6) for g in enumerate_labeled_connected(n)]
+    for _ in range(300):
+        n = rng.randrange(6, 12)
+        graphs.append(random_connected_graph(rng, n, extra=rng.randrange(0, 2 * n)))
+    for params in ((6, 1, 2), (6, 1, 3)):
+        gadget = make_gadget(*params).graph
+        for _ in range(3):
+            perm = list(range(gadget.n))
+            rng.shuffle(perm)
+            graphs.append(relabel(gadget, perm))
+    rng.shuffle(graphs)
+    lines = [encode_graph6(g) for g in graphs]
+    dims = [
+        (metric_dimension_naive(g).dimension, edge_metric_dimension_naive(g).dimension)
+        for g in graphs
+    ]
+    for text, oracle in _PREDICATE_ORACLES.items():
+        report = scan(lines, Predicate.parse(text))
+        expected = [
+            (line, d, e)
+            for line, (d, e) in enumerate(dims, start=1)
+            if oracle(d, e)
+        ]
+        assert [(m.line, m.dim, m.edim) for m in report.matches] == expected, text
+        assert report.connected == len(graphs)
+
+
 def test_scan_checkpoint_resume(tmp_path):
     lines = _sample_stream()
     ckpt = tmp_path / "scan.ckpt"
@@ -212,6 +262,7 @@ def test_scan_handles_io_failure():
     report = scan(broken(), Predicate.parse("lt"), batch_size=1)
     assert not report.complete
     assert report.total == 1
+    assert report.io_error == "disk gone"
 
 
 def test_scan_agrees_with_census_on_exhaustive_stream():

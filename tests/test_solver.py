@@ -231,6 +231,33 @@ def test_capped_and_resumed_search():
         assert edge_metric_dimension(g, min_k=efull.dimension) == efull
 
 
+def test_bounded_search_refutes_exactly_above_the_bound():
+    # max_k refutes by the diameter count before any class is built; it must
+    # answer None exactly when the naive dimension exceeds the bound, for
+    # dense small graphs and for long paths and cycles alike
+    rng = random.Random(59)
+    graphs = [g for n in range(1, 7) for g in enumerate_labeled_connected(n)]
+    for n in range(8, 13):
+        graphs += [make_path(n), make_cycle(n)]
+        graphs += [
+            random_connected_graph(rng, n, extra=rng.randrange(0, 3 * n))
+            for _ in range(6)
+        ]
+    for g in graphs:
+        dim = metric_dimension_naive(g).dimension
+        edim = edge_metric_dimension_naive(g).dimension
+        for k in range(g.n + 1):
+            res = metric_dimension(g, max_k=k)
+            assert (res is None) == (dim > k)
+            assert res is None or res.dimension == dim
+            eres = edge_metric_dimension(g, max_k=k)
+            assert (eres is None) == (edim > k)
+            assert eres is None or eres.dimension == edim
+    # a bound far beyond the order is no bound, and must stay cheap
+    assert metric_dimension(make_path(12), max_k=10**18).dimension == 1
+    assert edge_metric_dimension(make_cycle(12), max_k=10**18).dimension == 2
+
+
 def test_min_k_above_dimension_returns_lex_least_of_that_size():
     # min_k promises smaller cardinalities were refuted; if a caller lies,
     # the search still returns the lexicographically least set of that size
