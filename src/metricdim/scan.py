@@ -30,11 +30,19 @@ from typing import Iterable, Iterator
 from .families import FamilyGraph, chain_order, make_chain
 from .graph import Graph
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, is_record_line
-from .solver import ResolveResult, edge_metric_dimension, metric_dimension
+from .solver import (
+    ResolveResult,
+    edge_metric_dimension,
+    edge_signatures,
+    metric_dimension,
+    separation_masks,
+    signatures,
+)
 
 MAX_ENUM_ORDER = 7
 MAX_ERROR_DETAILS = 1000  # diagnostics kept verbatim; the rest only counted
 _SELF_CHECK_STRIDE = 9973  # prime, so the sample is spread over edge masks
+_NIBBLE = 4  # census lane width: hop counts below order 8 fit in three bits
 
 
 class OrderTooLarge(ValueError):
@@ -389,7 +397,7 @@ def _subset_masks(n: int) -> list[list[int]]:
     """Landmark subsets per cardinality, one nibble-spaced bit per landmark.
 
     Landmark z occupies bit 4z so that subset masks combine directly with
-    the nibble-packed distance signatures below.  Cached per order.
+    the separation masks of nibble-wide signatures.  Cached per order.
     """
     cached = _SUBSET_MASKS.get(n)
     if cached is None:
@@ -399,33 +407,11 @@ def _subset_masks(n: int) -> list[list[int]]:
             for combo in combinations(range(n), k):
                 s = 0
                 for z in combo:
-                    s |= 1 << (4 * z)
+                    s |= 1 << (_NIBBLE * z)
                 level.append(s)
             cached.append(level)
         _SUBSET_MASKS[n] = cached
     return cached
-
-
-def _separation_masks(sigs: list[int], low: int) -> list[int]:
-    """Per-pair masks of the landmarks that tell the two items apart.
-
-    Each signature packs an item's distances to all landmarks into nibbles
-    (hop counts at these orders fit in three bits), so the XOR of two
-    signatures has a non-zero nibble exactly at the separating landmarks.
-    Folding each nibble onto its low bit yields the pair's landmark mask in
-    the same nibble-spaced layout as ``_subset_masks``.  Duplicates are
-    collapsed and the result is sorted by popcount so covers fail fast.
-    """
-    masks: set[int] = set()
-    ground = len(sigs)
-    for a in range(ground):
-        sa = sigs[a]
-        for b in range(a + 1, ground):
-            d = sa ^ sigs[b]
-            d |= d >> 1
-            d |= d >> 2
-            masks.add(d & low)
-    return sorted(masks, key=int.bit_count)
 
 
 def _min_cover(masks: list[int], levels: list[list[int]]) -> int:
@@ -446,28 +432,12 @@ def _min_cover(masks: list[int], levels: list[list[int]]) -> int:
 
 def _census_dims(rows: list[tuple[int, ...]], edges: list[tuple[int, int]], n: int) -> tuple[int, int]:
     levels = _subset_masks(n)
-    low = sum(1 << (4 * z) for z in range(n))
-    vsigs = []
-    for v in range(n):
-        s = 0
-        shift = 0
-        for row in rows:
-            s |= row[v] << shift
-            shift += 4
-        vsigs.append(s)
-    dim = _min_cover(_separation_masks(vsigs, low), levels)
+    sigs = signatures(rows, _NIBBLE)
+    dim = _min_cover(separation_masks(sigs, _NIBBLE, n), levels)
     if len(edges) <= 1:
         return dim, 0
-    esigs = []
-    for u, v in edges:
-        s = 0
-        shift = 0
-        for row in rows:
-            ru, rv = row[u], row[v]
-            s |= (ru if ru < rv else rv) << shift
-            shift += 4
-        esigs.append(s)
-    edim = _min_cover(_separation_masks(esigs, low), levels)
+    esigs = edge_signatures(sigs, edges, _NIBBLE)
+    edim = _min_cover(separation_masks(esigs, _NIBBLE, n), levels)
     return dim, edim
 
 

@@ -6,11 +6,36 @@ solvers here search landmark subsets in ascending cardinality and, within one
 cardinality, in lexicographic order, so the reported witness is always the
 lexicographically least minimum-cardinality generator.
 
-The fast path works on distance partitions encoded as bit vectors: for each
-landmark z the ground set (vertices or edges) is bucketed by distance to z,
-and a subset S is a generator exactly when the common refinement (meet) of
-its members' partitions is discrete.  Partition intersections are plain
-big-int ANDs, so a refinement step costs a handful of word-parallel ops.
+The search is a minimum hitting set (Khuller, Raghavachari and Rosenfeld,
+*Landmarks in graphs*, 1996).  Each item's distances to all n landmarks are
+packed into one int, a lane of w bits per landmark, w being the smallest
+power of two that holds the diameter; an edge takes the lane-wise minimum
+of its endpoints.  XOR-ing two items and folding every lane onto its low
+bit gives the pair's separator mask, the landmarks that tell the pair
+apart, and S resolves the graph exactly when it hits every mask.  Distinct
+masks are kept, supersets of other masks dropped, and the rest sorted by
+popcount.  Cardinalities k ascend from ``min_k``; each is a lexicographic
+depth-first search over landmarks, which at every node
+
+1. refutes when a remaining mask has no landmark at or above the next
+   candidate;
+2. tries next landmarks only up to the smallest top landmark among the
+   remaining masks, because the completion must hit that mask;
+3. refutes when more masks than landmarks left are pairwise disjoint above
+   the next candidate (a greedy pick), because each needs its own landmark.
+
+None of these discards a subtree holding a resolving set of size k, so the
+first set found is the lexicographically least.  The search also skips a
+landmark that hits no remaining mask, which is sound only because every
+smaller k has been refuted: a set with such a landmark would still resolve
+without it.
+
+The masks cost one XOR and fold per item pair over n*w bits, so setup grows
+with pairs times n*w and dominates on large sparse graphs: ``path:1000``
+takes several seconds per solve, almost all of it building masks.  A bounded
+search (``max_k``) first refutes by counting distance classes, before any
+mask is built.  The generator checks (``is_metric_generator`` and friends)
+refine distance partitions encoded as bit vectors instead.
 
 A deliberately dumb reference implementation (materialise every distance
 vector per subset, no partition machinery) is kept alongside as an oracle
@@ -163,50 +188,179 @@ def meet_is_discrete(partitions: Iterable[DistancePartition], ground_size: int) 
     return not classes
 
 
-def _level_search(
-    k: int,
-    init_classes: list[int],
-    landmark_classes: Sequence[Sequence[int]],
-    n: int,
-    m_max: int,
-) -> tuple[int, ...] | None:
-    """First generator of exactly k landmarks in lexicographic order.
+def _lane_width(diam: int) -> int:
+    """Bits per landmark lane: the smallest power of two holding ``diam``.
 
-    Sound only when every smaller cardinality has already been refuted:
-    the search skips landmarks that do not refine the running meet, which
-    can only hide generators that contain a redundant landmark, and those
-    imply a strictly smaller generator.
+    A power of two keeps the OR-fold of ``separation_masks`` inside its
+    lane; with any other width it would pull in the next lane's low bit.
     """
-    if k == 0:
-        return () if not init_classes else None
+    w = 1
+    while w < diam.bit_length():
+        w <<= 1
+    return w
+
+
+def _lanes(n: int, w: int) -> int:
+    """The low bit of each of ``n`` lanes of width ``w``."""
+    return ((1 << (n * w)) - 1) // ((1 << w) - 1)
+
+
+def signatures(rows: Sequence[Sequence[int]], w: int) -> list[int]:
+    """Each vertex's distances to all landmarks, landmark z in bits ``[w*z, w*z+w)``.
+
+    ``rows`` is the (symmetric) distance matrix.
+    """
+    sigs = []
+    for row in rows:
+        s = 0
+        for d in reversed(row):
+            s = s << w | d
+        sigs.append(s)
+    return sigs
+
+
+def edge_signatures(sigs: Sequence[int], edges: Sequence[Edge], w: int) -> list[int]:
+    """Each edge's distances to all landmarks, from the vertex ``signatures``.
+
+    An edge's lane holds the smaller of its two endpoint lanes.  Those
+    differ by at most one, and for ``k`` against ``k+1`` the XOR is a run
+    of ones whose top bit is set in ``k+1`` alone; the minimum is the
+    common bits plus that run without its top bit.
+    """
+    below_top = _lanes(len(sigs), w) * ((1 << (w - 1)) - 1)
+    out = []
+    for u, v in edges:
+        a, b = sigs[u], sigs[v]
+        x = a ^ b
+        out.append(a & b | x & (x >> 1 & below_top))
+    return out
+
+
+def separation_masks(sigs: Sequence[int], w: int, n: int) -> list[int]:
+    """Distinct per-pair masks of the landmarks that tell two items apart.
+
+    The XOR of two signatures is non-zero exactly in the separating lanes;
+    OR-folding each lane onto its low bit leaves landmark z at bit ``w*z``.
+    The result is sorted by popcount.
+    """
+    low = _lanes(n, w)
+    masks = set()
+    for i, a in enumerate(sigs):
+        for b in sigs[i + 1 :]:
+            d = a ^ b
+            shift = 1
+            while shift < w:
+                d |= d >> shift
+                shift <<= 1
+            masks.add(d & low)
+    return sorted(masks, key=int.bit_count)
+
+
+def _disjoint_count(masks: list[int], cap: int) -> int:
+    """Greedy count of pairwise disjoint masks, stopping past ``cap``."""
+    seen = count = 0
+    for m in masks:
+        if not m & seen:
+            seen |= m
+            count += 1
+            if count > cap:
+                break
+    return count
+
+
+def _drop_supersets(masks: list[int]) -> list[int]:
+    """Masks (sorted by popcount) without any superset of another mask.
+
+    Hitting the smaller mask hits the larger one, so the hitting sets stay
+    the same.
+    """
+    kept: list[int] = []
+    for m in masks:
+        for k in kept:
+            if m & k == k:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def _lex_least_hitting_set(
+    masks: list[int], n: int, w: int, min_k: int, max_k: int
+) -> tuple[int, ...] | None:
+    """Lexicographically least smallest landmark set hitting every mask.
+
+    ``masks`` come from ``separation_masks``.  Cardinalities ``min_k`` to
+    ``max_k`` are tried in ascending order; None means that no set of at
+    most ``max_k`` landmarks hits every mask.  ``min_k`` must not exceed
+    the true minimum: the search skips landmarks that hit no remaining
+    mask, which can only hide sets that contain a redundant landmark, and
+    those imply a strictly smaller one.
+    """
+    # The disjoint-masks bound at the root, taken before the search index
+    # is built.  Greedy picks by popcount never take a superset of another
+    # mask, so the bound equals the one the search would find at its root.
+    min_k = max(min_k, _disjoint_count(masks, max_k))
+    if min_k > max_k:
+        return None
+    masks = _drop_supersets(masks)
+    # The search works on sets of masks: bit i stands for masks[i].
+    # hits[z]: the masks landmark z hits.  Each mask's string of bits, one
+    # character per landmark, is read down the columns.
+    width = n * w
+    column = "".join([format(m, f"0{width}b")[::-w] for m in reversed(masks)])
+    hits = [int(column[z::n] or "0", 2) for z in range(n)]
+    above = [0] * (n + 1)  # above[s]: the masks with a landmark >= s
+    for z in range(n - 1, -1, -1):
+        above[z] = above[z + 1] | hits[z]
     prefix: list[int] = []
 
-    def rec(start: int, classes: list[int], depth: int) -> tuple[int, ...] | None:
-        r = k - depth
-        if not classes:
-            # Everything already resolved; lex-least completion wins.
+    def rec(start: int, rem: int, r: int) -> tuple[int, ...] | None:
+        if not rem:
+            # Everything already hit; lex-least completion wins.
             if n - start >= r:
-                return tuple(prefix) + tuple(range(start, start + r))
+                return (*prefix, *range(start, start + r))
             return None
-        if r == 0:
+        if r == 0 or rem & ~above[start]:
             return None
-        # A landmark splits a class into at most m_max parts, so a class
-        # bigger than m_max**r can never be shattered by r more landmarks.
-        biggest = max(c.bit_count() for c in classes)
-        if biggest > m_max**r:
-            return None
+        if r > 1 and rem.bit_count() > r:
+            # Masks pairwise disjoint above start each need a landmark of
+            # their own; r+1 of them, picked greedily, refute.
+            base = w * start
+            free = rem
+            for _ in range(r + 1):
+                if not free:
+                    break
+                m = masks[(free & -free).bit_length() - 1] >> base
+                while m:
+                    low = m & -m
+                    free &= ~hits[start + (low.bit_length() - 1) // w]
+                    m ^= low
+            else:
+                return None
         for z in range(start, n - r + 1):
-            nc, changed = _refine(classes, landmark_classes[z])
-            if not changed:
-                continue
-            prefix.append(z)
-            hit = rec(z + 1, nc, depth + 1)
-            if hit is not None:
-                return hit
-            prefix.pop()
+            h = hits[z]
+            if rem & h:
+                if r == 1:
+                    if not rem & ~h:
+                        return (*prefix, z)
+                else:
+                    prefix.append(z)
+                    found = rec(z + 1, rem & ~h, r - 1)
+                    if found is not None:
+                        return found
+                    prefix.pop()
+            if rem & ~above[z + 1]:
+                # A remaining mask has no landmark above z, and the
+                # lex-least completion must still hit it.
+                break
         return None
 
-    return rec(0, init_classes, 0)
+    every = (1 << len(masks)) - 1
+    for k in range(min_k, max_k + 1):
+        found = rec(0, every, k)
+        if found is not None:
+            return found
+    return None
 
 
 def _minimum_generator(
@@ -219,28 +373,22 @@ def _minimum_generator(
     n = g.n
     ground_size = n if kind == "vertex" else len(g.edges)
     top = n if max_k is None else min(max_k, n)
+    diam = max(map(max, dm))
     # Every landmark z sorts the ground set into at most ecc(z)+1 <= diam+1
     # distance classes, so top landmarks tell at most (diam+1)**top items
-    # apart.  This is the level search's root prune, taken before any
-    # landmark classes are built.  Past bit_length the power already beats
-    # ground_size, so the exponent is clamped there to keep it small.
+    # apart.  Past bit_length the power already beats ground_size, so the
+    # exponent is clamped there to keep it small.
     bound = min(top, ground_size.bit_length())
-    if max_k is not None and ground_size > (max(map(max, dm)) + 1) ** bound:
+    if max_k is not None and ground_size > (diam + 1) ** bound:
         return None
-    if kind == "vertex":
-        landmark_classes: list[list[int]] = [
-            _vertex_classes(dm, z, n) for z in range(n)
-        ]
-    else:
-        edges = g.edges
-        landmark_classes = [_edge_classes(dm, z, edges) for z in range(n)]
-    init = [(1 << ground_size) - 1] if ground_size > 1 else []
-    m_max = max((len(c) for c in landmark_classes), default=1)
-    for k in range(min_k, top + 1):
-        witness = _level_search(k, init, landmark_classes, n, m_max)
-        if witness is not None:
-            return ResolveResult(kind, k, witness)
-    return None
+    w = _lane_width(diam)
+    sigs = signatures(dm, w)
+    if kind == "edge":
+        sigs = edge_signatures(sigs, g.edges, w)
+    witness = _lex_least_hitting_set(separation_masks(sigs, w, n), n, w, min_k, top)
+    if witness is None:
+        return None
+    return ResolveResult(kind, len(witness), witness)
 
 
 def metric_dimension(

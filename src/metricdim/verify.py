@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 from .families import (
     BasisBlueprint,
@@ -93,25 +94,27 @@ def solved_gadget_dims(n1: int, n2: int, n3: int) -> tuple[int, int]:
     return dim.dimension, edim.dimension
 
 
-def confirm_dims(g, expected_dim: int, expected_edim: int) -> tuple[bool, str]:
+def confirm_dims(
+    graph,
+    expected_dim: int,
+    expected_edim: int,
+    vertex_basis: tuple[int, ...],
+    edge_basis: tuple[int, ...],
+) -> tuple[bool, str]:
     """Certify exact dimensions of a (possibly large) family graph.
 
     Small orders get a full solve.  Larger ones are certified by checking
-    the canonical generator at the expected size and exhausting all subsets
-    one landmark smaller, which bounds the dimension from both sides.
+    that the given bases, of the expected sizes, generate and by exhausting
+    all subsets one landmark smaller, which bounds the dimension from both
+    sides.
     """
-    graph = g.graph if hasattr(g, "graph") else g
     if graph.n <= FULL_SOLVE_ORDER_LIMIT:
         dim = metric_dimension(graph)
         edim = edge_metric_dimension(graph)
         ok = (dim.dimension, edim.dimension) == (expected_dim, expected_edim)
         return ok, f"solved (dim, edim) = ({dim.dimension}, {edim.dimension})"
-    return _confirm_by_refutation(g, graph, expected_dim, expected_edim)
-
-
-def _confirm_by_refutation(g, graph, expected_dim, expected_edim):
-    upper_dim = is_metric_generator(graph, g.expected_vertex_basis)
-    upper_edim = is_edge_metric_generator(graph, g.expected_edge_basis)
+    upper_dim = is_metric_generator(graph, vertex_basis)
+    upper_edim = is_edge_metric_generator(graph, edge_basis)
     lower_dim = metric_dimension(graph, max_k=expected_dim - 1) is None
     lower_edim = edge_metric_dimension(graph, max_k=expected_edim - 1) is None
     ok = upper_dim and upper_edim and lower_dim and lower_edim
@@ -121,30 +124,22 @@ def _confirm_by_refutation(g, graph, expected_dim, expected_edim):
     )
 
 
-@dataclass
-class _ChainWithBases:
-    graph: object
-    expected_vertex_basis: tuple[int, ...]
-    expected_edge_basis: tuple[int, ...]
-
-
 def certify_chain(n1: int, n2: int, n3: int, ell: int) -> tuple[bool, str, tuple[int, int]]:
     expected = expected_chain_dims(n1, n3, ell)
-    chain = make_chain(n1, n2, n3, ell)
-    holder = _ChainWithBases(
-        graph=chain.graph,
-        expected_vertex_basis=canonical_basis(n1, n2, n3, ell, kind="vertex"),
-        expected_edge_basis=canonical_basis(n1, n2, n3, ell, kind="edge"),
+    ok, detail = confirm_dims(
+        make_chain(n1, n2, n3, ell).graph,
+        *expected,
+        canonical_basis(n1, n2, n3, ell, kind="vertex"),
+        canonical_basis(n1, n2, n3, ell, kind="edge"),
     )
-    ok, detail = confirm_dims(holder, *expected)
     return ok, detail, expected
 
 
-def suite_observation1(grid: str = "small") -> SuiteResult:
+def suite_observation1(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
     res = SuiteResult("observation1")
     t0 = time.monotonic()
     for n1, n2, n3 in gadget_grid(grid):
-        dim, edim = solved_gadget_dims(n1, n2, n3)
+        dim, edim = gadget_dims(n1, n2, n3)
         res.check(
             f"G({n1},{n2},{n3}): dim={dim} >= {n3} and edim={edim} >= {n3}",
             dim >= n3 and edim >= n3,
@@ -153,7 +148,7 @@ def suite_observation1(grid: str = "small") -> SuiteResult:
     return res
 
 
-def suite_lemma2(grid: str = "small") -> SuiteResult:
+def suite_lemma2(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
     res = SuiteResult("lemma2")
     t0 = time.monotonic()
     for n1, n2, n3 in gadget_grid(grid):
@@ -183,23 +178,23 @@ def suite_lemma2(grid: str = "small") -> SuiteResult:
     return res
 
 
-def suite_lemma3(grid: str = "small") -> SuiteResult:
+def suite_lemma3(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
     res = SuiteResult("lemma3")
     t0 = time.monotonic()
     for n1, n2, n3 in gadget_grid(grid):
         expected = expected_gadget_dims(n1, n3)[0]
-        dim, _ = solved_gadget_dims(n1, n2, n3)
+        dim, _ = gadget_dims(n1, n2, n3)
         res.check(f"G({n1},{n2},{n3}): dim={dim}, expected {expected}", dim == expected)
     res.seconds = time.monotonic() - t0
     return res
 
 
-def suite_lemma4(grid: str = "small") -> SuiteResult:
+def suite_lemma4(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
     res = SuiteResult("lemma4")
     t0 = time.monotonic()
     for n1, n2, n3 in gadget_grid(grid):
         expected = expected_gadget_dims(n1, n3)[1]
-        _, edim = solved_gadget_dims(n1, n2, n3)
+        _, edim = gadget_dims(n1, n2, n3)
         res.check(f"G({n1},{n2},{n3}): edim={edim}, expected {expected}", edim == expected)
     res.seconds = time.monotonic() - t0
     return res
@@ -215,14 +210,14 @@ def _lemma5_pairs(grid: str) -> list[tuple[tuple[int, int, int], tuple[int, int,
     return [(f, (s, 1, 2)) for f in firsts for s in (5, 6)]
 
 
-def suite_lemma5(grid: str = "small") -> SuiteResult:
+def suite_lemma5(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
     res = SuiteResult("lemma5")
     t0 = time.monotonic()
     for (p1, p2) in _lemma5_pairs(grid):
         g1 = make_gadget(*p1)
         g2 = make_gadget(*p2)
-        d1, e1 = solved_gadget_dims(*p1)
-        d2, e2 = solved_gadget_dims(*p2)
+        d1, e1 = gadget_dims(*p1)
+        d2, e2 = gadget_dims(*p2)
         alpha = BasisBlueprint.for_cycle(p1[0]).alpha
         joined = glue(g1, g1.vertex("a", alpha), g2, g2.vertex("j", 1))
         dim = metric_dimension(joined.graph)
@@ -237,7 +232,7 @@ def suite_lemma5(grid: str = "small") -> SuiteResult:
     return res
 
 
-def suite_lemma6(grid: str = "small") -> SuiteResult:
+def suite_lemma6(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
     res = SuiteResult("lemma6")
     t0 = time.monotonic()
     for n1, ell in chain_grid(grid):
@@ -247,7 +242,7 @@ def suite_lemma6(grid: str = "small") -> SuiteResult:
     return res
 
 
-def suite_theorem1(grid: str = "small") -> SuiteResult:
+def suite_theorem1(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
     res = SuiteResult("theorem1")
     t0 = time.monotonic()
     targets = [(2, 4), (4, 2)] if grid == "small" else [(2, 4), (4, 2), (2, 5), (5, 2), (3, 5), (5, 3)]
@@ -271,7 +266,7 @@ def suite_theorem1(grid: str = "small") -> SuiteResult:
     return res
 
 
-def suite_theorem2(grid: str = "small") -> SuiteResult:
+def suite_theorem2(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
     res = SuiteResult("theorem2")
     t0 = time.monotonic()
     target = 2 if grid == "small" else 3
@@ -292,6 +287,8 @@ def suite_theorem2(grid: str = "small") -> SuiteResult:
     return res
 
 
+# Every suite is called as ``suite(grid, gadget_dims)``, where
+# ``gadget_dims(n1, n2, n3)`` gives a gadget's solved (dim, edim).
 SUITES = {
     "observation1": suite_observation1,
     "lemma2": suite_lemma2,
@@ -310,4 +307,7 @@ def run_suites(names: list[str] | None = None, grid: str = "small") -> list[Suit
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}")
-    return [SUITES[n](grid) for n in names]
+    # One solve per gadget for the whole call; a fresh cache each call, so
+    # repeated runs repeat the work.
+    gadget_dims = cache(solved_gadget_dims)
+    return [SUITES[n](grid, gadget_dims) for n in names]

@@ -24,7 +24,8 @@ from metricdim import (
     metric_dimension_naive,
     resolution_vector,
 )
-from metricdim.scan import enumerate_labeled_connected
+from metricdim.scan import _search, enumerate_labeled_connected
+from metricdim.verify import expected_gadget_dims
 from conftest import random_connected_graph, relabel
 
 
@@ -256,6 +257,49 @@ def test_bounded_search_refutes_exactly_above_the_bound():
     # a bound far beyond the order is no bound, and must stay cheap
     assert metric_dimension(make_path(12), max_k=10**18).dimension == 1
     assert edge_metric_dimension(make_cycle(12), max_k=10**18).dimension == 2
+
+
+def test_witness_and_resumed_searches_match_naive_oracle():
+    # lex-least witnesses of both kinds against the naive oracle beyond the
+    # exhaustive order-5 check, and every resumed or split search must give
+    # back the uncapped result
+    rng = random.Random(97)
+    graphs = list(enumerate_labeled_connected(6))
+    for _ in range(1000):
+        n = rng.randrange(8, 13)
+        graphs.append(random_connected_graph(rng, n, extra=rng.randrange(0, n)))
+    perm_rng = random.Random(61)
+    for params in ((6, 1, 2), (6, 1, 3), (8, 1, 2)):
+        g = make_gadget(*params).graph
+        perm = list(range(g.n))
+        perm_rng.shuffle(perm)
+        graphs.append(relabel(g, perm))
+    for g in graphs:
+        for kind, fast, naive in (
+            ("vertex", metric_dimension, metric_dimension_naive),
+            ("edge", edge_metric_dimension, edge_metric_dimension_naive),
+        ):
+            full = fast(g)
+            assert full == naive(g)
+            d = full.dimension
+            assert fast(g, min_k=d) == full
+            if d:
+                assert fast(g, min_k=d - 1) == full
+            for cap in range(max(d - 1, 0), d + 1):
+                assert _search(g, kind, cap, None) == full
+                assert _search(g, kind, cap, d) == full
+
+
+def test_wide_lanes():
+    # diameters of 16 and more need lanes of 8 and 16 bits
+    assert metric_dimension(make_path(300)).dimension == 1
+    assert edge_metric_dimension(make_path(300)).dimension == 1
+    assert metric_dimension(make_cycle(300)).dimension == 2
+    assert edge_metric_dimension(make_cycle(300)).dimension == 2
+    for n1, n2, n3 in ((5, 40, 2), (6, 20, 3)):
+        g = make_gadget(n1, n2, n3).graph
+        dims = (metric_dimension(g).dimension, edge_metric_dimension(g).dimension)
+        assert dims == expected_gadget_dims(n1, n3)
 
 
 def test_min_k_above_dimension_returns_lex_least_of_that_size():
