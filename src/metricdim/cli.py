@@ -23,6 +23,7 @@ from .families import (
     RealizeError,
     chain_order,
     parse_family_spec,
+    plain_graph,
     realize,
 )
 from .graph import Graph, GraphError
@@ -184,13 +185,9 @@ def _basis_names(g: Graph | FamilyGraph, witness: Sequence[int]) -> str:
     return "[" + ",".join(str(v) for v in witness) + "]"
 
 
-def _plain(g: Graph | FamilyGraph) -> Graph:
-    return g.graph if isinstance(g, FamilyGraph) else g
-
-
 def _cmd_solve(args) -> int:
     g = _load_graph(args)
-    raw = _plain(g)
+    raw = plain_graph(g)
     if args.format == "records":
         dim = metric_dimension(raw)
         edim = edge_metric_dimension(raw)
@@ -211,7 +208,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_family(args) -> int:
     g = _load_graph(args)
-    raw = _plain(g)
+    raw = plain_graph(g)
     record = encode_graph6(raw)
     if args.format == "records":
         print(record)

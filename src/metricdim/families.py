@@ -13,6 +13,13 @@ Vertex ids inside a copy are assigned in the fixed order
 ``a_1..a_n1, b_1..b_n2, c, i, j_1..j_n3`` and copies are concatenated, so
 solver witnesses are reproducible.  Role labels live in a side table and
 never enter solver loops.
+
+Chain ids are closed-form.  Copy 1 starts at id 0 and every further copy is
+an ``(n1, 1, 2)`` gadget of order ``n1 + 5``, so copy ``k >= 2`` starts at
+``gadget_order(n1, n2, n3) + (k - 2) * (n1 + 5)``.  Role ``a_t`` of copy
+``k`` is ``base(k) + t - 1`` and ``j_t`` is ``base(k) + n1 + n2_k + 1 + t``,
+with ``n2_k`` the tail length of that copy.  The chain and its canonical
+bases are built from these offsets in one pass.
 """
 
 from __future__ import annotations
@@ -129,6 +136,11 @@ class FamilyGraph:
         return lab.name
 
 
+def plain_graph(g: Graph | FamilyGraph) -> Graph:
+    """The graph itself, with any role table dropped."""
+    return g.graph if isinstance(g, FamilyGraph) else g
+
+
 def gadget_order(n1: int, n2: int, n3: int) -> int:
     return n1 + n2 + n3 + 2
 
@@ -136,28 +148,48 @@ def gadget_order(n1: int, n2: int, n3: int) -> int:
 def make_gadget(n1: int, n2: int, n3: int) -> FamilyGraph:
     """Cycle-with-tail gadget plus a pendant hub; one copy, labels attached."""
     FamilyParams(n1, n2, n3).validate()
-    n = gadget_order(n1, n2, n3)
-    edges: list[tuple[int, int]] = []
-    # cycle a_1..a_n1 on ids 0..n1-1
-    for k in range(n1 - 1):
-        edges.append((k, k + 1))
-    edges.append((0, n1 - 1))
-    # tail b_1..b_n2 on ids n1..n1+n2-1, joined at a_2
-    for k in range(n2 - 1):
-        edges.append((n1 + k, n1 + k + 1))
-    edges.append((1, n1))
-    c, hub = n1 + n2, n1 + n2 + 1
-    edges.append((n1 - 1, c))
-    edges.append((0, hub))
-    for k in range(n3):
-        edges.append((hub, hub + 1 + k))
-    labels = (
-        [RoleLabel(1, "a", k + 1) for k in range(n1)]
-        + [RoleLabel(1, "b", k + 1) for k in range(n2)]
-        + [RoleLabel(1, "c"), RoleLabel(1, "i")]
-        + [RoleLabel(1, "j", k + 1) for k in range(n3)]
+    return FamilyGraph(
+        Graph.from_edges(gadget_order(n1, n2, n3), _gadget_edges(0, n1, n2, n3)),
+        tuple(_gadget_labels(1, n1, n2, n3)),
     )
-    return FamilyGraph(Graph.from_edges(n, edges), tuple(labels))
+
+
+def _gadget_edges(base: int, n1: int, n2: int, n3: int) -> list[tuple[int, int]]:
+    """Edges of one gadget copy whose ids start at ``base``."""
+    hub = base + n1 + n2 + 1
+    return (
+        _core_edges(base, n1, n2)
+        + [(base, hub)]
+        + [(hub, hub + 1 + k) for k in range(n3)]
+    )
+
+
+def _gadget_labels(copy: int, n1: int, n2: int, n3: int) -> list[RoleLabel]:
+    """Role labels of one gadget copy, in id order."""
+    return (
+        _core_labels(copy, n1, n2)
+        + [RoleLabel(copy, "i")]
+        + [RoleLabel(copy, "j", k + 1) for k in range(n3)]
+    )
+
+
+def _core_edges(base: int, n1: int, n2: int) -> list[tuple[int, int]]:
+    # cycle a_1..a_n1 on ids base..base+n1-1
+    edges = [(base + k, base + k + 1) for k in range(n1 - 1)]
+    edges.append((base, base + n1 - 1))
+    # tail b_1..b_n2 on the next n2 ids, joined at a_2, then c at a_n1
+    edges += [(base + n1 + k, base + n1 + k + 1) for k in range(n2 - 1)]
+    edges.append((base + 1, base + n1))
+    edges.append((base + n1 - 1, base + n1 + n2))
+    return edges
+
+
+def _core_labels(copy: int, n1: int, n2: int) -> list[RoleLabel]:
+    return (
+        [RoleLabel(copy, "a", k + 1) for k in range(n1)]
+        + [RoleLabel(copy, "b", k + 1) for k in range(n2)]
+        + [RoleLabel(copy, "c")]
+    )
 
 
 def make_gadget_core(n1: int, n2: int) -> FamilyGraph:
@@ -166,18 +198,10 @@ def make_gadget_core(n1: int, n2: int) -> FamilyGraph:
         raise InvalidParams(f"cycle length n1 must be >= 5, got {n1}")
     if n2 < 1:
         raise InvalidParams(f"tail length n2 must be >= 1, got {n2}")
-    edges = [(k, k + 1) for k in range(n1 - 1)]
-    edges.append((0, n1 - 1))
-    for k in range(n2 - 1):
-        edges.append((n1 + k, n1 + k + 1))
-    edges.append((1, n1))
-    edges.append((n1 - 1, n1 + n2))
-    labels = (
-        [RoleLabel(1, "a", k + 1) for k in range(n1)]
-        + [RoleLabel(1, "b", k + 1) for k in range(n2)]
-        + [RoleLabel(1, "c")]
+    return FamilyGraph(
+        Graph.from_edges(n1 + n2 + 1, _core_edges(0, n1, n2)),
+        tuple(_core_labels(1, n1, n2)),
     )
-    return FamilyGraph(Graph.from_edges(n1 + n2 + 1, edges), tuple(labels))
 
 
 def glue(g1, v1: int, g2, v2: int):
@@ -188,8 +212,7 @@ def glue(g1, v1: int, g2, v2: int):
     the first.
     """
     labelled = isinstance(g1, FamilyGraph) and isinstance(g2, FamilyGraph)
-    raw1 = g1.graph if isinstance(g1, FamilyGraph) else g1
-    raw2 = g2.graph if isinstance(g2, FamilyGraph) else g2
+    raw1, raw2 = plain_graph(g1), plain_graph(g2)
     joined = add_edge(disjoint_union(raw1, raw2), v1, raw1.n + v2)
     if not labelled:
         return joined
@@ -210,11 +233,23 @@ def make_chain(n1: int, n2: int, n3: int, ell: int = 1) -> FamilyGraph:
     """
     FamilyParams(n1, n2, n3, ell).validate()
     alpha = BasisBlueprint.for_cycle(n1).alpha
-    chain = make_gadget(n1, n2, n3)
+    edges = _gadget_edges(0, n1, n2, n3)
+    labels = _gadget_labels(1, n1, n2, n3)
     for k in range(2, ell + 1):
-        nxt = make_gadget(n1, 1, 2)
-        chain = glue(chain, chain.vertex("a", alpha, copy=k - 1), nxt, nxt.vertex("j", 1))
-    return chain
+        base = _copy_base(n1, n2, n3, k)
+        edges += _gadget_edges(base, n1, 1, 2)
+        labels += _gadget_labels(k, n1, 1, 2)
+        # a_alpha of copy k-1 to j_1 of copy k
+        edges.append((_copy_base(n1, n2, n3, k - 1) + alpha - 1, base + n1 + 3))
+    order = chain_order(n1, n2, n3, ell)
+    return FamilyGraph(Graph.from_edges(order, edges), tuple(labels), copies=ell)
+
+
+def _copy_base(n1: int, n2: int, n3: int, k: int) -> int:
+    """Id of ``a_1`` in copy ``k`` of a chain."""
+    if k == 1:
+        return 0
+    return gadget_order(n1, n2, n3) + (k - 2) * (n1 + 5)
 
 
 def chain_order(n1: int, n2: int, n3: int, ell: int) -> int:
@@ -243,15 +278,17 @@ def canonical_basis(
 
 
 def _chain_basis(p: FamilyParams, bp: BasisBlueprint, compact: bool) -> list[int]:
-    chain = make_chain(p.n1, p.n2, p.n3, p.ell)
-    out = [chain.vertex("j", k, copy=1) for k in range(1, p.n3)]
+    def anchor(t: int, copy: int) -> int:
+        return _copy_base(p.n1, p.n2, p.n3, copy) + t - 1
+
+    hub = p.n1 + p.n2 + 1  # i of copy 1; its pendant j_k is hub + k
+    out = [hub + k for k in range(1, p.n3)]
     if compact:
-        out.append(chain.vertex("a", bp.alpha, copy=p.ell))
+        out.append(anchor(bp.alpha, p.ell))
     else:
-        for k in range(1, p.ell):
-            out.append(chain.vertex("a", bp.beta, copy=k))
-        out.append(chain.vertex("a", bp.alpha, copy=p.ell))
-        out.append(chain.vertex("a", bp.beta, copy=p.ell))
+        out += [anchor(bp.beta, k) for k in range(1, p.ell)]
+        out.append(anchor(bp.alpha, p.ell))
+        out.append(anchor(bp.beta, p.ell))
     return out
 
 
@@ -324,7 +361,7 @@ def parse_family_spec(spec: str):
         parts = rest.split("x")
         if len(parts) < 2:
             raise InvalidParams(f"product spec needs at least two factors: {spec!r}")
-        graphs = [_as_plain_graph(parse_family_spec(p)) for p in parts]
+        graphs = [plain_graph(parse_family_spec(p)) for p in parts]
         out = graphs[0]
         for g in graphs[1:]:
             out = cartesian_product(out, g)
@@ -339,10 +376,6 @@ def parse_family_spec(spec: str):
         (n,) = _int_args(rest, 1, spec)
         return {"cycle": make_cycle, "path": make_path, "complete": make_complete}[head](n)
     raise InvalidParams(f"unknown family {head!r} in spec {spec!r}")
-
-
-def _as_plain_graph(g) -> Graph:
-    return g.graph if isinstance(g, FamilyGraph) else g
 
 
 def _int_args(rest: str, count: int, spec: str) -> list[int]:

@@ -176,6 +176,45 @@ def test_glue_reproduces_chain():
     assert metric_dimension(glued.graph).dimension == 2
 
 
+def _glued_chain(n1, n2, n3, ell):
+    """The chain folded copy by copy through ``glue``: the reference build."""
+    alpha = BasisBlueprint.for_cycle(n1).alpha
+    chain = make_gadget(n1, n2, n3)
+    for k in range(2, ell + 1):
+        nxt = make_gadget(n1, 1, 2)
+        chain = glue(
+            chain, chain.vertex("a", alpha, copy=k - 1), nxt, nxt.vertex("j", 1)
+        )
+    return chain
+
+
+def test_chain_builder_matches_glue_fold():
+    # the one-pass builder and the closed-form bases against role lookups on
+    # a chain glued one copy at a time
+    for n1 in (5, 6, 7, 8):
+        bp = BasisBlueprint.for_cycle(n1)
+        for n2 in (1, 2, 5):
+            for n3 in (2, 3, 4):
+                for ell in (1, 2, 3, 7):
+                    ref = _glued_chain(n1, n2, n3, ell)
+                    got = make_chain(n1, n2, n3, ell)
+                    assert got.graph == ref.graph
+                    assert got.labels == ref.labels
+                    assert got.copies == ref.copies == ell
+                    pendants = [ref.vertex("j", k) for k in range(1, n3)]
+                    last = [ref.vertex("a", bp.alpha, copy=ell)]
+                    compact = sorted(pendants + last)
+                    extended = sorted(
+                        pendants
+                        + [ref.vertex("a", bp.beta, copy=k) for k in range(1, ell)]
+                        + last
+                        + [ref.vertex("a", bp.beta, copy=ell)]
+                    )
+                    vertex, edge = (compact, extended) if n1 % 2 else (extended, compact)
+                    assert canonical_basis(n1, n2, n3, ell, kind="vertex") == tuple(vertex)
+                    assert canonical_basis(n1, n2, n3, ell, kind="edge") == tuple(edge)
+
+
 def test_realize_examples():
     fam = realize(2, 4, 20)
     assert fam.graph.n == 20

@@ -16,10 +16,13 @@ from metricdim import (
     TruncatedBitVector,
     decode_graph6,
     encode_graph6,
+    make_chain,
     make_complete,
     make_cycle,
     make_gadget,
     make_path,
+    ratio_witness,
+    realize,
     stream_graph6,
 )
 from conftest import random_connected_graph
@@ -68,6 +71,41 @@ def test_round_trip_various_orders():
         assert encode_graph6(decode_graph6(record)) == record
         if n >= 63:
             assert record.startswith("~")
+
+
+def test_large_orders_agree_with_reference_tool():
+    # the paper's constructions at orders 300-330, a dense order-200 graph and
+    # a path long enough that a codec quadratic in n(n-1)/2 takes seconds
+    rng = random.Random(73)
+    dense = Graph.from_edges(
+        200, [(u, v) for v in range(200) for u in range(v) if rng.random() < 0.5]
+    )
+    graphs = [
+        make_chain(6, 1, 2, 30).graph,
+        make_chain(5, 1, 2, 30).graph,
+        realize(2, 26, 300).graph,
+        realize(26, 2, 320).graph,
+        ratio_witness(16).graph.graph,
+        dense,
+        make_path(1000),
+    ]
+    for g in graphs:
+        record = encode_graph6(g)
+        assert record == _nx_record(g)
+        assert decode_graph6(record) == g
+
+
+def test_long_form_body_errors():
+    # order 63: 1953 bits in 326 data bytes, the last carrying 3 pad bits
+    record = encode_graph6(make_path(63))
+    assert len(record) == 4 + 326
+    with pytest.raises(TruncatedBitVector, match="order 63 needs 326 data bytes, found 325"):
+        decode_graph6(record[:-1])
+    with pytest.raises(TrailingData, match="order 63 needs 326 data bytes, found 327"):
+        decode_graph6(record + "?")
+    stray = record[:-1] + chr(((ord(record[-1]) - 63) | 1) + 63)
+    with pytest.raises(PaddingBitsSet, match="3 padding bits are not all zero"):
+        decode_graph6(stray)
 
 
 def test_encoding_ignores_construction_history():

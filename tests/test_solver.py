@@ -26,7 +26,7 @@ from metricdim import (
 )
 from metricdim.scan import _search, enumerate_labeled_connected
 from metricdim.verify import expected_gadget_dims
-from conftest import random_connected_graph, relabel
+from conftest import naive_results, random_connected_graph, relabel
 
 
 def test_generator_checks_on_c4():
@@ -245,8 +245,7 @@ def test_bounded_search_refutes_exactly_above_the_bound():
             for _ in range(6)
         ]
     for g in graphs:
-        dim = metric_dimension_naive(g).dimension
-        edim = edge_metric_dimension_naive(g).dimension
+        dim, edim = (res.dimension for res in naive_results(g))
         for k in range(g.n + 1):
             res = metric_dimension(g, max_k=k)
             assert (res is None) == (dim > k)
@@ -275,12 +274,13 @@ def test_witness_and_resumed_searches_match_naive_oracle():
         perm_rng.shuffle(perm)
         graphs.append(relabel(g, perm))
     for g in graphs:
-        for kind, fast, naive in (
-            ("vertex", metric_dimension, metric_dimension_naive),
-            ("edge", edge_metric_dimension, edge_metric_dimension_naive),
+        for kind, fast, naive in zip(
+            ("vertex", "edge"),
+            (metric_dimension, edge_metric_dimension),
+            naive_results(g),
         ):
             full = fast(g)
-            assert full == naive(g)
+            assert full == naive
             d = full.dimension
             assert fast(g, min_k=d) == full
             if d:
