@@ -135,7 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="instead of suites, exhaust all connected graphs with 3 <= n <= N (N <= 7)",
     )
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes for the census")
+    sub.add_argument(
+        "--jobs", type=int, default=1, help="ignored: the census runs in one process"
+    )
     sub.set_defaults(func=_cmd_verify)
 
     sub = subs.add_parser("ratio", help="construct a dim/edim ratio witness")

@@ -9,11 +9,15 @@ are deterministic regardless of worker count: counts are additive and
 matches are sorted by line number at the end.
 
 ``verify_small_orders`` exhausts every labelled connected graph up to order
-seven without any external stream.  Its hot loop avoids graph objects: each
-vertex pair (or edge pair) turns into a bitmask of the landmarks that
-separate it, and a landmark set resolves the graph exactly when it hits all
-of those masks.  A deterministic sample of graphs is re-solved with the
-regular solver as a running self-check.
+seven without any external stream.  Both dimensions are isomorphism
+invariants, so it sweeps the edge masks of each order once, by relabelling
+orbit: the smallest mask not yet seen represents its orbit, a closure under
+the adjacent transpositions ``(a a+1)`` (which generate the symmetric group)
+collects the rest, and one exact solve of the representative counts for
+every labelled graph in it.  Order seven has 1,044 orbits over 2**21 masks.
+The naive oracle re-solves a deterministic sample of labelled graphs and
+every member of an orbit with ``edim < dim``, as a running self-check
+independent of the solver the census uses.
 """
 
 from __future__ import annotations
@@ -33,16 +37,14 @@ from .graph6 import Graph6Error, decode_graph6, encode_graph6, is_record_line
 from .solver import (
     ResolveResult,
     edge_metric_dimension,
-    edge_signatures,
+    edge_metric_dimension_naive,
     metric_dimension,
-    separation_masks,
-    signatures,
+    metric_dimension_naive,
 )
 
 MAX_ENUM_ORDER = 7
 MAX_ERROR_DETAILS = 1000  # diagnostics kept verbatim; the rest only counted
 _SELF_CHECK_STRIDE = 9973  # prime, so the sample is spread over edge masks
-_NIBBLE = 4  # census lane width: hop counts below order 8 fit in three bits
 
 
 class OrderTooLarge(ValueError):
@@ -346,35 +348,6 @@ def _mask_rows(mask: int, pairs: list[tuple[int, int]], n: int) -> list[int]:
     return adj
 
 
-def _distance_rows(adj: list[int], n: int) -> list[tuple[int, ...]] | None:
-    """BFS rows from every vertex, or None when the graph is disconnected."""
-    full = (1 << n) - 1
-    rows = []
-    for s in range(n):
-        row = [0] * n
-        seen = frontier = 1 << s
-        d = 0
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= adj[b.bit_length() - 1]
-                f ^= b
-            frontier = nxt & ~seen
-            seen |= frontier
-            d += 1
-            f = frontier
-            while f:
-                b = f & -f
-                row[b.bit_length() - 1] = d
-                f ^= b
-        if seen != full:
-            return None
-        rows.append(tuple(row))
-    return rows
-
-
 def enumerate_labeled_connected(n: int) -> Iterator[Graph]:
     """Every labelled connected simple graph on ``n <= 7`` vertices, once each.
 
@@ -385,91 +358,93 @@ def enumerate_labeled_connected(n: int) -> Iterator[Graph]:
         raise OrderTooLarge(f"labelled enumeration supports 1 <= n <= {MAX_ENUM_ORDER}")
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        adj = _mask_rows(mask, pairs, n)
-        if _distance_rows(adj, n) is not None:
-            yield Graph(n, adj, _validate=False)
+        g = Graph(n, _mask_rows(mask, pairs, n), _validate=False)
+        if g.is_connected():
+            yield g
 
 
-_SUBSET_MASKS: dict[int, list[list[int]]] = {}
+def _transposition_tables(pairs: list[tuple[int, int]], n: int) -> list[tuple[list[int], ...]]:
+    """Byte-chunk tables of the adjacent transpositions ``(a a+1)`` on edge masks.
 
-
-def _subset_masks(n: int) -> list[list[int]]:
-    """Landmark subsets per cardinality, one nibble-spaced bit per landmark.
-
-    Landmark z occupies bit 4z so that subset masks combine directly with
-    the separation masks of nibble-wide signatures.  Cached per order.
+    Bit i of an edge mask is the pair ``pairs[i]``.  Entry ``(t0, t1, t2)``
+    of the result relabels a mask x as
+    ``t0[x & 255] | t1[x >> 8 & 255] | t2[x >> 16]``; three bytes cover the
+    21 pairs of order seven.  The ``n - 1`` adjacent transpositions
+    generate the symmetric group, so their closure from one mask is its
+    whole relabelling orbit.
     """
-    cached = _SUBSET_MASKS.get(n)
-    if cached is None:
-        cached = []
-        for k in range(n + 1):
-            level = []
-            for combo in combinations(range(n), k):
-                s = 0
-                for z in combo:
-                    s |= 1 << (_NIBBLE * z)
-                level.append(s)
-            cached.append(level)
-        _SUBSET_MASKS[n] = cached
-    return cached
+    index = {pair: i for i, pair in enumerate(pairs)}
+    tables = []
+    for a in range(n - 1):
+        swap = list(range(n))
+        swap[a], swap[a + 1] = a + 1, a
+        image = [index[min(swap[u], swap[v]), max(swap[u], swap[v])] for u, v in pairs]
+        chunks = []
+        for lo in (0, 8, 16):
+            bits = [1 << image[i] for i in range(lo, min(lo + 8, len(pairs)))]
+            table = [0] * 256
+            for byte in range(256):
+                for j, bit in enumerate(bits):
+                    if byte >> j & 1:
+                        table[byte] |= bit
+            chunks.append(table)
+        tables.append(tuple(chunks))
+    return tables
 
 
-def _min_cover(masks: list[int], levels: list[list[int]]) -> int:
-    """Smallest landmark set hitting every separation mask."""
-    if not masks:
-        return 0
-    for k, level in enumerate(levels):
-        if k == 0:
-            continue
-        for s in level:
-            for m in masks:
-                if not m & s:
-                    break
-            else:
-                return k
-    raise AssertionError("the full landmark set always separates")
+def _orbit(rep: int, tables: list[tuple[list[int], ...]], seen: bytearray) -> list[int]:
+    """Every relabelling of the edge mask ``rep``, marked in ``seen``."""
+    seen[rep] = 1
+    orbit = [rep]
+    for x in orbit:
+        lo, mid, hi = x & 255, x >> 8 & 255, x >> 16
+        for t0, t1, t2 in tables:
+            y = t0[lo] | t1[mid] | t2[hi]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+    return orbit
 
 
-def _census_dims(rows: list[tuple[int, ...]], edges: list[tuple[int, int]], n: int) -> tuple[int, int]:
-    levels = _subset_masks(n)
-    sigs = signatures(rows, _NIBBLE)
-    dim = _min_cover(separation_masks(sigs, _NIBBLE, n), levels)
-    if len(edges) <= 1:
-        return dim, 0
-    esigs = edge_signatures(sigs, edges, _NIBBLE)
-    edim = _min_cover(separation_masks(esigs, _NIBBLE, n), levels)
-    return dim, edim
+def _census_order(n: int) -> tuple[dict[int, int], list[str], int]:
+    """Histogram, offenders (graph6, by mask) and count of the order-n census.
 
-
-def _census_range(args: tuple[int, int, int, bool]) -> tuple[dict[int, int], list[str], int]:
-    """Census of the labelled graphs with edge-set masks in ``[lo, hi)``."""
-    n, lo, hi, self_check = args
+    One exact solve per relabelling orbit; the orbit's size is its count.
+    The naive oracle re-solves every sampled member and every member of an
+    offending orbit, so a solver fault cannot pass unnoticed through the
+    orbits it shares.
+    """
     pairs = list(combinations(range(n), 2))
+    tables = _transposition_tables(pairs, n)
+    seen = bytearray(1 << len(pairs))
     hist: dict[int, int] = {}
-    violations: list[str] = []
-    checked = 0
-    for mask in range(lo, hi):
-        adj = _mask_rows(mask, pairs, n)
-        rows = _distance_rows(adj, n)
-        if rows is None:
-            continue
-        checked += 1
-        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        dim, edim = _census_dims(rows, edges, n)
-        gap = dim - edim
-        hist[gap] = hist.get(gap, 0) + 1
-        if edim < dim or (self_check and mask % _SELF_CHECK_STRIDE == 0):
-            g = Graph(n, adj, _validate=False)
-            ref_dim = metric_dimension(g)
-            ref_edim = edge_metric_dimension(g)
-            assert ref_dim is not None and ref_edim is not None
-            if (ref_dim.dimension, ref_edim.dimension) != (dim, edim):
-                raise AssertionError(
-                    f"census solver disagrees with exact solver on {encode_graph6(g)}"
-                )
-            if edim < dim:
-                violations.append(encode_graph6(g))
-    return hist, violations, checked
+    offenders: list[tuple[int, str]] = []
+    checked = swept = 0
+    rep = seen.find(0)
+    while rep != -1:
+        orbit = _orbit(rep, tables, seen)
+        swept += len(orbit)
+        g = Graph(n, _mask_rows(rep, pairs, n), _validate=False)
+        if g.is_connected():
+            dim = metric_dimension(g).dimension
+            edim = edge_metric_dimension(g).dimension
+            hist[dim - edim] = hist.get(dim - edim, 0) + len(orbit)
+            checked += len(orbit)
+            sample = orbit if edim < dim else [x for x in orbit if x % _SELF_CHECK_STRIDE == 0]
+            for x in sample:
+                h = Graph(n, _mask_rows(x, pairs, n), _validate=False)
+                ref_dim = metric_dimension_naive(h).dimension
+                ref_edim = edge_metric_dimension_naive(h).dimension
+                if (ref_dim, ref_edim) != (dim, edim):
+                    raise AssertionError(
+                        f"census solver disagrees with exact solver on {encode_graph6(h)}"
+                    )
+                if edim < dim:
+                    offenders.append((x, encode_graph6(h)))
+        rep = seen.find(0, rep + 1)
+    if swept != len(seen):
+        raise AssertionError(f"order-{n} orbits cover {swept} of {len(seen)} edge masks")
+    return dict(sorted(hist.items())), [rec for _, rec in sorted(offenders)], checked
 
 
 @dataclass
@@ -492,31 +467,18 @@ def verify_small_orders(max_n: int, *, jobs: int = 1) -> SmallOrderReport:
 
     Universality over labelled graphs implies universality over isomorphism
     classes, so an empty violation list certifies that no connected graph of
-    these orders has edge dimension below vertex dimension.
+    these orders has edge dimension below vertex dimension.  Counts are per
+    labelled graph, but each isomorphism class is solved once.  The census
+    runs in one process; ``jobs`` is accepted and ignored.
     """
     if not 3 <= max_n <= MAX_ENUM_ORDER:
         raise OrderTooLarge(f"verify_small_orders supports 3 <= max_n <= {MAX_ENUM_ORDER}")
     report = SmallOrderReport(max_order=max_n)
     start = time.monotonic()
     for n in range(3, max_n + 1):
-        top = 1 << (n * (n - 1) // 2)
-        if jobs <= 1:
-            parts = [_census_range((n, 0, top, True))]
-        else:
-            step = -(-top // (jobs * 4))
-            chunks = [
-                (n, lo, min(lo + step, top), True) for lo in range(0, top, step)
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_census_range, chunks))
-        hist: dict[int, int] = {}
-        checked = 0
-        for part_hist, part_violations, part_checked in parts:
-            for gap, count in part_hist.items():
-                hist[gap] = hist.get(gap, 0) + count
-            report.violations.extend((n, rec) for rec in part_violations)
-            checked += part_checked
-        report.histograms[n] = dict(sorted(hist.items()))
+        hist, offenders, checked = _census_order(n)
+        report.histograms[n] = hist
+        report.violations.extend((n, rec) for rec in offenders)
         report.graphs_checked[n] = checked
     report.wall_time = time.monotonic() - start
     return report

@@ -140,6 +140,11 @@ def test_c07_small_order_universality():
         assert report.graphs_checked[3] == 4
         assert report.graphs_checked[4] == 38
         assert all(gap <= 0 for hist in report.histograms.values() for gap in hist)
+        # labelled connected graphs per order (OEIS A001187), and the dim - edim
+        # histograms of orders 6 and 7 as the per-mask labelled census gave them
+        assert report.graphs_checked == {3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+        assert report.histograms[6] == {-2: 4947, -1: 14945, 0: 6812}
+        assert report.histograms[7] == {-3: 23457, -2: 665791, -1: 978302, 0: 198706}
 
 
 def _stream_scan(path: str, expected_matches: int, number: int, name: str, budget: str):

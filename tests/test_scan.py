@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -27,7 +31,8 @@ from metricdim import (
     scan,
     verify_small_orders,
 )
-from conftest import random_connected_graph, relabel
+from metricdim.scan import _orbit, _transposition_tables
+from conftest import naive_results, random_connected_graph, relabel
 
 
 def connected_labeled_count(n: int) -> int:
@@ -321,6 +326,47 @@ def test_verify_small_orders_basic():
         verify_small_orders(8)
     with pytest.raises(OrderTooLarge):
         verify_small_orders(2)
+
+
+def test_relabelling_orbit_sizes():
+    for n in range(3, 8):
+        pairs = list(combinations(range(n), 2))
+        tables = _transposition_tables(pairs, n)
+
+        def orbit_size(edges) -> int:
+            mask = sum(1 << pairs.index(e) for e in edges)
+            return len(_orbit(mask, tables, bytearray(1 << len(pairs))))
+
+        assert orbit_size([]) == 1
+        assert orbit_size(pairs) == 1
+        assert orbit_size([(v, v + 1) for v in range(n - 1)]) == math.factorial(n) // 2
+        assert orbit_size([(0, v) for v in range(1, n)]) == n
+
+
+def test_census_matches_naive_oracle():
+    report = verify_small_orders(5)
+    for n in range(3, 6):
+        hist = Counter()
+        for g in enumerate_labeled_connected(n):
+            naive_dim, naive_edim = naive_results(g)
+            hist[naive_dim.dimension - naive_edim.dimension] += 1
+        assert report.histograms[n] == dict(hist)
+        assert report.graphs_checked[n] == sum(hist.values())
+    assert report.violations == []
+
+
+def test_census_self_check_rejects_a_wrong_edim(monkeypatch):
+    # an edim below dim sends the whole orbit to the naive oracle
+    scan_module = importlib.import_module("metricdim.scan")
+    real = scan_module.edge_metric_dimension
+
+    def off_by_two(g):
+        res = real(g)
+        return dataclasses.replace(res, dimension=res.dimension - 2)
+
+    monkeypatch.setattr(scan_module, "edge_metric_dimension", off_by_two)
+    with pytest.raises(AssertionError, match="census solver disagrees"):
+        verify_small_orders(4)
 
 
 def test_verify_small_orders_jobs_agree():
