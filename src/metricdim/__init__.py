@@ -21,15 +21,12 @@ from .graph import (
     vertex_distance,
 )
 from .solver import (
-    DistancePartition,
     InstanceTooLarge,
     ResolveResult,
-    distance_partition,
     edge_metric_dimension,
     edge_metric_dimension_naive,
     is_edge_metric_generator,
     is_metric_generator,
-    meet_is_discrete,
     metric_dimension,
     metric_dimension_naive,
     resolution_vector,

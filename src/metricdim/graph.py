@@ -38,11 +38,11 @@ class Graph:
     Adjacency is stored as one bit row per vertex so that neighbourhood
     unions and intersections are single big-int operations.  Instances are
     immutable: edit-style operations return new graphs, which keeps the
-    cached all-pairs distance matrix coherent and makes sharing across
-    threads or worker processes safe.
+    cached distances coherent and makes sharing across threads or worker
+    processes safe.
     """
 
-    __slots__ = ("n", "adj", "edges", "_dist")
+    __slots__ = ("n", "adj", "edges", "_dist", "_sigs")
 
     def __init__(self, n: int, adj: Iterable[int], _validate: bool = True):
         if n < 1:
@@ -53,6 +53,7 @@ class Graph:
         self.n = n
         self.adj = adj
         self._dist: DistanceMatrix | None = None
+        self._sigs: tuple[tuple[int, ...], int] | None = None
         if _validate:
             self._check_rows()
         self.edges = self._derive_edges()
@@ -103,35 +104,23 @@ class Graph:
         return self.adj[v].bit_count()
 
     def is_connected(self) -> bool:
-        return self._reach(0) == (1 << self.n) - 1
+        return sum(self._levels(0)) == (1 << self.n) - 1
 
-    def _reach(self, src: int) -> int:
+    def _levels(self, src: int) -> list[int]:
+        """The BFS levels from ``src``: item d is the set at distance d."""
+        levels = []
         seen = frontier = 1 << src
         adj = self.adj
         while frontier:
+            levels.append(frontier)
             nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & ~seen
             seen |= frontier
-        return seen
-
-    def _bfs_row(self, src: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[src] = 0
-        seen = frontier = 1 << src
-        adj = self.adj
-        d = 0
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-            d += 1
-            for v in iter_bits(frontier):
-                dist[v] = d
-        return dist
+        return levels
 
     def distance_matrix(self) -> DistanceMatrix:
         """All-pairs hop distances, computed once and cached.
@@ -139,15 +128,52 @@ class Graph:
         Raises DisconnectedGraph if any pair is unreachable.
         """
         if self._dist is None:
-            row0 = self._bfs_row(0)
-            if -1 in row0:
-                raise DisconnectedGraph(
-                    f"graph on {self.n} vertices is not connected"
-                )
-            rows = [tuple(row0)]
-            rows.extend(tuple(self._bfs_row(s)) for s in range(1, self.n))
+            rows = []
+            for src in range(self.n):
+                row = [-1] * self.n
+                for d, level in enumerate(self._levels(src)):
+                    for v in iter_bits(level):
+                        row[v] = d
+                if -1 in row:
+                    raise self._disconnected()
+                rows.append(tuple(row))
             self._dist = tuple(rows)
         return self._dist
+
+    def signatures(self) -> tuple[tuple[int, ...], int]:
+        """Each vertex's distances to all vertices as bit planes, and the diameter.
+
+        Bit ``b*n + z`` of vertex v's signature is bit b of d(v, z): plane b
+        (bits ``[b*n, b*n + n)``) is the set of vertices whose distance from
+        v has bit b set.  Level d of v's BFS is ORed into plane b for each
+        set bit b of d.  Computed once and cached.
+
+        Raises DisconnectedGraph if any pair is unreachable.
+        """
+        if self._sigs is None:
+            n = self.n
+            full = (1 << n) - 1
+            bits = [()]  # bits[d]: the set bits of d
+            sigs = []
+            for src in range(n):
+                levels = self._levels(src)
+                if sum(levels) != full:
+                    raise self._disconnected()
+                while len(bits) < len(levels):
+                    bits.append(tuple(iter_bits(len(bits))))
+                planes = [0] * (len(levels) - 1).bit_length()
+                for level, level_bits in zip(levels, bits):
+                    for b in level_bits:
+                        planes[b] |= level
+                sig = 0
+                for plane in reversed(planes):
+                    sig = sig << n | plane
+                sigs.append(sig)
+            self._sigs = (tuple(sigs), len(bits) - 1)
+        return self._sigs
+
+    def _disconnected(self) -> DisconnectedGraph:
+        return DisconnectedGraph(f"graph on {self.n} vertices is not connected")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

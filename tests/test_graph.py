@@ -84,6 +84,30 @@ def test_distance_matrix_invariants_random():
                     assert dm[u][w] <= dm[u][v] + dm[v][w]
 
 
+def test_signature_planes_decode_to_reference_distances():
+    rng = random.Random(13)
+    graphs = [make_path(1), make_path(2), make_path(300), make_cycle(300)]
+    graphs += [random_connected_graph(rng, rng.randrange(2, 20), extra=rng.randrange(0, 20)) for _ in range(25)]
+    for g in graphs:
+        sigs, diam = g.signatures()
+        ref = reference_distances(g)
+        assert diam == max(map(max, ref))
+        width = diam.bit_length()
+        full = (1 << g.n) - 1
+        for v, sig in enumerate(sigs):
+            assert sig >> width * g.n == 0
+            planes = [sig >> b * g.n & full for b in range(width)]
+            decoded = [
+                sum((plane >> z & 1) << b for b, plane in enumerate(planes))
+                for z in range(g.n)
+            ]
+            assert decoded == ref[v]
+    assert make_path(300).signatures()[1].bit_length() == 9
+    assert make_path(1).signatures() == ((0,), 0)
+    with pytest.raises(DisconnectedGraph):
+        Graph.from_edges(4, [(0, 1), (2, 3)]).signatures()
+
+
 def test_edge_distance_bounded_by_endpoints():
     rng = random.Random(11)
     for _ in range(10):

@@ -10,7 +10,6 @@ from metricdim import (
     Graph,
     InstanceTooLarge,
     bfs_all_pairs,
-    distance_partition,
     edge_metric_dimension,
     edge_metric_dimension_naive,
     is_edge_metric_generator,
@@ -19,12 +18,17 @@ from metricdim import (
     make_cycle,
     make_gadget,
     make_path,
-    meet_is_discrete,
     metric_dimension,
     metric_dimension_naive,
     resolution_vector,
 )
 from metricdim.scan import _search, enumerate_labeled_connected
+from metricdim.solver import (
+    _edge_signatures,
+    _lattice_hitting_set,
+    _lex_least_hitting_set,
+    _separator_masks,
+)
 from metricdim.verify import expected_gadget_dims
 from conftest import naive_results, random_connected_graph, relabel
 
@@ -178,30 +182,20 @@ def test_dimension_bounds():
 
 
 def test_partition_invariants_and_meet_semantics():
+    # the generator checks agree with the direct vector criterion, for
+    # vertices against the distance matrix and for edges against
+    # resolution_vector
     rng = random.Random(47)
     for _ in range(10):
         g = random_connected_graph(rng, rng.randrange(3, 9), extra=2)
         dm = bfs_all_pairs(g)
-        for kind, ground in (("vertex", g.n), ("edge", g.m)):
-            z = rng.randrange(g.n)
-            part = distance_partition(g, z, kind)
-            blocks = part.blocks()
-            assert all(blocks)
-            assert len(part.distances) == len(set(part.distances))
-            union: set = set()
-            for block in blocks:
-                assert not (union & block)
-                union |= block
-            expected = set(range(g.n)) if kind == "vertex" else set(g.edges)
-            assert union == expected
-        # the meet criterion agrees with the direct vector criterion
         size = rng.randrange(0, g.n + 1)
         s = sorted(rng.sample(range(g.n), size))
-        parts = [distance_partition(g, z, "vertex") for z in s]
         vectors = [tuple(dm[v][z] for z in s) for v in range(g.n)]
         direct = len(set(vectors)) == g.n
-        assert meet_is_discrete(parts, g.n) == direct
         assert is_metric_generator(g, s) == direct
+        edge_vectors = {resolution_vector(g, e, s) for e in g.edges}
+        assert is_edge_metric_generator(g, s) == (len(edge_vectors) == g.m)
 
 
 def test_oracle_equivalence_small_full():
@@ -291,7 +285,7 @@ def test_witness_and_resumed_searches_match_naive_oracle():
 
 
 def test_wide_lanes():
-    # diameters of 16 and more need lanes of 8 and 16 bits
+    # diameters of 16 and more need five planes or more; path:300 needs nine
     assert metric_dimension(make_path(300)).dimension == 1
     assert edge_metric_dimension(make_path(300)).dimension == 1
     assert metric_dimension(make_cycle(300)).dimension == 2
@@ -300,6 +294,44 @@ def test_wide_lanes():
         g = make_gadget(n1, n2, n3).graph
         dims = (metric_dimension(g).dimension, edge_metric_dimension(g).dimension)
         assert dims == expected_gadget_dims(n1, n3)
+
+
+def test_hitting_set_searches_match_naive_oracle():
+    # the lattice search serves every order the naive oracle reaches, so the
+    # depth-first search that larger orders use is checked here on the same
+    # masks, under every cap and resume setting the scans use
+    rng = random.Random(97)
+    graphs = list(enumerate_labeled_connected(6))
+    for _ in range(1000):
+        n = rng.randrange(8, 13)
+        graphs.append(random_connected_graph(rng, n, extra=rng.randrange(0, n)))
+    for g in graphs:
+        sigs, diam = g.signatures()
+        grounds = (sigs, _edge_signatures(sigs, g.edges, g.n))
+        for ground, naive in zip(grounds, naive_results(g)):
+            masks = sorted(_separator_masks(ground, g.n, diam), key=int.bit_count)
+            d = naive.dimension
+            for min_k in {0, max(d - 1, 0), d}:
+                for max_k in {d - 1, d, g.n}:
+                    want = naive.witness if max_k >= d else None
+                    assert _lex_least_hitting_set(masks, g.n, min_k, max_k) == want
+                    assert _lattice_hitting_set(masks, g.n, min_k, max_k) == want
+
+
+def test_edge_signatures_match_resolution_vectors():
+    rng = random.Random(67)
+    graphs = [make_path(2), make_cycle(5), make_path(300), make_cycle(300)]
+    graphs += [random_connected_graph(rng, rng.randrange(2, 14), extra=rng.randrange(0, 9)) for _ in range(20)]
+    for g in graphs:
+        sigs, diam = g.signatures()
+        full = (1 << g.n) - 1
+        for e, sig in zip(g.edges, _edge_signatures(sigs, g.edges, g.n)):
+            planes = [sig >> b * g.n & full for b in range(diam.bit_length())]
+            decoded = tuple(
+                sum((plane >> z & 1) << b for b, plane in enumerate(planes))
+                for z in range(g.n)
+            )
+            assert decoded == resolution_vector(g, e, range(g.n))
 
 
 def test_min_k_above_dimension_returns_lex_least_of_that_size():
