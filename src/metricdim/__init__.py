@@ -14,11 +14,8 @@ from .graph import (
     GraphError,
     SelfLoop,
     add_edge,
-    bfs_all_pairs,
     cartesian_product,
     disjoint_union,
-    edge_distance,
-    vertex_distance,
 )
 from .solver import (
     InstanceTooLarge,

@@ -1,4 +1,16 @@
-"""Immutable simple graphs with bitset adjacency and exact hop distances."""
+"""Immutable simple graphs with bitset adjacency and exact hop distances.
+
+``Graph.signatures`` gives each vertex its distances to all vertices as bit
+planes and also decides connectivity.  Up to ``PACKED_MAX_ORDER`` vertices
+it is one all-sources lane walk, close to the bit-parallel multi-root BFS
+of pruned landmark labelling (Akiba, Iwata and Yoshida, SIGMOD 2013): lane
+v (bits ``[v*n, v*n + n)``) of one int holds the frontier of source v, and
+``(frontier >> u & ones) * adj[u]`` copies row u into every lane whose
+frontier holds u, with no carries.  Larger orders walk each source in turn.
+The walk's limit is the solver's subset-lattice limit, so one constant says
+where a solve stops packing sources, and landmark sets, into single ints.
+The edge list is derived on first use; the edge count is a popcount sum.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +18,8 @@ from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 DistanceMatrix = tuple[tuple[int, ...], ...]
+
+PACKED_MAX_ORDER = 16
 
 
 class GraphError(Exception):
@@ -42,7 +56,7 @@ class Graph:
     processes safe.
     """
 
-    __slots__ = ("n", "adj", "edges", "_dist", "_sigs")
+    __slots__ = ("n", "adj", "_edges", "_dist", "_sigs")
 
     def __init__(self, n: int, adj: Iterable[int], _validate: bool = True):
         if n < 1:
@@ -52,11 +66,11 @@ class Graph:
             raise GraphError(f"expected {n} adjacency rows, got {len(adj)}")
         self.n = n
         self.adj = adj
+        self._edges: tuple[Edge, ...] | None = None
         self._dist: DistanceMatrix | None = None
         self._sigs: tuple[tuple[int, ...], int] | None = None
         if _validate:
             self._check_rows()
-        self.edges = self._derive_edges()
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -83,16 +97,20 @@ class Graph:
                 if not (self.adj[v] >> u) & 1:
                     raise GraphError(f"adjacency not symmetric at ({u},{v})")
 
-    def _derive_edges(self) -> tuple[Edge, ...]:
-        out: list[Edge] = []
-        for u, row in enumerate(self.adj):
-            for v in iter_bits(row >> (u + 1)):
-                out.append((u, u + 1 + v))
-        return tuple(out)
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge ``(u, v)`` with ``u < v``, by u then v; derived once."""
+        if self._edges is None:
+            out: list[Edge] = []
+            for u, row in enumerate(self.adj):
+                for v in iter_bits(row >> (u + 1)):
+                    out.append((u, u + 1 + v))
+            self._edges = tuple(out)
+        return self._edges
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -151,26 +169,69 @@ class Graph:
         Raises DisconnectedGraph if any pair is unreachable.
         """
         if self._sigs is None:
-            n = self.n
-            full = (1 << n) - 1
-            bits = [()]  # bits[d]: the set bits of d
-            sigs = []
-            for src in range(n):
-                levels = self._levels(src)
-                if sum(levels) != full:
-                    raise self._disconnected()
-                while len(bits) < len(levels):
-                    bits.append(tuple(iter_bits(len(bits))))
-                planes = [0] * (len(levels) - 1).bit_length()
-                for level, level_bits in zip(levels, bits):
-                    for b in level_bits:
-                        planes[b] |= level
-                sig = 0
-                for plane in reversed(planes):
-                    sig = sig << n | plane
-                sigs.append(sig)
-            self._sigs = (tuple(sigs), len(bits) - 1)
+            if self.n <= PACKED_MAX_ORDER:
+                self._sigs = self._lane_signatures()
+            else:
+                self._sigs = self._source_signatures()
         return self._sigs
+
+    def _lane_signatures(self) -> tuple[tuple[int, ...], int]:
+        """``signatures`` by one walk from every source at once.
+
+        Plane b of the walk holds plane b of every source, lane by lane, and
+        each signature is sliced out of its lane at the end.
+        """
+        n, adj = self.n, self.adj
+        full = (1 << n) - 1
+        size = n * n
+        ones = ((1 << size) - 1) // full  # bit 0 of every lane
+        # Level 0: bit v of lane v, a geometric series of ratio 2**(n+1).
+        frontier = reach = ((1 << size + n) - 1) // ((1 << n + 1) - 1)
+        planes = [0] * (n - 1).bit_length()
+        diam = 0
+        while True:
+            nxt = 0
+            for u in range(n):
+                nxt |= (frontier >> u & ones) * adj[u]
+            frontier = nxt & ~reach
+            if not frontier:
+                break
+            reach |= frontier
+            diam += 1
+            for b in iter_bits(diam):
+                planes[b] |= frontier
+        if reach != (1 << size) - 1:
+            raise self._disconnected()
+        del planes[diam.bit_length() :]
+        sigs = []
+        for lane in range(0, size, n):
+            sig = 0
+            for plane in reversed(planes):
+                sig = sig << n | plane >> lane & full
+            sigs.append(sig)
+        return tuple(sigs), diam
+
+    def _source_signatures(self) -> tuple[tuple[int, ...], int]:
+        """``signatures`` by one level walk per source."""
+        n = self.n
+        full = (1 << n) - 1
+        bits = [()]  # bits[d]: the set bits of d
+        sigs = []
+        for src in range(n):
+            levels = self._levels(src)
+            if sum(levels) != full:
+                raise self._disconnected()
+            while len(bits) < len(levels):
+                bits.append(tuple(iter_bits(len(bits))))
+            planes = [0] * (len(levels) - 1).bit_length()
+            for level, level_bits in zip(levels, bits):
+                for b in level_bits:
+                    planes[b] |= level
+            sig = 0
+            for plane in reversed(planes):
+                sig = sig << n | plane
+            sigs.append(sig)
+        return tuple(sigs), len(bits) - 1
 
     def _disconnected(self) -> DisconnectedGraph:
         return DisconnectedGraph(f"graph on {self.n} vertices is not connected")
@@ -185,23 +246,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def bfs_all_pairs(g: Graph) -> DistanceMatrix:
-    """Exact hop distances for every vertex pair of a connected graph."""
-    return g.distance_matrix()
-
-
-def vertex_distance(dm: DistanceMatrix, v: int, z: int) -> int:
-    """Hop distance between two vertices, looked up in a distance matrix."""
-    return dm[v][z]
-
-
-def edge_distance(dm: DistanceMatrix, e: Edge, z: int) -> int:
-    """Distance from edge ``e = (u, v)`` to vertex ``z``: the nearer endpoint."""
-    u, v = e
-    du, dv = dm[u][z], dm[v][z]
-    return du if du < dv else dv
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:

@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .families import FamilyGraph, chain_order, make_chain
-from .graph import Graph
+from .graph import DisconnectedGraph, Graph
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, is_record_line
 from .solver import (
     ResolveResult,
@@ -176,6 +176,15 @@ def _evaluate(g: Graph, pred: Predicate) -> tuple[int, int] | None:
     return dim, edim_res.dimension
 
 
+def _connected(g: Graph) -> bool:
+    """Connectivity from the cached signatures: the solves' one BFS pass."""
+    try:
+        g.signatures()
+    except DisconnectedGraph:
+        return False
+    return True
+
+
 def _normalize_line(raw: str | bytes) -> str:
     line = raw.decode("latin-1") if isinstance(raw, bytes) else raw
     return line.strip()
@@ -193,7 +202,7 @@ def _scan_batch(payload: tuple[list[tuple[int, str]], Predicate]):
             errors.append((lineno, str(exc)))
             continue
         decoded += 1
-        if not g.is_connected():
+        if not _connected(g):
             continue
         connected += 1
         dims = _evaluate(g, pred)
@@ -425,7 +434,7 @@ def _census_order(n: int) -> tuple[dict[int, int], list[str], int]:
         orbit = _orbit(rep, tables, seen)
         swept += len(orbit)
         g = Graph(n, _mask_rows(rep, pairs, n), _validate=False)
-        if g.is_connected():
+        if _connected(g):
             dim = metric_dimension(g).dimension
             edim = edge_metric_dimension(g).dimension
             hist[dim - edim] = hist.get(dim - edim, 0) + len(orbit)

@@ -9,12 +9,17 @@ lexicographically least minimum-cardinality generator.
 The search is a minimum hitting set (Khuller, Raghavachari and Rosenfeld,
 *Landmarks in graphs*, 1996).  ``Graph.signatures`` gives each vertex its
 distances to all n landmarks as bit planes: bit ``b*n + z`` is bit b of the
-distance to landmark z.  An edge takes the landmark-wise minimum of its
-endpoints.  XOR-ing two items and OR-folding the planes onto the lowest
-gives the pair's separator mask, an n-bit set of the landmarks that tell
-the pair apart, and S resolves the graph exactly when it hits every mask.
+distance to landmark z.  Up to ``PACKED_MAX_ORDER`` vertices they come from
+one BFS walk from every source at once, and larger orders walk each source
+in turn; either way one pass per graph, cached, serves every solve and
+generator check.  An edge takes the landmark-wise minimum of its endpoints;
+the edge list is read only by an edge search that the distance-class bound
+below does not refute.  XOR-ing two items and OR-folding the planes onto
+the lowest gives the pair's separator mask, an n-bit set of the landmarks
+that tell the pair apart, and S resolves the graph exactly when it hits
+every mask.
 
-Up to ``_LATTICE_MAX_ORDER`` landmarks, every landmark set is one bit of a
+Up to ``PACKED_MAX_ORDER`` landmarks, every landmark set is one bit of a
 ``2**n``-bit int, and all cardinalities are decided at once (a zeta-style
 down-closure over the subset lattice; Björklund, Husfeldt, Kaski and
 Koivisto, *Fourier meets Möbius*, STOC 2007).  A set misses a mask exactly
@@ -68,7 +73,7 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graph import Edge, Graph, iter_bits
+from .graph import PACKED_MAX_ORDER, Edge, Graph, iter_bits
 
 NAIVE_MAX_ORDER = 16
 
@@ -86,7 +91,6 @@ class ResolveResult:
     witness: tuple[int, ...]
 
 
-_LATTICE_MAX_ORDER = 16
 _INCREMENT = bytes(range(1, 256)) + b"\0"  # byte c to c + 1
 
 
@@ -296,7 +300,7 @@ def _minimum_generator(
 ) -> ResolveResult | None:
     sigs, diam = g.signatures()
     n = g.n
-    ground_size = n if kind == "vertex" else len(g.edges)
+    ground_size = n if kind == "vertex" else g.m
     top = n if max_k is None else min(max_k, n)
     # Every landmark z sorts the ground set into at most ecc(z)+1 <= diam+1
     # distance classes, so top landmarks tell at most (diam+1)**top items
@@ -308,7 +312,7 @@ def _minimum_generator(
     if kind == "edge":
         sigs = _edge_signatures(sigs, g.edges, n)
     masks = _separator_masks(sigs, n, diam)
-    if n <= _LATTICE_MAX_ORDER:
+    if n <= PACKED_MAX_ORDER:
         witness = _lattice_hitting_set(masks, n, min_k, top)
     else:
         witness = _lex_least_hitting_set(sorted(masks, key=int.bit_count), n, min_k, top)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import combinations
 
 from metricdim import (
     Graph,
@@ -45,6 +46,13 @@ def naive_results(g: Graph) -> tuple[ResolveResult, ResolveResult]:
     if key not in _naive_memo:
         _naive_memo[key] = metric_dimension_naive(g), edge_metric_dimension_naive(g)
     return _naive_memo[key]
+
+
+def labelled_graphs(n: int):
+    """Every labelled graph on n vertices, disconnected ones included."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int = 0) -> Graph:

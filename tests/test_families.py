@@ -9,7 +9,6 @@ from metricdim import (
     InvalidParams,
     InvalidTarget,
     OrderTooSmall,
-    bfs_all_pairs,
     canonical_basis,
     cartesian_product,
     chain_order,
@@ -91,7 +90,7 @@ def test_basis_blueprint():
         assert bp.beta < n1
         assert bp.gamma <= bp.delta
         cyc = make_cycle(n1)
-        dm = bfs_all_pairs(cyc)
+        dm = cyc.distance_matrix()
         assert dm[0][bp.alpha - 1] == dm[0][bp.beta - 1]
         assert dm[0][bp.alpha - 1] == bp.gamma
 

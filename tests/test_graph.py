@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,26 +12,25 @@ from metricdim import (
     GraphError,
     SelfLoop,
     add_edge,
-    bfs_all_pairs,
     cartesian_product,
     disjoint_union,
-    edge_distance,
     make_complete,
     make_cycle,
+    make_chain,
     make_gadget,
     make_path,
-    vertex_distance,
 )
-from conftest import random_connected_graph, reference_distances, relabel
+from metricdim.graph import PACKED_MAX_ORDER
+from conftest import labelled_graphs, random_connected_graph, reference_distances, relabel
 
 
 def test_path_distance():
-    dm = bfs_all_pairs(make_path(3))
+    dm = make_path(3).distance_matrix()
     assert dm[0][2] == 2
 
 
 def test_cycle_distances():
-    dm = bfs_all_pairs(make_cycle(5))
+    dm = make_cycle(5).distance_matrix()
     assert dm[0][2] == 2
     assert dm[0][3] == 2
 
@@ -38,33 +38,34 @@ def test_cycle_distances():
 def test_gadget_distance_hand_bfs():
     # a_1 - a_2 - b_1 - b_2 - b_3 is the unique shortest route
     g = make_gadget(7, 3, 4)
-    dm = bfs_all_pairs(g.graph)
+    dm = g.graph.distance_matrix()
     assert dm[g.vertex("a", 1)][g.vertex("b", 3)] == 4
 
 
 def test_vertex_distance_lookups():
     c4 = make_cycle(4)
-    dm = bfs_all_pairs(c4)
-    assert vertex_distance(dm, 0, 2) == 2
-    assert vertex_distance(dm, 1, 1) == 0
+    dm = c4.distance_matrix()
+    assert dm[0][2] == 2
+    assert dm[1][1] == 0
     k5 = make_complete(5)
-    assert vertex_distance(bfs_all_pairs(k5), 0, 3) == 1
+    assert k5.distance_matrix()[0][3] == 1
 
 
 def test_edge_distance_examples():
     p3 = make_path(3)
-    dm = bfs_all_pairs(p3)
-    assert edge_distance(dm, (1, 2), 0) == 1
-    assert edge_distance(dm, (0, 1), 0) == 0
+    dm = p3.distance_matrix()
+    assert min(dm[1][0], dm[2][0]) == 1
+    assert min(dm[0][0], dm[1][0]) == 0
     c5 = make_cycle(5)
-    assert edge_distance(bfs_all_pairs(c5), (2, 3), 0) == 2
+    dm = c5.distance_matrix()
+    assert min(dm[2][0], dm[3][0]) == 2
 
 
 def test_disconnected_raises():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not g.is_connected()
     with pytest.raises(DisconnectedGraph):
-        bfs_all_pairs(g)
+        g.distance_matrix()
 
 
 def test_distance_matrix_invariants_random():
@@ -72,7 +73,7 @@ def test_distance_matrix_invariants_random():
     for _ in range(25):
         n = rng.randrange(2, 12)
         g = random_connected_graph(rng, n, extra=rng.randrange(0, n))
-        dm = bfs_all_pairs(g)
+        dm = g.distance_matrix()
         ref = reference_distances(g)
         for u in range(n):
             assert dm[u][u] == 0
@@ -84,39 +85,105 @@ def test_distance_matrix_invariants_random():
                     assert dm[u][w] <= dm[u][v] + dm[v][w]
 
 
+def _assert_signatures_decode(g: Graph) -> None:
+    """``g.signatures()`` decodes plane by plane to the queue-BFS distances."""
+    sigs, diam = g.signatures()
+    ref = reference_distances(g)
+    assert diam == max(map(max, ref))
+    width = diam.bit_length()
+    full = (1 << g.n) - 1
+    for v, sig in enumerate(sigs):
+        assert sig >> width * g.n == 0
+        planes = [sig >> b * g.n & full for b in range(width)]
+        decoded = [
+            sum((plane >> z & 1) << b for b, plane in enumerate(planes))
+            for z in range(g.n)
+        ]
+        assert decoded == ref[v]
+
+
 def test_signature_planes_decode_to_reference_distances():
     rng = random.Random(13)
     graphs = [make_path(1), make_path(2), make_path(300), make_cycle(300)]
     graphs += [random_connected_graph(rng, rng.randrange(2, 20), extra=rng.randrange(0, 20)) for _ in range(25)]
     for g in graphs:
-        sigs, diam = g.signatures()
-        ref = reference_distances(g)
-        assert diam == max(map(max, ref))
-        width = diam.bit_length()
-        full = (1 << g.n) - 1
-        for v, sig in enumerate(sigs):
-            assert sig >> width * g.n == 0
-            planes = [sig >> b * g.n & full for b in range(width)]
-            decoded = [
-                sum((plane >> z & 1) << b for b, plane in enumerate(planes))
-                for z in range(g.n)
-            ]
-            assert decoded == ref[v]
+        _assert_signatures_decode(g)
     assert make_path(300).signatures()[1].bit_length() == 9
     assert make_path(1).signatures() == ((0,), 0)
     with pytest.raises(DisconnectedGraph):
         Graph.from_edges(4, [(0, 1), (2, 3)]).signatures()
 
 
+def _check_walks(g: Graph) -> None:
+    """Both walks agree with each other and with the queue BFS."""
+    walks = []
+    for walk in (g._lane_signatures, g._source_signatures):
+        try:
+            walks.append(walk())
+        except DisconnectedGraph:
+            walks.append(None)
+    if any(-1 in row for row in reference_distances(g)):
+        assert walks == [None, None]
+        with pytest.raises(DisconnectedGraph):
+            g.signatures()
+    else:
+        _assert_signatures_decode(g)
+        assert walks == [g.signatures()] * 2
+
+
+def test_lane_walk_matches_queue_bfs_and_per_source_walk():
+    # every labelled graph of order <= 5, disconnected ones included
+    for n in range(1, 6):
+        for g in labelled_graphs(n):
+            _check_walks(g)
+    rng = random.Random(29)
+    for n in range(1, PACKED_MAX_ORDER + 2):
+        for density in (0.15, 0.5, 0.85):
+            for _ in range(3):
+                pairs = combinations(range(n), 2)
+                _check_walks(Graph.from_edges(n, [p for p in pairs if rng.random() < density]))
+        _check_walks(random_connected_graph(rng, n, extra=rng.randrange(0, n)))
+    # both sides of the order limit, where signatures() switches walks
+    star = Graph.from_edges(16, [(0, v) for v in range(1, 16)])
+    for g in (make_path(1), make_complete(2), make_complete(16), star, make_path(16), make_path(17)):
+        _check_walks(g)
+    assert make_complete(16).signatures()[1] == 1
+    assert make_path(16).signatures()[1] == 15
+    assert make_path(17).signatures()[1] == 16
+
+
+def test_edges_are_derived_on_first_use_in_row_order():
+    rng = random.Random(31)
+    graphs = [
+        make_path(1),
+        make_path(7),
+        make_cycle(9),
+        make_complete(6),
+        make_gadget(7, 3, 4).graph,
+        make_chain(6, 1, 2, 3).graph,
+        cartesian_product(make_cycle(4), make_cycle(5)),
+        disjoint_union(make_cycle(5), make_path(3)),
+    ]
+    graphs += [random_connected_graph(rng, rng.randrange(1, 40), extra=rng.randrange(0, 40)) for _ in range(30)]
+    for g in graphs:
+        eager = tuple((u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v))
+        assert g._edges is None
+        assert g.m == len(eager)
+        assert g._edges is None
+        assert g.edges == eager
+        assert g.edges is g.edges
+        assert g.m == len(g.edges)
+
+
 def test_edge_distance_bounded_by_endpoints():
     rng = random.Random(11)
     for _ in range(10):
         g = random_connected_graph(rng, 9, extra=4)
-        dm = bfs_all_pairs(g)
+        dm = g.distance_matrix()
         for e in g.edges:
             u, v = e
             for z in range(g.n):
-                d = edge_distance(dm, e, z)
+                d = min(dm[u][z], dm[v][z])
                 assert d <= dm[u][z] and d <= dm[v][z]
                 assert d in (dm[u][z], dm[v][z])
 
@@ -139,7 +206,7 @@ def test_add_edge_examples():
     p4 = add_edge(disjoint_union(make_path(2), make_path(2)), 1, 2)
     assert p4 == make_path(4)
     chorded = add_edge(make_cycle(4), 0, 2)
-    assert bfs_all_pairs(chorded)[0][2] == 1
+    assert chorded.distance_matrix()[0][2] == 1
 
 
 def test_add_edge_errors():
@@ -168,9 +235,9 @@ def test_bridge_distance_composition():
         v1 = rng.randrange(g1.n)
         v2 = rng.randrange(g2.n)
         joined = add_edge(disjoint_union(g1, g2), v1, g1.n + v2)
-        dm = bfs_all_pairs(joined)
-        d1 = bfs_all_pairs(g1)
-        d2 = bfs_all_pairs(g2)
+        dm = joined.distance_matrix()
+        d1 = g1.distance_matrix()
+        d2 = g2.distance_matrix()
         for x in range(g1.n):
             for y in range(g2.n):
                 assert dm[x][g1.n + y] == d1[x][v1] + 1 + d2[v2][y]
@@ -200,9 +267,9 @@ def test_cartesian_product_distances():
     g1 = random_connected_graph(rng, 5, extra=2)
     g2 = random_connected_graph(rng, 4, extra=1)
     prod = cartesian_product(g1, g2)
-    dm = bfs_all_pairs(prod)
-    d1 = bfs_all_pairs(g1)
-    d2 = bfs_all_pairs(g2)
+    dm = prod.distance_matrix()
+    d1 = g1.distance_matrix()
+    d2 = g2.distance_matrix()
     for a in range(g1.n):
         for x in range(g2.n):
             for b in range(g1.n):
@@ -215,11 +282,11 @@ def test_graph_equality_and_caching():
     assert g == make_cycle(6)
     assert hash(g) == hash(make_cycle(6))
     assert g != make_path(6)
-    assert bfs_all_pairs(g) is bfs_all_pairs(g)
+    assert g.distance_matrix() is g.distance_matrix()
 
 
 def test_k1_is_valid_and_connected():
     k1 = make_path(1)
     assert k1.n == 1 and k1.m == 0
     assert k1.is_connected()
-    assert bfs_all_pairs(k1) == ((0,),)
+    assert k1.distance_matrix() == ((0,),)

@@ -32,7 +32,13 @@ from metricdim import (
     verify_small_orders,
 )
 from metricdim.scan import _orbit, _transposition_tables
-from conftest import naive_results, random_connected_graph, relabel
+from conftest import (
+    labelled_graphs,
+    naive_results,
+    random_connected_graph,
+    reference_distances,
+    relabel,
+)
 
 
 def connected_labeled_count(n: int) -> int:
@@ -94,6 +100,25 @@ def test_scan_counts_and_matches():
     assert [m.line for m in report.matches] == [1]
     assert (report.matches[0].dim, report.matches[0].edim) == (1, 0)
     assert report.complete
+
+
+def test_scan_counts_disconnected_records_without_a_separate_walk():
+    # every labelled graph of order <= 5, disconnected ones included, then
+    # two graphs past the lane walk's order limit, one of them disconnected
+    graphs = [g for n in range(1, 6) for g in labelled_graphs(n)]
+    graphs += [disjoint_union(make_path(9), make_path(9)), make_path(18)]
+    report = scan([encode_graph6(g) for g in graphs], Predicate.parse("lt"))
+    connected = [
+        i + 1 for i, g in enumerate(graphs) if all(-1 not in row for row in reference_distances(g))
+    ]
+    assert len(connected) == sum(connected_labeled_count(n) for n in range(1, 6)) + 1
+    assert (report.total, report.decoded, report.connected) == (len(graphs), len(graphs), len(connected))
+    want = []
+    for line in connected[:-1]:
+        dim, edim = naive_results(graphs[line - 1])
+        if edim.dimension < dim.dimension:
+            want.append(line)
+    assert [m.line for m in report.matches] == want
 
 
 def test_scan_matches_reverify():

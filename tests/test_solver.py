@@ -9,9 +9,10 @@ from metricdim import (
     DisconnectedGraph,
     Graph,
     InstanceTooLarge,
-    bfs_all_pairs,
+    decode_graph6,
     edge_metric_dimension,
     edge_metric_dimension_naive,
+    encode_graph6,
     is_edge_metric_generator,
     is_metric_generator,
     make_complete,
@@ -188,7 +189,7 @@ def test_partition_invariants_and_meet_semantics():
     rng = random.Random(47)
     for _ in range(10):
         g = random_connected_graph(rng, rng.randrange(3, 9), extra=2)
-        dm = bfs_all_pairs(g)
+        dm = g.distance_matrix()
         size = rng.randrange(0, g.n + 1)
         s = sorted(rng.sample(range(g.n), size))
         vectors = [tuple(dm[v][z] for z in s) for v in range(g.n)]
@@ -347,3 +348,14 @@ def test_min_k_above_dimension_returns_lex_least_of_that_size():
 def test_landmark_validation():
     with pytest.raises(ValueError):
         is_metric_generator(make_path(3), [5])
+
+
+def test_refuted_edge_search_leaves_the_edge_list_underived():
+    # K6 has 15 edges and diameter 1: three landmarks tell at most 2**3
+    # edges apart, so the bounded search refutes before it reads the edges
+    g = decode_graph6(encode_graph6(make_complete(6)))
+    assert edge_metric_dimension(g, max_k=3) is None
+    assert metric_dimension(g).dimension == 5
+    assert g._edges is None
+    assert edge_metric_dimension(g) == naive_results(g)[1]
+    assert g._edges is not None
