@@ -7,13 +7,16 @@ records against a dim/edim predicate; ``verify`` runs the named conformance
 suites or the small-order census; ``ratio`` builds a ratio witness.
 
 Exit codes: 0 on success, 2 on usage errors (including sizes that graph6
-cannot encode), 1 on computation errors such as disconnected input.  Results
-go to stdout, diagnostics to stderr.
+cannot encode, census orders beyond the enumeration limit, malformed
+predicates and ``--jobs`` outside 1 to the CPU count), 1 on computation
+errors such as disconnected input.  Results go to stdout, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -235,7 +238,14 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    pred = Predicate.parse(args.pred)
+    # A pool starts all its workers at once, so --jobs must stay small.
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise UsageError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
+    try:
+        pred = Predicate.parse(args.pred)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.g6_file is not None:
         with open(args.g6_file, "rb") as fh:
             report = scan(
@@ -320,10 +330,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OrderTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, Graph6Error, InvalidParams, RealizeError, OrderTooLarge) as exc:
+    except (GraphError, Graph6Error, InvalidParams, RealizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -80,10 +80,13 @@ class Predicate:
         head, sep, arg = text.partition(":")
         if head in ("lt", "gt", "eq") and not sep:
             return cls(head)
-        if head == "diff" and sep:
-            return cls("diff", diff=int(arg))
-        if head == "ratio" and sep:
-            return cls("ratio", ratio=Fraction(arg))
+        try:
+            if head == "diff" and sep:
+                return cls("diff", diff=int(arg))
+            if head == "ratio" and sep:
+                return cls("ratio", ratio=Fraction(arg))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed predicate {text!r}: {exc}") from None
         raise ValueError(f"malformed predicate {text!r}")
 
     def matches(self, dim: int, edim: int) -> bool:

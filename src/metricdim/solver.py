@@ -54,11 +54,17 @@ landmark that hits no remaining mask, which is sound only because every
 smaller k has been refuted: a set with such a landmark would still resolve
 without it.
 
-The masks cost one XOR and fold per item pair over n times
-``diam.bit_length()`` bits, so setup grows with pairs times that width and
-dominates on large sparse graphs such as ``path:1000``.  A bounded search
-(``max_k``) first refutes by counting distance classes, before any mask is
-built.  The generator checks (``is_metric_generator`` and its edge twin)
+Up to ``PACKED_MAX_ORDER`` landmarks, every pair's mask comes from a few
+whole-buffer operations (``_packed_masks``): the signatures fill the slots
+of one machine-word array, one XOR of the repeated buffer against a shifted
+read of it lines up every pair, and one fold over the whole int and one AND
+leave each mask in a 16-bit word; the slot layout is cached per order and
+plane count.  Larger orders cost one XOR and fold per item pair over n
+times ``diam.bit_length()`` bits, so setup grows with pairs times that
+width and dominates on large sparse graphs such as ``path:1000``, where a
+packed buffer would need about 1 GB.  A bounded search (``max_k``) first
+refutes by counting distance classes, before any mask is built.  The
+generator checks (``is_metric_generator`` and its edge twin)
 compare the signatures restricted to the landmark set in every plane.
 
 A deliberately dumb reference implementation (materialise every distance
@@ -68,6 +74,8 @@ for cross-validation; it is capped at small orders.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -131,6 +139,52 @@ def _separator_masks(sigs: Sequence[int], n: int, diam: int) -> set[int]:
             d |= d >> shift
         add(d & full)
     return masks
+
+
+@cache
+def _slot_layout(n: int, planes: int) -> tuple[str, int, tuple[int, ...], bytes, int]:
+    """Slot type code and width in bytes, fold shifts, lane mask, mask offset.
+
+    The fold ORs bit ``z + j*n`` onto bit z for every j below the plane
+    count rounded up to a power of two, so a slot holds that many planes
+    and the fold never reads the next slot.  A slot is the smallest array
+    item of 16, 32 or 64 bits that fits (16 landmarks of four planes fill
+    64), and the mask sits in the 16-bit word that holds the slot's low
+    bits: the first in little-endian order, the last in big-endian order.
+    """
+    folds = max(planes - 1, 0).bit_length()
+    code = next(c for c in "HIQ" if array(c).itemsize * 8 >= n << folds)
+    width = array(code).itemsize
+    lane = ((1 << n) - 1).to_bytes(width, sys.byteorder)
+    first = 0 if sys.byteorder == "little" else width // 2 - 1
+    return code, width, tuple(n << i for i in range(folds)), lane, first
+
+
+def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
+    """Every pair's separator mask, some twice, for at most 16 landmarks.
+
+    ``_separator_masks`` by a few whole-buffer operations.  The signatures
+    fill one slot each of a buffer read as a cycle of N slots.  Block k of
+    the right operand reads the cycle from slot k for N + 1 slots, so the
+    blocks for k = 1 .. N // 2 follow each other in one contiguous read of
+    the repeated buffer; every block of the left operand reads it from slot
+    0.  Block k lines up item i with item i + k (mod N), and every pair is
+    at most N // 2 apart around the cycle.  One XOR, the fold over the whole
+    int and one AND with the lane mask then leave each pair's mask in the
+    low word of its slot.
+    """
+    code, width, shifts, lane, first = _slot_layout(n, diam.bit_length())
+    order = sys.byteorder
+    buf = array(code, sigs).tobytes()
+    turns = len(sigs) // 2
+    size = turns * (len(buf) + width)
+    left = (buf + buf[:width]) * turns
+    right = (buf * (turns + 2))[width : width + size]
+    d = int.from_bytes(left, order) ^ int.from_bytes(right, order)
+    for shift in shifts:
+        d |= d >> shift
+    d &= int.from_bytes(lane * (size // width), order)
+    return memoryview(d.to_bytes(size, order)).cast("H")[first :: width // 2]
 
 
 def _disjoint_count(masks: list[int], cap: int) -> int:
@@ -311,11 +365,11 @@ def _minimum_generator(
         return None
     if kind == "edge":
         sigs = _edge_signatures(sigs, g.edges, n)
-    masks = _separator_masks(sigs, n, diam)
     if n <= PACKED_MAX_ORDER:
-        witness = _lattice_hitting_set(masks, n, min_k, top)
+        witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, min_k, top)
     else:
-        witness = _lex_least_hitting_set(sorted(masks, key=int.bit_count), n, min_k, top)
+        masks = sorted(_separator_masks(sigs, n, diam), key=int.bit_count)
+        witness = _lex_least_hitting_set(masks, n, min_k, top)
     if witness is None:
         return None
     return ResolveResult(kind, len(witness), witness)

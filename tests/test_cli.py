@@ -196,3 +196,34 @@ def test_scan_io_failure_reports_the_error(capsys, monkeypatch):
     code, _, err = run(capsys, "scan", "--pred", "lt")
     assert code == 1
     assert "scan incomplete" in err and "disk gone" in err
+
+
+def test_scan_refuses_jobs_outside_the_cpu_count(capsys, monkeypatch, tmp_path):
+    import metricdim.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan was started")
+
+    monkeypatch.setattr(cli, "scan", refuse)
+    missing = str(tmp_path / "never-opened.g6")
+    for jobs in ("0", "-1", str(10**6)):
+        code, out, err = run(capsys, "scan", "--g6-file", missing, "--jobs", jobs)
+        assert code == 2
+        assert not out
+        assert "error:" in err and "--jobs" in err
+
+
+def test_scan_malformed_predicate_exits_2(capsys, tmp_path):
+    missing = str(tmp_path / "never-opened.g6")
+    for pred in ("diff:x", "ratio:1/0", "lt:2", "nonsense"):
+        code, out, err = run(capsys, "scan", "--g6-file", missing, "--pred", pred)
+        assert code == 2
+        assert not out
+        assert "malformed predicate" in err
+
+
+def test_verify_small_orders_beyond_the_limit_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--small-orders", "9")
+    assert code == 2
+    assert not out
+    assert "error:" in err

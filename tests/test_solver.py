@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import metricdim
 from metricdim import (
     DisconnectedGraph,
     Graph,
@@ -28,6 +33,7 @@ from metricdim.solver import (
     _edge_signatures,
     _lattice_hitting_set,
     _lex_least_hitting_set,
+    _packed_masks,
     _separator_masks,
 )
 from metricdim.verify import expected_gadget_dims
@@ -300,9 +306,10 @@ def test_wide_lanes():
 def test_hitting_set_searches_match_naive_oracle():
     # the lattice search serves every order the naive oracle reaches, so the
     # depth-first search that larger orders use is checked here on the same
-    # masks, under every cap and resume setting the scans use
+    # masks, under every cap and resume setting the scans use; each search
+    # gets the masks its own path builds, which must be the same set
     rng = random.Random(97)
-    graphs = list(enumerate_labeled_connected(6))
+    graphs = [g for n in range(1, 7) for g in enumerate_labeled_connected(n)]
     for _ in range(1000):
         n = rng.randrange(8, 13)
         graphs.append(random_connected_graph(rng, n, extra=rng.randrange(0, n)))
@@ -311,12 +318,31 @@ def test_hitting_set_searches_match_naive_oracle():
         grounds = (sigs, _edge_signatures(sigs, g.edges, g.n))
         for ground, naive in zip(grounds, naive_results(g)):
             masks = sorted(_separator_masks(ground, g.n, diam), key=int.bit_count)
+            packed = _packed_masks(ground, g.n, diam)
+            assert set(packed) == set(masks)
             d = naive.dimension
             for min_k in {0, max(d - 1, 0), d}:
                 for max_k in {d - 1, d, g.n}:
                     want = naive.witness if max_k >= d else None
                     assert _lex_least_hitting_set(masks, g.n, min_k, max_k) == want
-                    assert _lattice_hitting_set(masks, g.n, min_k, max_k) == want
+                    assert _lattice_hitting_set(packed, g.n, min_k, max_k) == want
+
+
+def test_packed_masks_match_pairwise_masks():
+    # with the labelled graphs and the Random(97) stream above: paths and
+    # cycles up to order 16 give one to four planes, and three planes need
+    # slots of four or the fold reads the next slot; K1 and K2 have fewer
+    # than two items of a kind, and K16's 120 edges fill the largest buffer
+    graphs = [make_path(n) for n in range(2, 17)]
+    graphs += [make_cycle(n) for n in range(3, 17)]
+    graphs += [make_complete(1), make_complete(2), make_complete(16)]
+    planes = set()
+    for g in graphs:
+        sigs, diam = g.signatures()
+        planes.add(diam.bit_length())
+        for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
+            assert set(_packed_masks(ground, g.n, diam)) == _separator_masks(ground, g.n, diam)
+    assert planes == {0, 1, 2, 3, 4}
 
 
 def test_edge_signatures_match_resolution_vectors():
@@ -359,3 +385,25 @@ def test_refuted_edge_search_leaves_the_edge_list_underived():
     assert g._edges is None
     assert edge_metric_dimension(g) == naive_results(g)[1]
     assert g._edges is not None
+
+
+def test_import_builds_no_cached_layout():
+    # the subset-lattice tables and the slot layouts are built on first use,
+    # so importing the package (and the CLI) costs nothing per order
+    src = str(Path(metricdim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import metricdim.cli\n"
+        "from metricdim import solver\n"
+        "print(solver._tables.cache_info().currsize,"
+        " solver._slot_layout.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.split() == ["0", "0"]
