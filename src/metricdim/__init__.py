@@ -62,7 +62,7 @@ from .graph6 import (
     TruncatedBitVector,
     decode_graph6,
     encode_graph6,
-    stream_graph6,
+    record_lines,
 )
 from .scan import (
     OrderTooLarge,

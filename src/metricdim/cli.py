@@ -8,9 +8,9 @@ suites or the small-order census; ``ratio`` builds a ratio witness.
 
 Exit codes: 0 on success, 2 on usage errors (including sizes that graph6
 cannot encode, census orders beyond the enumeration limit, malformed
-predicates and ``--jobs`` outside 1 to the CPU count), 1 on computation
-errors such as disconnected input.  Results go to stdout, diagnostics to
-stderr.
+predicates, ``--jobs`` outside 1 to the CPU count and a scan checkpoint
+written for another predicate), 1 on computation errors such as
+disconnected input.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from .families import (
@@ -30,8 +31,9 @@ from .families import (
     realize,
 )
 from .graph import Graph, GraphError
-from .graph6 import MAX_ORDER, Graph6Error, decode_graph6, encode_graph6
+from .graph6 import MAX_ORDER, Graph6Error, decode_graph6, encode_graph6, record_lines
 from .scan import (
+    CheckpointMismatch,
     OrderTooLarge,
     Predicate,
     ratio_chain,
@@ -176,10 +178,8 @@ def _load_graph(args) -> Graph | FamilyGraph:
         return decode_graph6(args.g6)
     if args.g6_file is not None:
         with open(args.g6_file, "rb") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if line and not line.startswith(b">"):
-                    return decode_graph6(line)
+            for _, line in record_lines(fh):
+                return decode_graph6(line)
         raise Graph6Error(f"no graph6 record found in {args.g6_file}")
     return _read_edge_list(args.edges)
 
@@ -246,23 +246,9 @@ def _cmd_scan(args) -> int:
         pred = Predicate.parse(args.pred)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.g6_file is not None:
-        with open(args.g6_file, "rb") as fh:
-            report = scan(
-                fh,
-                pred,
-                jobs=args.jobs,
-                strict=args.strict,
-                checkpoint=args.checkpoint,
-            )
-    else:
-        report = scan(
-            sys.stdin.buffer,
-            pred,
-            jobs=args.jobs,
-            strict=args.strict,
-            checkpoint=args.checkpoint,
-        )
+    stream = nullcontext(sys.stdin.buffer) if args.g6_file is None else open(args.g6_file, "rb")
+    with stream as fh:
+        report = scan(fh, pred, jobs=args.jobs, strict=args.strict, checkpoint=args.checkpoint)
     if args.format == "records":
         for m in report.matches:
             print(f"{m.record}\t{m.dim}\t{m.edim}")
@@ -330,7 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OrderTooLarge) as exc:
+    except (UsageError, OrderTooLarge, CheckpointMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GraphError, Graph6Error, InvalidParams, RealizeError) as exc:

@@ -14,12 +14,15 @@ neighbours with ``format`` and decode reads each column back with ``int``,
 while a 64-entry table maps between six-bit chunks and record characters.
 No big int is grown or probed one bit at a time, which would copy the whole
 int per bit and cost time quadratic in ``n(n-1)/2``.
+
+``record_lines`` is the one reader of line-oriented graph6 input: the scan
+and the command line both take their records from it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .graph import Graph
 
@@ -145,40 +148,15 @@ def _parse_order(record: str) -> tuple[int, int]:
     return n, 4
 
 
-def is_record_line(line: str) -> bool:
-    """True for lines that carry a record: not blank, not a bare header.
+def record_lines(source: Iterable[str | bytes]) -> Iterator[tuple[int, str]]:
+    """The records of a line-oriented graph6 stream, one stripped line each.
 
-    A ``>>graph6<<`` marker glued to a record on the same line still counts
-    as a record; any other ``>``-prefixed line is a header to skip.
-    """
-    if not line:
-        return False
-    if line.startswith(">"):
-        return line.startswith(HEADER) and len(line) > len(HEADER)
-    return True
-
-
-def stream_graph6(
-    source: Iterable[str | bytes],
-    strict: bool = False,
-    on_error: Callable[[int, Graph6Error], None] | None = None,
-) -> Iterator[tuple[int, Graph]]:
-    """Decode a line-oriented stream of graph6 records lazily.
-
-    Yields ``(line_number, graph)`` pairs, numbering lines from 1.  Blank
-    lines and ``>``-prefixed header lines are skipped.  In the default
-    lenient mode a malformed record is reported through ``on_error`` and the
-    stream continues; with ``strict`` the error propagates.
+    Yields ``(line_number, line)`` pairs, numbering lines from 1; bytes are
+    read as latin-1.  Blank lines and ``>``-prefixed header lines are
+    skipped, but a ``>>graph6<<`` marker glued to a record on the same line
+    still counts as a record, which ``decode_graph6`` reads past.
     """
     for lineno, raw in enumerate(source, start=1):
-        line = raw.decode("latin-1") if isinstance(raw, bytes) else raw
-        line = line.strip()
-        if not is_record_line(line):
-            continue
-        try:
-            yield lineno, decode_graph6(line)
-        except Graph6Error as exc:
-            if strict:
-                raise Graph6Error(f"line {lineno}: {exc}") from exc
-            if on_error is not None:
-                on_error(lineno, exc)
+        line = (raw.decode("latin-1") if isinstance(raw, bytes) else raw).strip()
+        if line and (line[0] != ">" or line.startswith(HEADER) and len(line) > len(HEADER)):
+            yield lineno, line

@@ -1,7 +1,8 @@
 """High-throughput predicate scans over graph6 streams and small-order censuses.
 
-``scan`` decodes a line-oriented graph6 stream and records the connected
-graphs matching a dim/edim predicate.  Each graph is evaluated dim first:
+``scan`` takes the records of a line-oriented graph6 stream from
+``graph6.record_lines`` and records the connected graphs matching a
+dim/edim predicate.  Each graph is evaluated dim first:
 the vertex dimension is solved exactly, and the edge search then stops at
 the largest edge dimension the predicate accepts for that ``dim``, so the
 exact ``edim`` is computed in full only where a match is possible.  Reports
@@ -25,7 +26,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -33,9 +36,8 @@ from typing import Iterable, Iterator
 
 from .families import FamilyGraph, chain_order, make_chain
 from .graph import DisconnectedGraph, Graph
-from .graph6 import Graph6Error, decode_graph6, encode_graph6, is_record_line
+from .graph6 import Graph6Error, decode_graph6, encode_graph6, record_lines
 from .solver import (
-    ResolveResult,
     edge_metric_dimension,
     edge_metric_dimension_naive,
     metric_dimension,
@@ -44,6 +46,8 @@ from .solver import (
 
 MAX_ENUM_ORDER = 7
 MAX_ERROR_DETAILS = 1000  # diagnostics kept verbatim; the rest only counted
+BATCH_SIZE = 512  # records per batch, solved in this process or in a worker
+CHECKPOINT_EVERY = 10_000_000  # records between periodic checkpoint writes
 _SELF_CHECK_STRIDE = 9973  # prime, so the sample is spread over edge masks
 
 
@@ -57,23 +61,17 @@ class Predicate:
 
     Kinds: ``lt`` (edim < dim), ``gt`` (edim > dim), ``eq``, ``diff``
     (dim - edim equals ``diff``) and ``ratio`` (dim/edim at least ``ratio``,
-    counting a positive dim over edim zero as infinite).  The optional caps
-    split each subset search for early exit; a capped-out search resumes
-    above the cap, so caps never change the match set.
+    counting a positive dim over edim zero as infinite).  ``str`` gives the
+    text that ``parse`` reads back.
     """
 
     kind: str
     diff: int = 0
     ratio: Fraction = Fraction(1)
-    dim_cap: int | None = None
-    edim_cap: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("lt", "gt", "eq", "diff", "ratio"):
             raise ValueError(f"unknown predicate kind {self.kind!r}")
-        for cap in (self.dim_cap, self.edim_cap):
-            if cap is not None and cap < 0:
-                raise ValueError("caps must be non-negative")
 
     @classmethod
     def parse(cls, text: str) -> "Predicate":
@@ -88,6 +86,13 @@ class Predicate:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed predicate {text!r}: {exc}") from None
         raise ValueError(f"malformed predicate {text!r}")
+
+    def __str__(self) -> str:
+        if self.kind == "diff":
+            return f"diff:{self.diff}"
+        if self.kind == "ratio":
+            return f"ratio:{self.ratio}"
+        return self.kind
 
     def matches(self, dim: int, edim: int) -> bool:
         if self.kind == "lt":
@@ -119,6 +124,10 @@ class Predicate:
         return None
 
 
+class CheckpointMismatch(ValueError):
+    """A checkpoint file was written for another predicate."""
+
+
 @dataclass(frozen=True)
 class ScanMatch:
     line: int
@@ -142,21 +151,6 @@ class ScanReport:
     resumed_from: int = 0
 
 
-def _search(g: Graph, kind: str, cap: int | None, top: int | None) -> ResolveResult | None:
-    """Minimum generator of at most ``top`` landmarks (no limit for None).
-
-    The early-exit ``cap`` splits the search at that cardinality; the second
-    part resumes above it, so the result is the same as one search to ``top``.
-    """
-    solve = metric_dimension if kind == "vertex" else edge_metric_dimension
-    if cap is not None and (top is None or cap < top):
-        res = solve(g, max_k=cap)
-        if res is not None:
-            return res
-        return solve(g, min_k=cap + 1, max_k=top)
-    return solve(g, max_k=top)
-
-
 def _evaluate(g: Graph, pred: Predicate) -> tuple[int, int] | None:
     """Exact ``(dim, edim)`` of a graph matching the predicate, else None.
 
@@ -167,13 +161,11 @@ def _evaluate(g: Graph, pred: Predicate) -> tuple[int, int] | None:
     the search is uncapped: it stops at ``dim`` or below on a non-match and
     runs on to the exact ``edim`` that every match reports.
     """
-    dim_res = _search(g, "vertex", pred.dim_cap, None)
-    assert dim_res is not None
-    dim = dim_res.dimension
+    dim = metric_dimension(g).dimension
     top = pred.max_edim(dim)
     if top is not None and top < 0:
         return None
-    edim_res = _search(g, "edge", pred.edim_cap, top)
+    edim_res = edge_metric_dimension(g, max_k=top)
     if edim_res is None or not pred.matches(dim, edim_res.dimension):
         return None
     return dim, edim_res.dimension
@@ -186,11 +178,6 @@ def _connected(g: Graph) -> bool:
     except DisconnectedGraph:
         return False
     return True
-
-
-def _normalize_line(raw: str | bytes) -> str:
-    line = raw.decode("latin-1") if isinstance(raw, bytes) else raw
-    return line.strip()
 
 
 def _scan_batch(payload: tuple[list[tuple[int, str]], Predicate]):
@@ -214,9 +201,17 @@ def _scan_batch(payload: tuple[list[tuple[int, str]], Predicate]):
     return len(batch), decoded, connected, errors, matches
 
 
+def _solve_here(fn, payload) -> Future:
+    """``fn(payload)`` solved in this process, as a finished future."""
+    done: Future = Future()
+    done.set_result(fn(payload))
+    return done
+
+
 def _write_checkpoint(path: str, last_line: int, report: ScanReport) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
+        fh.write(f"predicate={report.predicate}\n")
         fh.write(f"last_line_processed={last_line}\n")
         fh.write(f"total={report.total}\n")
         fh.write(f"decoded={report.decoded}\n")
@@ -229,10 +224,13 @@ def _write_checkpoint(path: str, last_line: int, report: ScanReport) -> None:
 
 def _load_checkpoint(path: str, report: ScanReport) -> int:
     last = 0
+    predicate = None
     with open(path, encoding="ascii") as fh:
         for line in fh:
             key, _, value = line.rstrip("\n").partition("=")
-            if key == "last_line_processed":
+            if key == "predicate":
+                predicate = value
+            elif key == "last_line_processed":
                 last = int(value)
             elif key in ("total", "decoded", "connected"):
                 setattr(report, key, int(value))
@@ -241,7 +239,35 @@ def _load_checkpoint(path: str, report: ScanReport) -> int:
             elif key == "match":
                 ln, rec, dim, edim = value.split("\t")
                 report.matches.append(ScanMatch(int(ln), rec, int(dim), int(edim)))
+    if predicate != str(report.predicate):
+        found = "no predicate" if predicate is None else f"predicate {predicate}"
+        raise CheckpointMismatch(
+            f"checkpoint {path} has {found}, but this scan's predicate is {report.predicate}"
+        )
     return last
+
+
+def _batches(
+    source: Iterable[str | bytes], report: ScanReport
+) -> Iterator[list[tuple[int, str]]]:
+    """Records past ``report.resumed_from``, ``BATCH_SIZE`` to a batch.
+
+    An input error ends the batches, after the one it cut short, and marks
+    the report incomplete.
+    """
+    batch: list[tuple[int, str]] = []
+    try:
+        for item in record_lines(source):
+            if item[0] > report.resumed_from:
+                batch.append(item)
+                if len(batch) >= BATCH_SIZE:
+                    yield batch
+                    batch = []
+    except OSError as exc:
+        report.complete = False
+        report.io_error = str(exc)
+    if batch:
+        yield batch
 
 
 def scan(
@@ -251,37 +277,35 @@ def scan(
     jobs: int = 1,
     strict: bool = False,
     checkpoint: str | None = None,
-    checkpoint_every: int = 10_000_000,
-    batch_size: int = 512,
 ) -> ScanReport:
     """Test every connected graph of a graph6 stream against a predicate.
 
+    Records come from ``graph6.record_lines`` in batches of ``BATCH_SIZE``.
     Disconnected entries are counted and skipped; malformed lines become
-    per-line diagnostics unless ``strict``.  With ``jobs > 1`` the stream is
-    decoded and solved in worker processes, batch by batch, with bounded
-    in-flight work.  A ``checkpoint`` file makes multi-hour scans resumable:
-    progress is flushed every ``checkpoint_every`` records and picked up
-    automatically when the file already exists.
+    per-line diagnostics unless ``strict``, which raises ``Graph6Error`` on
+    the first.  ``jobs`` decides only where a batch is solved: in this
+    process, or in a pool of that many workers with at most ``2 * jobs``
+    batches in flight.
+
+    A ``checkpoint`` file makes multi-hour scans resumable: progress is
+    flushed every ``CHECKPOINT_EVERY`` records and at the end, and picked up
+    when the file already exists.  A checkpoint written for another
+    predicate raises ``CheckpointMismatch``.  No ``OSError`` escapes: the
+    report comes back with ``complete`` false and the reason in
+    ``io_error``.  When the input fails, every record read before the
+    failure is solved and checkpointed first.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     report = ScanReport(predicate=predicate)
     start = time.monotonic()
-    resume_line = 0
-    if checkpoint and os.path.exists(checkpoint):
-        resume_line = _load_checkpoint(checkpoint, report)
-        report.resumed_from = resume_line
-    since_checkpoint = 0
-    last_line = resume_line
+    pending: deque[tuple[int, Future]] = deque()  # (last line, batch result)
+    since_checkpoint = last_line = 0
 
-    def records() -> Iterator[tuple[int, str]]:
-        for lineno, raw in enumerate(source, start=1):
-            line = _normalize_line(raw)
-            if not is_record_line(line) or lineno <= resume_line:
-                continue
-            yield lineno, line
-
-    def absorb(result) -> None:
+    def absorb() -> None:
         nonlocal since_checkpoint, last_line
-        batch_total, decoded, connected, errors, matches = result
+        last_line, fut = pending.popleft()
+        batch_total, decoded, connected, errors, matches = fut.result()
         report.total += batch_total
         report.decoded += decoded
         report.connected += connected
@@ -294,50 +318,27 @@ def scan(
         report.error_total += len(errors)
         report.matches.extend(matches)
         since_checkpoint += batch_total
-        if checkpoint and since_checkpoint >= checkpoint_every:
+        if checkpoint and since_checkpoint >= CHECKPOINT_EVERY:
             _write_checkpoint(checkpoint, last_line, report)
             since_checkpoint = 0
 
     try:
-        if jobs <= 1:
-            batch: list[tuple[int, str]] = []
-            for item in records():
-                batch.append(item)
-                if len(batch) >= batch_size:
-                    last_line = batch[-1][0]
-                    absorb(_scan_batch((batch, predicate)))
-                    batch = []
-            if batch:
-                last_line = batch[-1][0]
-                absorb(_scan_batch((batch, predicate)))
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                pending = []
-                batch = []
-                for item in records():
-                    batch.append(item)
-                    if len(batch) >= batch_size:
-                        pending.append(
-                            (batch[-1][0], pool.submit(_scan_batch, (batch, predicate)))
-                        )
-                        batch = []
-                        while len(pending) >= jobs * 2:
-                            line_mark, fut = pending.pop(0)
-                            last_line = line_mark
-                            absorb(fut.result())
-                if batch:
-                    pending.append(
-                        (batch[-1][0], pool.submit(_scan_batch, (batch, predicate)))
-                    )
-                for line_mark, fut in pending:
-                    last_line = line_mark
-                    absorb(fut.result())
+        if checkpoint and os.path.exists(checkpoint):
+            report.resumed_from = last_line = _load_checkpoint(checkpoint, report)
+        with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+            submit = pool.submit if pool else _solve_here
+            for batch in _batches(source, report):
+                pending.append((batch[-1][0], submit(_scan_batch, (batch, predicate))))
+                while len(pending) >= 2 * jobs:
+                    absorb()
+            while pending:
+                absorb()
+        if checkpoint:
+            _write_checkpoint(checkpoint, last_line, report)
     except OSError as exc:
         report.complete = False
         report.io_error = str(exc)
     report.matches.sort(key=lambda m: m.line)
-    if checkpoint and report.complete:
-        _write_checkpoint(checkpoint, last_line, report)
     report.wall_time = time.monotonic() - start
     return report
 

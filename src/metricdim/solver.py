@@ -38,7 +38,8 @@ search's time, but about 6 ms at order 20, twice its time, with about
 
 Larger orders keep a depth-first search.  Distinct masks are kept,
 supersets of other masks dropped, and the rest sorted by popcount.
-Cardinalities k ascend from ``min_k``; each is a lexicographic depth-first
+Cardinalities k ascend from a greedy count of pairwise disjoint masks, each
+of which needs a landmark of its own; each k is a lexicographic depth-first
 search over landmarks, which at every node
 
 1. refutes when a remaining mask has no landmark at or above the next
@@ -50,9 +51,9 @@ search over landmarks, which at every node
 
 None of these discards a subtree holding a resolving set of size k, so the
 first set found is the lexicographically least.  The search also skips a
-landmark that hits no remaining mask, which is sound only because every
-smaller k has been refuted: a set with such a landmark would still resolve
-without it.
+landmark that hits no remaining mask, which is sound only because no
+smaller k has a resolving set, being below that count or refuted: a set
+with such a landmark would still resolve without it.
 
 Up to ``PACKED_MAX_ORDER`` landmarks, every pair's mask comes from a few
 whole-buffer operations (``_packed_masks``): the signatures fill the slots
@@ -239,7 +240,7 @@ def _tables(n: int) -> tuple[list[int], list[int]]:
 
 
 def _lattice_hitting_set(
-    masks: Iterable[int], n: int, min_k: int, max_k: int
+    masks: Iterable[int], n: int, max_k: int
 ) -> tuple[int, ...] | None:
     """``_lex_least_hitting_set`` by one pass over the subset lattice.
 
@@ -259,7 +260,7 @@ def _lattice_hitting_set(
     bad = int(marks, 2)
     for i in range(n):
         bad |= (bad & hi[i]) >> (1 << i)
-    for k in range(max(min_k, 0), max_k + 1):
+    for k in range(max_k + 1):
         c = pop[k] & ~bad
         if c:
             for h in hi:
@@ -270,22 +271,22 @@ def _lattice_hitting_set(
 
 
 def _lex_least_hitting_set(
-    masks: list[int], n: int, min_k: int, max_k: int
+    masks: list[int], n: int, max_k: int
 ) -> tuple[int, ...] | None:
     """Lexicographically least smallest landmark set hitting every mask.
 
-    ``masks`` are landmark sets sorted by popcount.  Cardinalities ``min_k``
-    to ``max_k`` are tried in ascending order; None means that no set of at
-    most ``max_k`` landmarks hits every mask.  ``min_k`` must not exceed
-    the true minimum: the search skips landmarks that hit no remaining
-    mask, which can only hide sets that contain a redundant landmark, and
-    those imply a strictly smaller one.
+    ``masks`` are landmark sets sorted by popcount.  Cardinalities from the
+    disjoint-masks bound up to ``max_k`` are tried in ascending order; None
+    means that no set of at most ``max_k`` landmarks hits every mask.  No
+    smaller set than the one tried hits them all, so the search may skip
+    landmarks that hit no remaining mask: that can only hide sets that
+    contain a redundant landmark, and those imply a strictly smaller one.
     """
     # The disjoint-masks bound at the root, taken before the search index
     # is built.  Greedy picks by popcount never take a superset of another
     # mask, so the bound equals the one the search would find at its root.
-    min_k = max(min_k, _disjoint_count(masks, max_k))
-    if min_k > max_k:
+    least = _disjoint_count(masks, max_k)
+    if least > max_k:
         return None
     masks = _drop_supersets(masks)
     # The search works on sets of masks: bit i stands for masks[i].
@@ -339,19 +340,14 @@ def _lex_least_hitting_set(
         return None
 
     every = (1 << len(masks)) - 1
-    for k in range(min_k, max_k + 1):
+    for k in range(least, max_k + 1):
         found = rec(0, every, k)
         if found is not None:
             return found
     return None
 
 
-def _minimum_generator(
-    g: Graph,
-    kind: str,
-    max_k: int | None = None,
-    min_k: int = 0,
-) -> ResolveResult | None:
+def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> ResolveResult | None:
     sigs, diam = g.signatures()
     n = g.n
     ground_size = n if kind == "vertex" else g.m
@@ -366,33 +362,27 @@ def _minimum_generator(
     if kind == "edge":
         sigs = _edge_signatures(sigs, g.edges, n)
     if n <= PACKED_MAX_ORDER:
-        witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, min_k, top)
+        witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, top)
     else:
         masks = sorted(_separator_masks(sigs, n, diam), key=int.bit_count)
-        witness = _lex_least_hitting_set(masks, n, min_k, top)
+        witness = _lex_least_hitting_set(masks, n, top)
     if witness is None:
         return None
     return ResolveResult(kind, len(witness), witness)
 
 
-def metric_dimension(
-    g: Graph, *, max_k: int | None = None, min_k: int = 0
-) -> ResolveResult | None:
+def metric_dimension(g: Graph, *, max_k: int | None = None) -> ResolveResult | None:
     """Exact metric dimension with its lexicographically least basis.
 
     ``max_k`` caps the search and makes the result ``None`` when no generator
-    of at most that many landmarks exists.  ``min_k`` resumes an earlier
-    capped search; it is only sound when all smaller cardinalities are
-    already known to fail.
+    of at most that many landmarks exists.
     """
-    return _minimum_generator(g, "vertex", max_k=max_k, min_k=min_k)
+    return _minimum_generator(g, "vertex", max_k=max_k)
 
 
-def edge_metric_dimension(
-    g: Graph, *, max_k: int | None = None, min_k: int = 0
-) -> ResolveResult | None:
+def edge_metric_dimension(g: Graph, *, max_k: int | None = None) -> ResolveResult | None:
     """Exact edge metric dimension with its lexicographically least basis."""
-    return _minimum_generator(g, "edge", max_k=max_k, min_k=min_k)
+    return _minimum_generator(g, "edge", max_k=max_k)
 
 
 def is_metric_generator(g: Graph, landmarks: Iterable[int]) -> bool:

@@ -85,6 +85,18 @@ def test_g6_file_input(capsys, tmp_path):
     assert out.startswith("dim=2")
 
 
+def test_g6_file_input_takes_a_record_glued_to_its_header(capsys, tmp_path):
+    # the same line is the first record for scan and for the solve commands
+    path = tmp_path / "glued.g6"
+    path.write_text(">>graph6<<Bw\n")
+    code, out, _ = run(capsys, "both", "--g6-file", str(path))
+    assert code == 0
+    assert out.strip() == "dim=2 edim=2"
+    code, out, _ = run(capsys, "scan", "--g6-file", str(path), "--pred", "eq", "--format", "records")
+    assert code == 0
+    assert out.strip() == ">>graph6<<Bw\t2\t2"
+
+
 def test_family_command_emits_parseable_record(capsys):
     code, out, _ = run(capsys, "family", "--family", "L:2,5,1,2")
     assert code == 0
@@ -220,6 +232,18 @@ def test_scan_malformed_predicate_exits_2(capsys, tmp_path):
         assert code == 2
         assert not out
         assert "malformed predicate" in err
+
+
+def test_scan_checkpoint_of_another_predicate_exits_2(capsys, tmp_path):
+    path = tmp_path / "stream.g6"
+    path.write_text("A_\nBw\n")
+    ckpt = str(tmp_path / "scan.ckpt")
+    code, _, _ = run(capsys, "scan", "--g6-file", str(path), "--pred", "eq", "--checkpoint", ckpt)
+    assert code == 0
+    code, out, err = run(capsys, "scan", "--g6-file", str(path), "--pred", "gt", "--checkpoint", ckpt)
+    assert code == 2
+    assert not out
+    assert "error:" in err and ckpt in err and "predicate eq" in err
 
 
 def test_verify_small_orders_beyond_the_limit_exits_2(capsys):

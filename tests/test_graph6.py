@@ -23,7 +23,7 @@ from metricdim import (
     make_path,
     ratio_witness,
     realize,
-    stream_graph6,
+    record_lines,
 )
 from conftest import random_connected_graph
 
@@ -156,27 +156,17 @@ def test_decoder_never_crashes_on_fuzz():
             pass
 
 
-def test_stream_basic():
+def test_record_lines_numbers_every_line():
     records = [encode_graph6(make_cycle(n)) for n in (3, 4, 5)]
-    out = list(stream_graph6(records))
+    out = list(record_lines(records))
     assert [line for line, _ in out] == [1, 2, 3]
-    assert [g.n for _, g in out] == [3, 4, 5]
+    assert [decode_graph6(rec).n for _, rec in out] == [3, 4, 5]
+    # malformed records are passed through for the decoder to reject
+    assert list(record_lines(["A_", "A", "Bw"])) == [(1, "A_"), (2, "A"), (3, "Bw")]
 
 
-def test_stream_skips_headers_and_blanks():
-    lines = [">>graph6<<", "", "A_", b"Bw\n"]
-    out = list(stream_graph6(lines))
-    assert [(line, g.n) for line, g in out] == [(3, 2), (4, 3)]
-
-
-def test_stream_lenient_reports_line_numbers():
-    lines = ["A_", "A", "Bw"]
-    seen: list[tuple[int, str]] = []
-    out = list(stream_graph6(lines, on_error=lambda k, e: seen.append((k, type(e).__name__))))
-    assert len(out) == 2
-    assert seen == [(2, "TruncatedBitVector")]
-
-
-def test_stream_strict_aborts():
-    with pytest.raises(Graph6Error, match="line 2"):
-        list(stream_graph6(["A_", "A", "Bw"], strict=True))
+def test_record_lines_skip_headers_and_blanks():
+    lines = [">>graph6<<", "", "A_", b"Bw\n", b"  \r\n", b"C~\r\n", ">comment", ">>graph6<<Bw"]
+    assert list(record_lines(lines)) == [(3, "A_"), (4, "Bw"), (6, "C~"), (8, ">>graph6<<Bw")]
+    # bytes outside ASCII read as latin-1 and reach the decoder unchanged
+    assert list(record_lines([b"A\xff\n"])) == [(1, "A\xff")]

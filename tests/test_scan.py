@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -31,7 +32,7 @@ from metricdim import (
     scan,
     verify_small_orders,
 )
-from metricdim.scan import _orbit, _transposition_tables
+from metricdim.scan import CheckpointMismatch, _orbit, _transposition_tables
 from conftest import (
     labelled_graphs,
     naive_results,
@@ -39,6 +40,9 @@ from conftest import (
     reference_distances,
     relabel,
 )
+
+
+SCAN = importlib.import_module("metricdim.scan")
 
 
 def connected_labeled_count(n: int) -> int:
@@ -75,8 +79,9 @@ def test_predicate_parse_and_match():
     for bad in ("", "lte", "diff", "ratio", "diff:x"):
         with pytest.raises(ValueError):
             Predicate.parse(bad)
-    with pytest.raises(ValueError):
-        Predicate("lt", dim_cap=-1)
+    for text in ("lt", "gt", "eq", "diff:-1", "diff:0", "diff:2", "ratio:3/2", "ratio:2"):
+        assert str(Predicate.parse(text)) == text
+    assert str(Predicate.parse("ratio:1.5")) == "ratio:3/2"
 
 
 def _sample_stream() -> list[str]:
@@ -147,7 +152,7 @@ def test_scan_lenient_and_strict():
     assert report.errors[0][0] == 2
     from metricdim import Graph6Error
 
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error, match="line 2"):
         scan(lines, Predicate.parse("lt"), strict=True)
 
 
@@ -161,42 +166,21 @@ def test_scan_caps_retained_error_details():
     assert report.decoded == 1
 
 
-def test_scan_deterministic_across_jobs():
+def test_scan_deterministic_across_jobs(monkeypatch):
     rng = random.Random(79)
     lines = [
         encode_graph6(random_connected_graph(rng, rng.randrange(4, 9), extra=2))
         for _ in range(60)
     ]
-    serial = scan(lines, Predicate.parse("eq"), batch_size=7)
-    parallel = scan(lines, Predicate.parse("eq"), jobs=2, batch_size=7)
+    monkeypatch.setattr(SCAN, "BATCH_SIZE", 7)
+    serial = scan(lines, Predicate.parse("eq"))
+    parallel = scan(lines, Predicate.parse("eq"), jobs=2)
     assert serial.matches == parallel.matches
     assert (serial.total, serial.decoded, serial.connected) == (
         parallel.total,
         parallel.decoded,
         parallel.connected,
     )
-
-
-def test_scan_caps_never_change_matches():
-    rng = random.Random(83)
-    lines = [
-        encode_graph6(random_connected_graph(rng, rng.randrange(4, 10), extra=3))
-        for _ in range(10_000)
-    ]
-    plain = scan(lines, Predicate.parse("lt"))
-    capped = scan(lines, Predicate("lt", dim_cap=2, edim_cap=2))
-    assert plain.matches == capped.matches
-    assert (plain.total, plain.decoded, plain.connected) == (
-        capped.total,
-        capped.decoded,
-        capped.connected,
-    )
-    for kind in ("eq", "gt"):
-        sample = lines[:1000]
-        assert (
-            scan(sample, Predicate.parse(kind)).matches
-            == scan(sample, Predicate(kind, dim_cap=2, edim_cap=2)).matches
-        )
 
 
 # Independent statement of each predicate, over exact integers only.
@@ -246,13 +230,14 @@ def test_scan_predicates_match_naive_oracle():
         assert report.connected == len(graphs)
 
 
-def test_scan_checkpoint_resume(tmp_path):
+def test_scan_checkpoint_resume(tmp_path, monkeypatch):
     lines = _sample_stream()
     ckpt = tmp_path / "scan.ckpt"
-    partial = scan(lines[:3], Predicate.parse("lt"), checkpoint=str(ckpt), checkpoint_every=1)
+    monkeypatch.setattr(SCAN, "CHECKPOINT_EVERY", 1)
+    partial = scan(lines[:3], Predicate.parse("lt"), checkpoint=str(ckpt))
     assert ckpt.exists()
     assert partial.total == 3
-    resumed = scan(lines, Predicate.parse("lt"), checkpoint=str(ckpt), checkpoint_every=1)
+    resumed = scan(lines, Predicate.parse("lt"), checkpoint=str(ckpt))
     assert resumed.resumed_from == 3
     fresh = scan(lines, Predicate.parse("lt"))
     assert resumed.total == fresh.total
@@ -266,17 +251,16 @@ def test_scan_checkpoint_resume(tmp_path):
     assert again.matches == fresh.matches
 
 
-def test_scan_parallel_checkpointing(tmp_path):
+def test_scan_parallel_checkpointing(tmp_path, monkeypatch):
     rng = random.Random(89)
     lines = [
         encode_graph6(random_connected_graph(rng, rng.randrange(4, 8), extra=2))
         for _ in range(30)
     ]
     ckpt = tmp_path / "par.ckpt"
-    first = scan(
-        lines, Predicate.parse("eq"), jobs=2, batch_size=4,
-        checkpoint=str(ckpt), checkpoint_every=8,
-    )
+    monkeypatch.setattr(SCAN, "BATCH_SIZE", 4)
+    monkeypatch.setattr(SCAN, "CHECKPOINT_EVERY", 8)
+    first = scan(lines, Predicate.parse("eq"), jobs=2, checkpoint=str(ckpt))
     assert ckpt.exists()
     again = scan(lines, Predicate.parse("eq"), checkpoint=str(ckpt))
     assert again.resumed_from == 30
@@ -284,15 +268,81 @@ def test_scan_parallel_checkpointing(tmp_path):
     assert again.total == first.total == 30
 
 
-def test_scan_handles_io_failure():
+def test_scan_handles_io_failure(tmp_path):
     def broken():
         yield "A_"
         raise OSError("disk gone")
 
-    report = scan(broken(), Predicate.parse("lt"), batch_size=1)
+    report = scan(broken(), Predicate.parse("lt"))
     assert not report.complete
     assert report.total == 1
     assert report.io_error == "disk gone"
+    assert [m.line for m in report.matches] == [1]
+    # a checkpoint that cannot be written ends the scan the same way
+    ckpt = tmp_path / "no-such-dir" / "scan.ckpt"
+    report = scan(_sample_stream(), Predicate.parse("lt"), checkpoint=str(ckpt))
+    assert not report.complete
+    assert str(ckpt) in report.io_error
+
+
+def _summary(report) -> tuple:
+    return report.total, report.decoded, report.connected, report.error_total, report.matches
+
+
+def test_scan_input_failure_finishes_every_record_read(tmp_path, monkeypatch):
+    # records read before the input fails are all solved and checkpointed,
+    # whatever the batch size or the worker count, and a resume over the
+    # whole stream then reports what a fresh scan does
+    rng = random.Random(101)
+    lines = [
+        encode_graph6(random_connected_graph(rng, rng.randrange(4, 9), extra=2))
+        for _ in range(250)
+    ]
+    lines[17] = "??bad??"
+    lines[60] = ""
+    pred = Predicate.parse("eq")
+    before = scan(lines[:200], pred)
+    fresh = scan(lines, pred)
+    assert before.matches and before.error_total == 1
+
+    def broken():
+        yield from lines[:200]
+        raise OSError("disk gone")
+
+    for jobs in (1, 2):
+        for size in (1, 7, 512):
+            monkeypatch.setattr(SCAN, "BATCH_SIZE", size)
+            ckpt = tmp_path / f"{jobs}-{size}.ckpt"
+            cut = scan(broken(), pred, jobs=jobs, checkpoint=str(ckpt))
+            assert (cut.complete, cut.io_error) == (False, "disk gone")
+            assert _summary(cut) == _summary(before)
+            assert cut.errors == before.errors
+            resumed = scan(lines, pred, jobs=jobs, checkpoint=str(ckpt))
+            assert resumed.complete and resumed.resumed_from == 200
+            assert _summary(resumed) == _summary(fresh)
+
+
+def test_scan_refuses_a_checkpoint_of_another_predicate(tmp_path):
+    lines = _sample_stream()
+    ckpt = tmp_path / "scan.ckpt"
+    scan(lines[:3], Predicate.parse("eq"), checkpoint=str(ckpt))
+    assert "predicate=eq\n" in ckpt.read_text()
+    with pytest.raises(CheckpointMismatch, match=re.escape(str(ckpt))):
+        scan(lines, Predicate.parse("gt"), checkpoint=str(ckpt))
+    # a checkpoint without a predicate line is refused too
+    ckpt.write_text("".join(l for l in ckpt.open() if not l.startswith("predicate=")))
+    with pytest.raises(CheckpointMismatch, match="no predicate"):
+        scan(lines, Predicate.parse("eq"), checkpoint=str(ckpt))
+
+
+def test_scan_refuses_jobs_below_one():
+    def unread():
+        raise AssertionError("the source was read")
+        yield
+
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            scan(unread(), Predicate.parse("lt"), jobs=jobs)
 
 
 def test_scan_agrees_with_census_on_exhaustive_stream():

@@ -28,7 +28,7 @@ from metricdim import (
     metric_dimension_naive,
     resolution_vector,
 )
-from metricdim.scan import _search, enumerate_labeled_connected
+from metricdim.scan import enumerate_labeled_connected
 from metricdim.solver import (
     _edge_signatures,
     _lattice_hitting_set,
@@ -225,12 +225,9 @@ def test_capped_and_resumed_search():
         g = random_connected_graph(rng, rng.randrange(4, 10), extra=2)
         full = metric_dimension(g)
         assert metric_dimension(g, max_k=full.dimension - 1) is None
-        resumed = metric_dimension(g, min_k=full.dimension)
-        assert resumed == full
         efull = edge_metric_dimension(g)
         if efull.dimension:
             assert edge_metric_dimension(g, max_k=efull.dimension - 1) is None
-        assert edge_metric_dimension(g, min_k=efull.dimension) == efull
 
 
 def test_bounded_search_refutes_exactly_above_the_bound():
@@ -261,8 +258,8 @@ def test_bounded_search_refutes_exactly_above_the_bound():
 
 def test_witness_and_resumed_searches_match_naive_oracle():
     # lex-least witnesses of both kinds against the naive oracle beyond the
-    # exhaustive order-5 check, and every resumed or split search must give
-    # back the uncapped result
+    # exhaustive order-5 check, and a search capped at the dimension must
+    # give back the uncapped result
     rng = random.Random(97)
     graphs = list(enumerate_labeled_connected(6))
     for _ in range(1000):
@@ -275,20 +272,12 @@ def test_witness_and_resumed_searches_match_naive_oracle():
         perm_rng.shuffle(perm)
         graphs.append(relabel(g, perm))
     for g in graphs:
-        for kind, fast, naive in zip(
-            ("vertex", "edge"),
-            (metric_dimension, edge_metric_dimension),
-            naive_results(g),
-        ):
+        for fast, naive in zip((metric_dimension, edge_metric_dimension), naive_results(g)):
             full = fast(g)
             assert full == naive
-            d = full.dimension
-            assert fast(g, min_k=d) == full
-            if d:
-                assert fast(g, min_k=d - 1) == full
-            for cap in range(max(d - 1, 0), d + 1):
-                assert _search(g, kind, cap, None) == full
-                assert _search(g, kind, cap, d) == full
+            assert fast(g, max_k=full.dimension) == full
+            if full.dimension:
+                assert fast(g, max_k=full.dimension - 1) is None
 
 
 def test_wide_lanes():
@@ -306,8 +295,8 @@ def test_wide_lanes():
 def test_hitting_set_searches_match_naive_oracle():
     # the lattice search serves every order the naive oracle reaches, so the
     # depth-first search that larger orders use is checked here on the same
-    # masks, under every cap and resume setting the scans use; each search
-    # gets the masks its own path builds, which must be the same set
+    # masks, under every cap the scans use; each search gets the masks its
+    # own path builds, which must be the same set
     rng = random.Random(97)
     graphs = [g for n in range(1, 7) for g in enumerate_labeled_connected(n)]
     for _ in range(1000):
@@ -321,11 +310,10 @@ def test_hitting_set_searches_match_naive_oracle():
             packed = _packed_masks(ground, g.n, diam)
             assert set(packed) == set(masks)
             d = naive.dimension
-            for min_k in {0, max(d - 1, 0), d}:
-                for max_k in {d - 1, d, g.n}:
-                    want = naive.witness if max_k >= d else None
-                    assert _lex_least_hitting_set(masks, g.n, min_k, max_k) == want
-                    assert _lattice_hitting_set(packed, g.n, min_k, max_k) == want
+            for max_k in {d - 1, d, g.n}:
+                want = naive.witness if max_k >= d else None
+                assert _lex_least_hitting_set(masks, g.n, max_k) == want
+                assert _lattice_hitting_set(packed, g.n, max_k) == want
 
 
 def test_packed_masks_match_pairwise_masks():
@@ -359,16 +347,6 @@ def test_edge_signatures_match_resolution_vectors():
                 for z in range(g.n)
             )
             assert decoded == resolution_vector(g, e, range(g.n))
-
-
-def test_min_k_above_dimension_returns_lex_least_of_that_size():
-    # min_k promises smaller cardinalities were refuted; if a caller lies,
-    # the search still returns the lexicographically least set of that size
-    c6 = make_cycle(6)
-    res = metric_dimension(c6, min_k=3)
-    assert res.dimension == 3
-    assert res.witness == (0, 1, 2)
-    assert is_metric_generator(c6, res.witness)
 
 
 def test_landmark_validation():
