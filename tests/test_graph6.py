@@ -12,6 +12,7 @@ from metricdim import (
     MalformedHeader,
     NonPrintableByte,
     PaddingBitsSet,
+    Predicate,
     TrailingData,
     TruncatedBitVector,
     decode_graph6,
@@ -24,6 +25,7 @@ from metricdim import (
     ratio_witness,
     realize,
     record_lines,
+    scan,
 )
 from conftest import random_connected_graph
 
@@ -170,3 +172,19 @@ def test_record_lines_skip_headers_and_blanks():
     assert list(record_lines(lines)) == [(3, "A_"), (4, "Bw"), (6, "C~"), (8, ">>graph6<<Bw")]
     # bytes outside ASCII read as latin-1 and reach the decoder unchanged
     assert list(record_lines([b"A\xff\n"])) == [(1, "A\xff")]
+
+
+def test_stream_lenient_reports_line_numbers():
+    lines = ["A_", "A", "Bw"]
+    report = scan(lines, Predicate.parse("lt"))
+    assert report.decoded == 2
+    assert [k for k, _ in report.errors] == [2]
+    # the record on the reported line is the one the decoder rejects as truncated
+    bad = dict(record_lines(lines))[2]
+    with pytest.raises(TruncatedBitVector):
+        decode_graph6(bad)
+
+
+def test_stream_strict_aborts():
+    with pytest.raises(Graph6Error, match="line 2"):
+        scan(["A_", "A", "Bw"], Predicate.parse("lt"), strict=True)
