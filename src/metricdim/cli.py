@@ -10,7 +10,8 @@ Exit codes: 0 on success, 2 on usage errors (including sizes that graph6
 cannot encode, census orders beyond the enumeration limit, malformed
 predicates, ``--jobs`` outside 1 to the CPU count and a scan checkpoint
 written for another predicate), 1 on computation errors such as
-disconnected input.  Results go to stdout, diagnostics to stderr.
+disconnected input and on an input file that cannot be opened.  Results go
+to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GraphError, Graph6Error, InvalidParams, RealizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unreadable input or a closed stdout
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,7 @@ bases are built from these offsets in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Graph, add_edge, cartesian_product, disjoint_union
 
@@ -124,10 +125,15 @@ class FamilyGraph:
 
     def vertex(self, role: str, index: int = 0, copy: int = 1) -> int:
         target = RoleLabel(copy, role, index)
-        for v, lab in enumerate(self.labels):
-            if lab == target:
-                return v
-        raise KeyError(f"no vertex labelled {target}")
+        try:
+            return self._ids[target]
+        except KeyError:
+            raise KeyError(f"no vertex labelled {target}") from None
+
+    @cached_property
+    def _ids(self) -> dict[RoleLabel, int]:
+        """Label -> vertex id, built on the first lookup; the lowest id wins."""
+        return {lab: v for v, lab in reversed(list(enumerate(self.labels)))}
 
     def label_name(self, v: int) -> str:
         lab = self.labels[v]

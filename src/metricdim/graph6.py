@@ -8,12 +8,20 @@ the adjacency matrix follows in column-major order ``(0,1), (0,2), (1,2),
 (0,3), ...``, packed big-endian six bits per byte with value ``byte - 63``
 and zero padding to a byte boundary.
 
-Both directions are linear in the record length.  The bit vector is handled
-as a string of ``'0'``/``'1'`` characters: encode formats each column's lower
-neighbours with ``format`` and decode reads each column back with ``int``,
-while a 64-entry table maps between six-bit chunks and record characters.
-No big int is grown or probed one bit at a time, which would copy the whole
-int per bit and cost time quadratic in ``n(n-1)/2``.
+That body is base64 under another alphabet, so ``binascii`` does the bit
+packing in C.  Each record byte is translated to the base64 character of its
+bit-reversed six-bit value and the body is reversed; ``a2b_base64`` then
+yields one int ``y`` whose bit ``i`` is bit ``i`` of the vector, so column
+``v`` is the plain slice ``y >> v(v-1)/2 & (2**v - 1)``.  Encode runs the
+same steps backwards from ``int`` of the columns' binary strings, joined
+from the last column down.
+
+Both directions are linear in the record length.  No int as long as the
+whole vector is shifted once per column, which would cost time cubic in
+``n``: decode cuts whole columns from the bytes of ``y`` in blocks of at
+most ``_BLOCK`` bits (one column, if it alone is longer) and shifts only
+within a block.  A record of order 91 or less (at most 4,095 bits) is a
+single block, ``y`` itself.
 
 ``record_lines`` is the one reader of line-oriented graph6 input: the scan
 and the command line both take their records from it.
@@ -21,6 +29,7 @@ and the command line both take their records from it.
 
 from __future__ import annotations
 
+import binascii
 import re
 from typing import Iterable, Iterator
 
@@ -30,9 +39,12 @@ MAX_ORDER = 1 << 18
 HEADER = ">>graph6<<"
 
 _BAD_BYTE = re.compile(r"[^?-~]")  # anything outside 63..126
-# six-bit chunk <-> record character; _TO_BITS is a str.translate table
-_FROM_BITS = {format(i, "06b"): chr(i + 63) for i in range(64)}
-_TO_BITS = {i + 63: format(i, "06b") for i in range(64)}
+_BLOCK = 4096  # most bits decode cuts from the vector at once
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_REV6 = [int(format(i, "06b")[::-1], 2) for i in range(64)]
+# record byte <-> base64 character of its bit-reversed six-bit value
+_TO_B64 = bytes.maketrans(bytes(range(63, 127)), bytes(_B64[r] for r in _REV6))
+_FROM_B64 = bytes.maketrans(_B64, bytes(r + 63 for r in _REV6))
 
 
 class Graph6Error(ValueError):
@@ -74,13 +86,17 @@ def encode_graph6(g: Graph) -> str:
         head = "~" + "".join(
             chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0)
         )
+    if n < 2:
+        return head
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     adj = g.adj
-    bits = "".join(
-        [format(adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)]
-    )
-    bits += "0" * (-len(bits) % 6)
-    body = "".join([_FROM_BITS[bits[i : i + 6]] for i in range(0, len(bits), 6)])
-    return head + body
+    cols = [format(adj[v] & ((1 << v) - 1), f"0{v}b") for v in range(n - 1, 0, -1)]
+    y = int("".join(cols), 2)  # bit i is vector bit i
+    # a multiple of 3 bytes leaves no '=' padding; the zero bytes this adds
+    # above y become leading 'A's, which the cut to nbytes drops
+    quanta = y.to_bytes(3 * ((nbytes + 3) // 4), "big")
+    body = binascii.b2a_base64(quanta, newline=False)[::-1][:nbytes]
+    return head + body.translate(_FROM_B64).decode("ascii")
 
 
 def decode_graph6(record: str | bytes) -> Graph:
@@ -113,14 +129,27 @@ def decode_graph6(record: str | bytes) -> Graph:
         raise TrailingData(
             f"order {n} needs {nbytes} data bytes, found {len(body)}"
         )
-    bits = body.translate(_TO_BITS)
-    if "1" in bits[nbits:]:
+    # leading 'A's (zero bits above the vector) complete the last quantum
+    quanta = b"A" * (-nbytes % 4) + body.encode("ascii").translate(_TO_B64)[::-1]
+    raw = binascii.a2b_base64(quanta)  # vector bit i is bit i of this big-endian int
+    y = int.from_bytes(raw, "big")
+    if y >> nbits:
         raise PaddingBitsSet(f"{6 * nbytes - nbits} padding bits are not all zero")
+    # block holds vector bits base .. end-1; a longer vector is cut into blocks
+    block, base, end = y, 0, nbits if nbits <= _BLOCK else 0
     adj = [0] * n
-    start = 0
+    off = 0  # column v holds vector bits off .. off+v-1
     for v in range(1, n):
-        low = int(bits[start : start + v][::-1], 2)
-        start += v
+        if off + v > end:
+            # the next block: whole columns from v on, one if it alone is longer
+            base, end, w = off, off + v, v + 1
+            while w < n and end + w - base <= _BLOCK:
+                end += w
+                w += 1
+            cut = raw[len(raw) - (end + 7) // 8 : len(raw) - base // 8]
+            block = int.from_bytes(cut, "big") >> base % 8
+        low = block >> (off - base) & ((1 << v) - 1)
+        off += v
         adj[v] |= low
         bit = 1 << v
         # an inline walk, not iter_bits: scans decode every order-10 record,

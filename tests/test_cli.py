@@ -251,3 +251,17 @@ def test_verify_small_orders_beyond_the_limit_exits_2(capsys):
     assert code == 2
     assert not out
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("both", "--g6-file"), ("scan", "--g6-file"), ("both", "--edges")],
+    ids=["both-g6-file", "scan-g6-file", "both-edges"],
+)
+def test_missing_input_file_exits_1(capsys, tmp_path, argv):
+    missing = str(tmp_path / "absent.txt")
+    code, out, err = run(capsys, *argv, missing)
+    assert code == 1
+    assert not out
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert missing in err and "Traceback" not in err

@@ -73,6 +73,17 @@ def test_labels_bijection():
         assert g.vertex(lab.role, lab.index, lab.copy) == v
 
 
+def test_vertex_lookup_covers_every_label_and_refuses_unknown_ones():
+    ch = make_chain(6, 1, 2, 4)
+    for v, lab in enumerate(ch.labels):
+        assert ch.vertex(lab.role, lab.index, lab.copy) == v
+    with pytest.raises(KeyError) as info:
+        ch.vertex("a", 3, copy=5)
+    assert info.value.args == ("no vertex labelled RoleLabel(copy=5, role='a', index=3)",)
+    with pytest.raises(KeyError, match=r"no vertex labelled RoleLabel\(copy=1, role='j', index=3\)"):
+        ch.vertex("j", 3)
+
+
 def test_core_is_subgraph_of_gadget():
     core = make_gadget_core(7, 3)
     assert core.graph.n == 11

@@ -97,6 +97,46 @@ def test_large_orders_agree_with_reference_tool():
         assert decode_graph6(record) == g
 
 
+def test_every_order_to_130_agrees_with_reference_tool():
+    # crosses the 62/63 header switch and every residue of n(n-1)/2 mod 6
+    rng = random.Random(79)
+    for n in range(1, 131):
+        for p in (0.05, 0.5, 0.95):
+            g = Graph.from_edges(
+                n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+            )
+            record = encode_graph6(g)
+            assert record == _nx_record(g)
+            assert decode_graph6(record) == g
+
+
+def test_every_padding_bit_is_refused():
+    rng = random.Random(83)
+    for n in range(2, 41):
+        g = Graph.from_edges(
+            n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5]
+        )
+        record = encode_graph6(g)
+        pad = -(n * (n - 1) // 2) % 6
+        for k in range(pad):
+            stray = record[:-1] + chr(((ord(record[-1]) - 63) | 1 << k) + 63)
+            with pytest.raises(PaddingBitsSet) as info:
+                decode_graph6(stray)
+            assert str(info.value) == f"{pad} padding bits are not all zero"
+
+
+def test_round_trip_records_of_many_blocks():
+    # vectors of millions of bits, decoded a few thousand bits at a time
+    rng = random.Random(89)
+    sparse = Graph.from_edges(
+        1500, [(u, v) for v in range(1500) for u in range(v) if rng.random() < 0.01]
+    )
+    for g in (make_path(3000), sparse):
+        record = encode_graph6(g)
+        assert decode_graph6(record) == g
+        assert encode_graph6(decode_graph6(record)) == record
+
+
 def test_long_form_body_errors():
     # order 63: 1953 bits in 326 data bytes, the last carrying 3 pad bits
     record = encode_graph6(make_path(63))
