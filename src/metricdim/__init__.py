@@ -67,14 +67,13 @@ from .graph6 import (
 from .scan import (
     OrderTooLarge,
     Predicate,
-    RatioWitness,
     ScanMatch,
     ScanReport,
     SmallOrderReport,
     enumerate_labeled_connected,
-    ratio_witness,
     scan,
     verify_small_orders,
 )
+from .verify import RatioWitness, ratio_witness
 
 __version__ = "0.1.0"

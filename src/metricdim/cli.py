@@ -37,13 +37,11 @@ from .scan import (
     CheckpointMismatch,
     OrderTooLarge,
     Predicate,
-    ratio_chain,
-    ratio_witness,
     scan,
     verify_small_orders,
 )
 from .solver import edge_metric_dimension, metric_dimension
-from .verify import SUITES, run_suites
+from .verify import GRIDS, SUITES, ratio_chain, ratio_witness, run_suites, solved_dims
 
 FAMILY_SPEC_EXAMPLES = (
     "G:7,3,4",
@@ -134,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma list of suites or 'all': " + ", ".join(SUITES),
     )
-    sub.add_argument("--grid", choices=("small", "full"), default="small")
+    sub.add_argument("--grid", choices=list(GRIDS), default="small")
     sub.add_argument(
         "--small-orders",
         type=int,
@@ -195,9 +193,8 @@ def _cmd_solve(args) -> int:
     g = _load_graph(args)
     raw = plain_graph(g)
     if args.format == "records":
-        dim = metric_dimension(raw)
-        edim = edge_metric_dimension(raw)
-        print(f"{encode_graph6(raw)}\t{dim.dimension}\t{edim.dimension}")
+        dim, edim = solved_dims(raw)
+        print(f"{encode_graph6(raw)}\t{dim}\t{edim}")
         return 0
     if args.which == "dim":
         dim = metric_dimension(raw)
@@ -206,9 +203,8 @@ def _cmd_solve(args) -> int:
         edim = edge_metric_dimension(raw)
         print(f"edim={edim.dimension} basis={_basis_names(g, edim.witness)}")
     else:
-        dim = metric_dimension(raw)
-        edim = edge_metric_dimension(raw)
-        print(f"dim={dim.dimension} edim={edim.dimension}")
+        dim, edim = solved_dims(raw)
+        print(f"dim={dim} edim={edim}")
     return 0
 
 

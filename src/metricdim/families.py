@@ -153,11 +153,7 @@ def gadget_order(n1: int, n2: int, n3: int) -> int:
 
 def make_gadget(n1: int, n2: int, n3: int) -> FamilyGraph:
     """Cycle-with-tail gadget plus a pendant hub; one copy, labels attached."""
-    FamilyParams(n1, n2, n3).validate()
-    return FamilyGraph(
-        Graph.from_edges(gadget_order(n1, n2, n3), _gadget_edges(0, n1, n2, n3)),
-        tuple(_gadget_labels(1, n1, n2, n3)),
-    )
+    return make_chain(n1, n2, n3)
 
 
 def _gadget_edges(base: int, n1: int, n2: int, n3: int) -> list[tuple[int, int]]:

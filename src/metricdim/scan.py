@@ -2,12 +2,12 @@
 
 ``scan`` takes the records of a line-oriented graph6 stream from
 ``graph6.record_lines`` and records the connected graphs matching a
-dim/edim predicate.  Each graph is evaluated dim first:
-the vertex dimension is solved exactly, and the edge search then stops at
-the largest edge dimension the predicate accepts for that ``dim``, so the
-exact ``edim`` is computed in full only where a match is possible.  Reports
-are deterministic regardless of worker count: counts are additive and
-matches are sorted by line number at the end.
+dim/edim predicate.  Each graph is evaluated dim first: the vertex
+dimension is solved exactly, and the edge search then stops at the top of
+the predicate's ``edim_window`` for that ``dim``, so the exact ``edim`` is
+computed in full only where a match is possible.  Reports are
+deterministic regardless of worker count: counts are additive and matches
+are sorted by line number at the end.
 
 ``verify_small_orders`` exhausts every labelled connected graph up to order
 seven without any external stream.  Both dimensions are isomorphism
@@ -34,7 +34,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .families import FamilyGraph, chain_order, make_chain
 from .graph import DisconnectedGraph, Graph
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, record_lines
 from .solver import (
@@ -94,34 +93,28 @@ class Predicate:
             return f"ratio:{self.ratio}"
         return self.kind
 
-    def matches(self, dim: int, edim: int) -> bool:
-        if self.kind == "lt":
-            return edim < dim
-        if self.kind == "gt":
-            return edim > dim
-        if self.kind == "eq":
-            return dim == edim
-        if self.kind == "diff":
-            return dim - edim == self.diff
-        if edim == 0:
-            return dim > 0
-        return Fraction(dim, edim) >= self.ratio
+    def edim_window(self, dim: int) -> tuple[int, int | None]:
+        """Edge dimensions ``lo..hi`` that match a graph of this ``dim``.
 
-    def max_edim(self, dim: int) -> int | None:
-        """Largest edge dimension that can match a graph of this ``dim``.
-
-        ``None`` means no upper limit (``gt``, or a ratio of at most zero).
-        A negative value means no edge dimension matches.
+        ``lo`` is never negative.  ``hi`` is None for no upper limit (``gt``,
+        or a ratio of at most zero); ``hi < lo`` means no edge dimension
+        matches.  A ratio's ``lo`` is 1 at ``dim`` zero, since 0/0 does not
+        match.
         """
         if self.kind == "lt":
-            return dim - 1
+            return 0, dim - 1
+        if self.kind == "gt":
+            return dim + 1, None
         if self.kind == "eq":
-            return dim
+            return dim, dim
         if self.kind == "diff":
-            return dim - self.diff
-        if self.kind == "ratio" and self.ratio > 0:
-            return math.floor(dim / self.ratio)
-        return None
+            return max(dim - self.diff, 0), dim - self.diff
+        hi = math.floor(dim / self.ratio) if self.ratio > 0 else None
+        return (0 if dim else 1), hi
+
+    def matches(self, dim: int, edim: int) -> bool:
+        lo, hi = self.edim_window(dim)
+        return lo <= edim and (hi is None or edim <= hi)
 
 
 class CheckpointMismatch(ValueError):
@@ -155,18 +148,20 @@ def _evaluate(g: Graph, pred: Predicate) -> tuple[int, int] | None:
     """Exact ``(dim, edim)`` of a graph matching the predicate, else None.
 
     The vertex dimension is solved exactly first; it is the cheaper of the
-    two.  One edge search follows, capped at ``pred.max_edim(dim)``.  Levels
+    two.  One edge search follows, capped at the top of
+    ``pred.edim_window(dim)`` and skipped when the window is empty.  Levels
     ascend, so a generator found within the cap gives the exact ``edim``,
-    and finding none proves that no accepted ``edim`` exists.  For ``gt``
-    the search is uncapped: it stops at ``dim`` or below on a non-match and
-    runs on to the exact ``edim`` that every match reports.
+    which matches if it reaches the window's bottom, and finding none
+    proves that no accepted ``edim`` exists.  For ``gt`` the search is
+    uncapped: it stops at ``dim`` or below on a non-match and runs on to
+    the exact ``edim`` that every match reports.
     """
     dim = metric_dimension(g).dimension
-    top = pred.max_edim(dim)
-    if top is not None and top < 0:
+    lo, hi = pred.edim_window(dim)
+    if hi is not None and hi < lo:
         return None
-    edim_res = edge_metric_dimension(g, max_k=top)
-    if edim_res is None or not pred.matches(dim, edim_res.dimension):
+    edim_res = edge_metric_dimension(g, max_k=hi)
+    if edim_res is None or edim_res.dimension < lo:
         return None
     return dim, edim_res.dimension
 
@@ -283,9 +278,9 @@ def scan(
     Records come from ``graph6.record_lines`` in batches of ``BATCH_SIZE``.
     Disconnected entries are counted and skipped; malformed lines become
     per-line diagnostics unless ``strict``, which raises ``Graph6Error`` on
-    the first.  ``jobs`` decides only where a batch is solved: in this
-    process, or in a pool of that many workers with at most ``2 * jobs``
-    batches in flight.
+    the first.  ``jobs``, from 1 to the CPU count, decides only where a
+    batch is solved: in this process, or in a pool of that many workers
+    with at most ``2 * jobs`` batches in flight.
 
     A ``checkpoint`` file makes multi-hour scans resumable: progress is
     flushed every ``CHECKPOINT_EVERY`` records and at the end, and picked up
@@ -295,8 +290,10 @@ def scan(
     ``io_error``.  When the input fails, every record read before the
     failure is solved and checkpointed first.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    # A pool starts all its workers at once, so jobs stays within the CPU count.
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"jobs must be between 1 and {cpus}, got {jobs}")
     report = ScanReport(predicate=predicate)
     start = time.monotonic()
     pending: deque[tuple[int, Future]] = deque()  # (last line, batch result)
@@ -495,58 +492,3 @@ def verify_small_orders(max_n: int, *, jobs: int = 1) -> SmallOrderReport:
         report.graphs_checked[n] = checked
     report.wall_time = time.monotonic() - start
     return report
-
-
-@dataclass(frozen=True)
-class RatioWitness:
-    """A chain construction certifying a prescribed dim/edim ratio."""
-
-    graph: FamilyGraph
-    ell: int
-    predicted_dim: int
-    predicted_edim: int
-    confirmed_dim: int | None
-    confirmed_edim: int | None
-
-    @property
-    def predicted_ratio(self) -> Fraction:
-        return Fraction(self.predicted_dim, self.predicted_edim)
-
-
-def ratio_chain(q) -> tuple[int, int, int, int]:
-    """Chain parameters ``(n1, n2, n3, ell)`` of the witness for ``q >= 1``.
-
-    Even six-cycles pin the edge dimension at two while each extra copy adds
-    one to the vertex dimension, so ``ell`` copies give ratio ``(2+ell)/2``.
-    """
-    q = Fraction(q)
-    if q < 1:
-        raise ValueError(f"ratio target must be at least 1, got {q}")
-    return 6, 1, 2, max(1, math.ceil(2 * q - 2))
-
-
-def ratio_witness(q, *, confirm_order_limit: int = 24) -> RatioWitness:
-    """Chain whose vertex-to-edge dimension ratio is at least ``q >= 1``.
-
-    The chain is the one ``ratio_chain(q)`` describes.  Its dimensions are
-    confirmed by the exact solver when the order stays within
-    ``confirm_order_limit``.
-    """
-    params = ratio_chain(q)
-    ell = params[3]
-    chain = make_chain(*params)
-    predicted_dim, predicted_edim = 2 + ell, 2
-    confirmed_dim = confirmed_edim = None
-    if chain_order(*params) <= confirm_order_limit:
-        dim_res = metric_dimension(chain.graph)
-        edim_res = edge_metric_dimension(chain.graph)
-        assert dim_res is not None and edim_res is not None
-        confirmed_dim, confirmed_edim = dim_res.dimension, edim_res.dimension
-    return RatioWitness(
-        graph=chain,
-        ell=ell,
-        predicted_dim=predicted_dim,
-        predicted_edim=predicted_edim,
-        confirmed_dim=confirmed_dim,
-        confirmed_edim=confirmed_edim,
-    )

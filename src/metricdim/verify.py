@@ -1,20 +1,26 @@
-"""Named conformance suites over the family grids.
+"""Named conformance suites over the family grids, and the ratio witness.
 
 Each suite re-derives a structural claim about the gadget families with the
 exact solver (or, where the order makes a full lexicographic solve wasteful,
 with a canonical-basis generator check paired with exhaustive refutation of
-every smaller cardinality).  The CLI ``verify`` command runs them as named
-PASS/FAIL rows so CI can pick suites individually.
+every smaller cardinality) and yields ``(label, ok)`` rows.  ``run_suites``
+names and times them; the CLI ``verify`` command prints them as PASS/FAIL
+rows so CI can pick suites individually.  Up to ``FULL_SOLVE_ORDER_LIMIT``
+the suites and ``ratio_witness`` solve a graph outright.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
+from typing import Iterator, NamedTuple
 
 from .families import (
     BasisBlueprint,
+    FamilyGraph,
     canonical_basis,
     chain_order,
     glue,
@@ -22,7 +28,7 @@ from .families import (
     make_gadget,
     realize,
 )
-from .scan import ratio_witness
+from .graph import Graph
 from .solver import (
     edge_metric_dimension,
     is_edge_metric_generator,
@@ -46,52 +52,63 @@ class SuiteResult:
             self.passed = False
 
 
-def gadget_grid(grid: str = "small") -> list[tuple[int, int, int]]:
-    if grid == "small":
-        return [
-            (n1, n2, n3)
-            for n1 in (5, 6)
-            for n2 in (1, 2)
-            for n3 in (2, 3)
-        ]
-    if grid == "full":
-        return [
-            (n1, n2, n3)
-            for n1 in range(5, 11)
-            for n2 in (1, 2, 3)
-            for n3 in (2, 3, 4)
-        ]
-    raise ValueError(f"grid must be 'small' or 'full', got {grid!r}")
+class Grid(NamedTuple):
+    """The parameters every suite draws from one grid."""
+
+    gadgets: list[tuple[int, int, int]]  # (n1, n2, n3) of single gadgets
+    chains: list[tuple[int, int]]  # (n1, ell); tail and pendants stay minimal
+    lemma5_firsts: list[tuple[int, int, int]]  # glued to (5,1,2) and (6,1,2)
+    theorem1_targets: list[tuple[int, int]]  # (dim, edim) to realize
+    theorem2_target: int  # ratio the witness must reach
 
 
-def chain_grid(grid: str = "small") -> list[tuple[int, int]]:
+GRIDS = {
+    "small": Grid(
+        gadgets=[(n1, n2, n3) for n1 in (5, 6) for n2 in (1, 2) for n3 in (2, 3)],
+        chains=[(n1, ell) for n1 in (5, 6) for ell in (1, 2)],
+        lemma5_firsts=[(5, 1, 2), (6, 2, 3)],
+        theorem1_targets=[(2, 4), (4, 2)],
+        theorem2_target=2,
+    ),
+    "full": Grid(
+        gadgets=[(n1, n2, n3) for n1 in range(5, 11) for n2 in (1, 2, 3) for n3 in (2, 3, 4)],
+        chains=[(n1, ell) for n1 in (5, 6, 7) for ell in (1, 2, 3)],
+        lemma5_firsts=[(5, 1, 2), (6, 2, 3), (7, 3, 4), (8, 1, 2)],
+        theorem1_targets=[(2, 4), (4, 2), (2, 5), (5, 2), (3, 5), (5, 3)],
+        theorem2_target=3,
+    ),
+}
+
+
+def _grid(grid: str) -> Grid:
+    if grid not in GRIDS:
+        raise ValueError(f"grid must be one of {', '.join(GRIDS)}, got {grid!r}")
+    return GRIDS[grid]
+
+
+def gadget_grid(grid: str) -> list[tuple[int, int, int]]:
+    return _grid(grid).gadgets
+
+
+def chain_grid(grid: str) -> list[tuple[int, int]]:
     """(n1, ell) pairs for the chain suite; tail and pendants stay minimal."""
-    if grid == "small":
-        return [(n1, ell) for n1 in (5, 6) for ell in (1, 2)]
-    if grid == "full":
-        return [(n1, ell) for n1 in (5, 6, 7) for ell in (1, 2, 3)]
-    raise ValueError(f"grid must be 'small' or 'full', got {grid!r}")
+    return _grid(grid).chains
 
 
-def expected_gadget_dims(n1: int, n3: int) -> tuple[int, int]:
-    """Predicted (dim, edim) of the single gadget, split by cycle parity."""
-    if n1 % 2 == 1:
-        return n3, n3 + 1
-    return n3 + 1, n3
-
-
-def expected_chain_dims(n1: int, n3: int, ell: int) -> tuple[int, int]:
+def expected_chain_dims(n1: int, n3: int, ell: int = 1) -> tuple[int, int]:
+    """Predicted (dim, edim) of an ``ell``-copy chain, split by cycle parity."""
     if n1 % 2 == 1:
         return n3, n3 + ell
     return n3 + ell, n3
 
 
+def solved_dims(g: Graph) -> tuple[int, int]:
+    """Exact (dim, edim) of a connected graph, by two full solves."""
+    return metric_dimension(g).dimension, edge_metric_dimension(g).dimension
+
+
 def solved_gadget_dims(n1: int, n2: int, n3: int) -> tuple[int, int]:
-    g = make_gadget(n1, n2, n3).graph
-    dim = metric_dimension(g)
-    edim = edge_metric_dimension(g)
-    assert dim is not None and edim is not None
-    return dim.dimension, edim.dimension
+    return solved_dims(make_gadget(n1, n2, n3).graph)
 
 
 def confirm_dims(
@@ -109,10 +126,8 @@ def confirm_dims(
     sides.
     """
     if graph.n <= FULL_SOLVE_ORDER_LIMIT:
-        dim = metric_dimension(graph)
-        edim = edge_metric_dimension(graph)
-        ok = (dim.dimension, edim.dimension) == (expected_dim, expected_edim)
-        return ok, f"solved (dim, edim) = ({dim.dimension}, {edim.dimension})"
+        dims = solved_dims(graph)
+        return dims == (expected_dim, expected_edim), f"solved (dim, edim) = {dims}"
     upper_dim = is_metric_generator(graph, vertex_basis)
     upper_edim = is_edge_metric_generator(graph, edge_basis)
     lower_dim = metric_dimension(graph, max_k=expected_dim - 1) is None
@@ -135,22 +150,59 @@ def certify_chain(n1: int, n2: int, n3: int, ell: int) -> tuple[bool, str, tuple
     return ok, detail, expected
 
 
-def suite_observation1(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
-    res = SuiteResult("observation1")
-    t0 = time.monotonic()
+@dataclass(frozen=True)
+class RatioWitness:
+    """A chain construction certifying a prescribed dim/edim ratio."""
+
+    graph: FamilyGraph
+    ell: int
+    predicted_dim: int
+    predicted_edim: int
+    confirmed_dim: int | None
+    confirmed_edim: int | None
+
+    @property
+    def predicted_ratio(self) -> Fraction:
+        return Fraction(self.predicted_dim, self.predicted_edim)
+
+
+def ratio_chain(q) -> tuple[int, int, int, int]:
+    """Chain parameters ``(n1, n2, n3, ell)`` of the witness for ``q >= 1``.
+
+    Even six-cycles pin the edge dimension at two while each extra copy adds
+    one to the vertex dimension, so ``ell`` copies give ratio ``(2+ell)/2``.
+    """
+    q = Fraction(q)
+    if q < 1:
+        raise ValueError(f"ratio target must be at least 1, got {q}")
+    return 6, 1, 2, max(1, math.ceil(2 * q - 2))
+
+
+def ratio_witness(q) -> RatioWitness:
+    """Chain whose vertex-to-edge dimension ratio is at least ``q >= 1``.
+
+    The chain is the one ``ratio_chain(q)`` describes.  Its dimensions are
+    confirmed by the exact solver when its order is at most
+    ``FULL_SOLVE_ORDER_LIMIT``.
+    """
+    n1, n2, n3, ell = ratio_chain(q)
+    chain = make_chain(n1, n2, n3, ell)
+    confirmed = (None, None)
+    if chain.graph.n <= FULL_SOLVE_ORDER_LIMIT:
+        confirmed = solved_dims(chain.graph)
+    return RatioWitness(chain, ell, *expected_chain_dims(n1, n3, ell), *confirmed)
+
+
+def suite_observation1(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
         dim, edim = gadget_dims(n1, n2, n3)
-        res.check(
+        yield (
             f"G({n1},{n2},{n3}): dim={dim} >= {n3} and edim={edim} >= {n3}",
             dim >= n3 and edim >= n3,
         )
-    res.seconds = time.monotonic() - t0
-    return res
 
 
-def suite_lemma2(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
-    res = SuiteResult("lemma2")
-    t0 = time.monotonic()
+def suite_lemma2(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
         g = make_gadget(n1, n2, n3)
         bp = BasisBlueprint.for_cycle(n1)
@@ -161,134 +213,88 @@ def suite_lemma2(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteRe
         both = is_metric_generator(g.graph, extended) and is_edge_metric_generator(
             g.graph, extended
         )
-        res.check(
+        yield (
             f"G({n1},{n2},{n3}): anchor set of size {len(extended)} generates both",
             both and len(extended) == n3 + 1,
         )
         vb = canonical_basis(n1, n2, n3, kind="vertex")
         eb = canonical_basis(n1, n2, n3, kind="edge")
         sizes_ok = {len(vb), len(eb)} == {n3, n3 + 1}
-        res.check(
+        yield (
             f"G({n1},{n2},{n3}): canonical bases generate at sizes {len(vb)}/{len(eb)}",
             sizes_ok
             and is_metric_generator(g.graph, vb)
             and is_edge_metric_generator(g.graph, eb),
         )
-    res.seconds = time.monotonic() - t0
-    return res
 
 
-def suite_lemma3(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
-    res = SuiteResult("lemma3")
-    t0 = time.monotonic()
+def suite_lemma3(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
-        expected = expected_gadget_dims(n1, n3)[0]
+        expected = expected_chain_dims(n1, n3)[0]
         dim, _ = gadget_dims(n1, n2, n3)
-        res.check(f"G({n1},{n2},{n3}): dim={dim}, expected {expected}", dim == expected)
-    res.seconds = time.monotonic() - t0
-    return res
+        yield f"G({n1},{n2},{n3}): dim={dim}, expected {expected}", dim == expected
 
 
-def suite_lemma4(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
-    res = SuiteResult("lemma4")
-    t0 = time.monotonic()
+def suite_lemma4(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
-        expected = expected_gadget_dims(n1, n3)[1]
+        expected = expected_chain_dims(n1, n3)[1]
         _, edim = gadget_dims(n1, n2, n3)
-        res.check(f"G({n1},{n2},{n3}): edim={edim}, expected {expected}", edim == expected)
-    res.seconds = time.monotonic() - t0
-    return res
+        yield f"G({n1},{n2},{n3}): edim={edim}, expected {expected}", edim == expected
 
 
-def _lemma5_pairs(grid: str) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    firsts = [(5, 1, 2), (6, 2, 3)] if grid == "small" else [
-        (5, 1, 2),
-        (6, 2, 3),
-        (7, 3, 4),
-        (8, 1, 2),
-    ]
-    return [(f, (s, 1, 2)) for f in firsts for s in (5, 6)]
+def suite_lemma5(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+    for p1 in _grid(grid).lemma5_firsts:
+        for p2 in ((5, 1, 2), (6, 1, 2)):
+            g1 = make_gadget(*p1)
+            g2 = make_gadget(*p2)
+            d1, e1 = gadget_dims(*p1)
+            d2, e2 = gadget_dims(*p2)
+            alpha = BasisBlueprint.for_cycle(p1[0]).alpha
+            joined = glue(g1, g1.vertex("a", alpha), g2, g2.vertex("j", 1))
+            dim, edim = solved_dims(joined.graph)
+            yield (
+                f"glue G{p1} + G{p2}: dim {dim} = {d1}+{d2}-2, "
+                f"edim {edim} = {e1}+{e2}-2",
+                dim == d1 + d2 - 2 and edim == e1 + e2 - 2,
+            )
 
 
-def suite_lemma5(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
-    res = SuiteResult("lemma5")
-    t0 = time.monotonic()
-    for (p1, p2) in _lemma5_pairs(grid):
-        g1 = make_gadget(*p1)
-        g2 = make_gadget(*p2)
-        d1, e1 = gadget_dims(*p1)
-        d2, e2 = gadget_dims(*p2)
-        alpha = BasisBlueprint.for_cycle(p1[0]).alpha
-        joined = glue(g1, g1.vertex("a", alpha), g2, g2.vertex("j", 1))
-        dim = metric_dimension(joined.graph)
-        edim = edge_metric_dimension(joined.graph)
-        ok = dim.dimension == d1 + d2 - 2 and edim.dimension == e1 + e2 - 2
-        res.check(
-            f"glue G{p1} + G{p2}: dim {dim.dimension} = {d1}+{d2}-2, "
-            f"edim {edim.dimension} = {e1}+{e2}-2",
-            ok,
-        )
-    res.seconds = time.monotonic() - t0
-    return res
-
-
-def suite_lemma6(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
-    res = SuiteResult("lemma6")
-    t0 = time.monotonic()
+def suite_lemma6(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
     for n1, ell in chain_grid(grid):
         ok, detail, expected = certify_chain(n1, 1, 2, ell)
-        res.check(f"L^{ell}({n1},1,2) expects {expected}: {detail}", ok)
-    res.seconds = time.monotonic() - t0
-    return res
+        yield f"L^{ell}({n1},1,2) expects {expected}: {detail}", ok
 
 
-def suite_theorem1(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
-    res = SuiteResult("theorem1")
-    t0 = time.monotonic()
-    targets = [(2, 4), (4, 2)] if grid == "small" else [(2, 4), (4, 2), (2, 5), (5, 2), (3, 5), (5, 3)]
-    for r, t in targets:
+def suite_theorem1(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+    for r, t in _grid(grid).theorem1_targets:
         base = chain_order(5, 1, r, t - r) if r < t else chain_order(6, 1, t, r - t)
         for order in (base, base + 1, base + 5):
             fam = realize(r, t, order)
-            dim = metric_dimension(fam.graph)
-            edim = edge_metric_dimension(fam.graph)
-            ok = (
-                fam.graph.n == order
-                and dim.dimension == r
-                and edim.dimension == t
+            dim, edim = solved_dims(fam.graph)
+            yield (
+                f"realize({r},{t},{order}): order {fam.graph.n}, dims ({dim},{edim})",
+                fam.graph.n == order and (dim, edim) == (r, t),
             )
-            res.check(
-                f"realize({r},{t},{order}): order {fam.graph.n}, "
-                f"dims ({dim.dimension},{edim.dimension})",
-                ok,
-            )
-    res.seconds = time.monotonic() - t0
-    return res
 
 
-def suite_theorem2(grid: str = "small", gadget_dims=solved_gadget_dims) -> SuiteResult:
-    res = SuiteResult("theorem2")
-    t0 = time.monotonic()
-    target = 2 if grid == "small" else 3
+def suite_theorem2(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+    target = _grid(grid).theorem2_target
     w = ratio_witness(target)
-    res.check(
+    yield (
         f"ratio_witness({target}) predicts ({w.predicted_dim}, {w.predicted_edim})",
         w.predicted_ratio >= target,
     )
     ok, detail, _ = certify_chain(6, 1, 2, w.ell)
-    res.check(f"L^{w.ell}(6,1,2): {detail}", ok)
+    yield f"L^{w.ell}(6,1,2): {detail}", ok
     if w.confirmed_dim is not None:
-        res.check(
+        yield (
             f"solver confirms ({w.confirmed_dim}, {w.confirmed_edim})",
-            (w.confirmed_dim, w.confirmed_edim)
-            == (w.predicted_dim, w.predicted_edim),
+            (w.confirmed_dim, w.confirmed_edim) == (w.predicted_dim, w.predicted_edim),
         )
-    res.seconds = time.monotonic() - t0
-    return res
 
 
-# Every suite is called as ``suite(grid, gadget_dims)``, where
-# ``gadget_dims(n1, n2, n3)`` gives a gadget's solved (dim, edim).
+# Each suite is called as ``suite(grid, gadget_dims)`` and yields (label, ok)
+# rows; ``gadget_dims(n1, n2, n3)`` gives a gadget's solved (dim, edim).
 SUITES = {
     "observation1": suite_observation1,
     "lemma2": suite_lemma2,
@@ -310,4 +316,12 @@ def run_suites(names: list[str] | None = None, grid: str = "small") -> list[Suit
     # One solve per gadget for the whole call; a fresh cache each call, so
     # repeated runs repeat the work.
     gadget_dims = cache(solved_gadget_dims)
-    return [SUITES[n](grid, gadget_dims) for n in names]
+    results = []
+    for name in names:
+        res = SuiteResult(name)
+        t0 = time.monotonic()
+        for label, ok in SUITES[name](grid, gadget_dims):
+            res.check(label, ok)
+        res.seconds = time.monotonic() - t0
+        results.append(res)
+    return results

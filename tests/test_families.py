@@ -107,7 +107,9 @@ def test_basis_blueprint():
 
 
 def test_chain_orders():
-    assert make_chain(7, 3, 4, 1).graph == make_gadget(7, 3, 4).graph
+    chain, gadget = make_chain(7, 3, 4, 1), make_gadget(7, 3, 4)
+    assert chain.graph == gadget.graph
+    assert (chain.labels, chain.copies) == (gadget.labels, gadget.copies)
     assert make_chain(7, 3, 4, 3).graph.n == chain_order(7, 3, 4, 3) == 40
     assert make_chain(5, 1, 2, 2).graph.n == 20
     assert chain_order(5, 1, 2, 2) == 20

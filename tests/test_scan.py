@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+import os
 import random
 import re
 from collections import Counter
@@ -192,10 +193,22 @@ _PREDICATE_ORACLES = {
     "diff:-1": lambda d, e: d - e == -1,
     "diff:0": lambda d, e: d == e,
     "diff:1": lambda d, e: d - e == 1,
+    "diff:2": lambda d, e: d - e == 2,
+    "ratio:0": lambda d, e: d > 0 if e == 0 else True,
     "ratio:1": lambda d, e: d > 0 if e == 0 else d >= e,
     "ratio:3/2": lambda d, e: d > 0 if e == 0 else 2 * d >= 3 * e,
     "ratio:2": lambda d, e: d > 0 if e == 0 else d >= 2 * e,
 }
+
+
+def test_predicate_windows_match_oracle():
+    # matches() is derived from edim_window(); every window, empty ones
+    # included, must accept exactly the pairs the oracle accepts
+    for text, oracle in _PREDICATE_ORACLES.items():
+        pred = Predicate.parse(text)
+        for d in range(9):
+            for e in range(9):
+                assert pred.matches(d, e) == oracle(d, e), (text, d, e)
 
 
 def test_scan_predicates_match_naive_oracle():
@@ -343,6 +356,16 @@ def test_scan_refuses_jobs_below_one():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
             scan(unread(), Predicate.parse("lt"), jobs=jobs)
+
+
+def test_scan_refuses_more_jobs_than_cpus():
+    # refused before the source is read or a pool is built
+    def unread():
+        raise AssertionError("the source was read")
+        yield
+
+    with pytest.raises(ValueError, match="jobs"):
+        scan(unread(), Predicate.parse("lt"), jobs=(os.cpu_count() or 1) + 1)
 
 
 def test_scan_agrees_with_census_on_exhaustive_stream():

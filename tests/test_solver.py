@@ -36,7 +36,7 @@ from metricdim.solver import (
     _packed_masks,
     _separator_masks,
 )
-from metricdim.verify import expected_gadget_dims
+from metricdim.verify import expected_chain_dims
 from conftest import naive_results, random_connected_graph, relabel
 
 
@@ -289,7 +289,7 @@ def test_wide_lanes():
     for n1, n2, n3 in ((5, 40, 2), (6, 20, 3)):
         g = make_gadget(n1, n2, n3).graph
         dims = (metric_dimension(g).dimension, edge_metric_dimension(g).dimension)
-        assert dims == expected_gadget_dims(n1, n3)
+        assert dims == expected_chain_dims(n1, n3)
 
 
 def test_hitting_set_searches_match_naive_oracle():

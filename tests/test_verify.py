@@ -2,19 +2,20 @@ from __future__ import annotations
 
 import pytest
 
+from metricdim import verify
 from metricdim.verify import (
     SUITES,
     certify_chain,
     expected_chain_dims,
-    expected_gadget_dims,
     gadget_grid,
+    ratio_witness,
     run_suites,
 )
 
 
 def test_expected_dims_by_parity():
-    assert expected_gadget_dims(5, 2) == (2, 3)
-    assert expected_gadget_dims(6, 2) == (3, 2)
+    assert expected_chain_dims(5, 2) == (2, 3)
+    assert expected_chain_dims(6, 2) == (3, 2)
     assert expected_chain_dims(5, 2, 3) == (2, 5)
     assert expected_chain_dims(6, 2, 3) == (5, 2)
 
@@ -25,6 +26,9 @@ def test_grid_sizes():
     assert len(gadget_grid("full")) == 54
     with pytest.raises(ValueError):
         gadget_grid("huge")
+    # every suite reads its grid from the one table, theorem2 included
+    with pytest.raises(ValueError, match="grid"):
+        run_suites(["theorem2"], grid="huge")
 
 
 def test_all_suites_pass_on_small_grid():
@@ -45,6 +49,15 @@ def test_lemma6_full_grid():
 def test_certify_chain_detects_wrong_expectation():
     ok, _, expected = certify_chain(5, 1, 2, 2)
     assert ok and expected == (2, 4)
+
+
+def test_one_full_solve_limit_serves_witness_and_certificate(monkeypatch):
+    # ratio_witness and confirm_dims read the same limit: raised to the
+    # order-44 chain of ratio 3, both solve it outright
+    monkeypatch.setattr(verify, "FULL_SOLVE_ORDER_LIMIT", 44)
+    w = ratio_witness(3)
+    assert (w.confirmed_dim, w.confirmed_edim) == (6, 2)
+    assert certify_chain(6, 1, 2, 4) == (True, "solved (dim, edim) = (6, 2)", (6, 2))
 
 
 def test_unknown_suite_rejected():
