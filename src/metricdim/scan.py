@@ -12,26 +12,29 @@ are sorted by line number at the end.
 ``verify_small_orders`` exhausts every labelled connected graph up to order
 seven without any external stream.  Both dimensions are isomorphism
 invariants, so it sweeps the edge masks of each order once, by relabelling
-orbit: the smallest mask not yet seen represents its orbit, a closure under
-the adjacent transpositions ``(a a+1)`` (which generate the symmetric group)
-collects the rest, and one exact solve of the representative counts for
-every labelled graph in it.  Order seven has 1,044 orbits over 2**21 masks.
-The naive oracle re-solves a deterministic sample of labelled graphs and
-every member of an orbit with ``edim < dim``, as a running self-check
-independent of the solver the census uses.
+orbit: the smallest mask not yet seen represents its orbit, read off one
+big int of its images under all ``n!`` permutations, and one exact solve of
+the representative counts for every labelled graph in it.  Order seven has
+1,044 orbits over 2**21 masks; its census takes under a second.  The naive
+oracle re-solves a deterministic sample of labelled graphs and every member
+of an orbit with ``edim < dim``, as a running self-check independent of the
+solver the census uses.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import time
+from array import array
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 from .graph import DisconnectedGraph, Graph
@@ -347,14 +350,10 @@ def scan(
 
 def _mask_rows(mask: int, pairs: list[tuple[int, int]], n: int) -> list[int]:
     adj = [0] * n
-    i = 0
-    while mask:
-        if mask & 1:
-            u, v = pairs[i]
+    for i, (u, v) in enumerate(pairs):
+        if mask >> i & 1:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        mask >>= 1
-        i += 1
     return adj
 
 
@@ -373,47 +372,54 @@ def enumerate_labeled_connected(n: int) -> Iterator[Graph]:
             yield g
 
 
-def _transposition_tables(pairs: list[tuple[int, int]], n: int) -> list[tuple[list[int], ...]]:
-    """Byte-chunk tables of the adjacent transpositions ``(a a+1)`` on edge masks.
+@cache
+def _pair_columns(n: int) -> tuple[str, int, list[int]]:
+    """Each vertex pair's images under all ``n!`` relabellings, built once per order.
 
-    Bit i of an edge mask is the pair ``pairs[i]``.  Entry ``(t0, t1, t2)``
-    of the result relabels a mask x as
-    ``t0[x & 255] | t1[x >> 8 & 255] | t2[x >> 16]``; three bytes cover the
-    21 pairs of order seven.  The ``n - 1`` adjacent transpositions
-    generate the symmetric group, so their closure from one mask is its
-    whole relabelling orbit.
+    Bit i of an edge mask is pair i of ``combinations(range(n), 2)``.  Slot
+    s of column i, one item of the returned ``array`` type code (16 bits up
+    to the 15 pairs of order six, 32 bits for the 21 of order seven), holds
+    ``1 << j`` for the image j of pair i under permutation s, so the
+    columns of a mask's edges OR, without carries, to all its images.  Also
+    returned: the byte length of a column.
     """
-    index = {pair: i for i, pair in enumerate(pairs)}
-    tables = []
-    for a in range(n - 1):
-        swap = list(range(n))
-        swap[a], swap[a + 1] = a + 1, a
-        image = [index[min(swap[u], swap[v]), max(swap[u], swap[v])] for u, v in pairs]
-        chunks = []
-        for lo in (0, 8, 16):
-            bits = [1 << image[i] for i in range(lo, min(lo + 8, len(pairs)))]
-            table = [0] * 256
-            for byte in range(256):
-                for j, bit in enumerate(bits):
-                    if byte >> j & 1:
-                        table[byte] |= bit
-            chunks.append(table)
-        tables.append(tuple(chunks))
-    return tables
+    pairs = list(combinations(range(n), 2))
+    code = "H" if len(pairs) <= 16 else "I"
+    bit = [[0] * n for _ in range(n)]
+    for j, (u, v) in enumerate(pairs):
+        bit[u][v] = bit[v][u] = 1 << j
+    perms = list(permutations(range(n)))
+    columns = [array(code, [bit[p[u]][p[v]] for p in perms]).tobytes() for u, v in pairs]
+    return code, len(columns[0]), [int.from_bytes(c, sys.byteorder) for c in columns]
 
 
-def _orbit(rep: int, tables: list[tuple[list[int], ...]], seen: bytearray) -> list[int]:
-    """Every relabelling of the edge mask ``rep``, marked in ``seen``."""
-    seen[rep] = 1
-    orbit = [rep]
-    for x in orbit:
-        lo, mid, hi = x & 255, x >> 8 & 255, x >> 16
-        for t0, t1, t2 in tables:
-            y = t0[lo] | t1[mid] | t2[hi]
-            if not seen[y]:
-                seen[y] = 1
-                orbit.append(y)
-    return orbit
+def _relabellings(mask: int, n: int) -> set[int]:
+    """The relabelling orbit of an order-n edge mask."""
+    code, size, columns = _pair_columns(n)
+    images = 0
+    for i, column in enumerate(columns):
+        if mask >> i & 1:
+            images |= column
+    return set(array(code, images.to_bytes(size, sys.byteorder)))
+
+
+def _orbits(n: int) -> Iterator[tuple[int, set[int]]]:
+    """``(representative, orbit)`` per relabelling orbit of the order-n edge masks.
+
+    The smallest mask in no earlier orbit represents the next; the orbits
+    must cover every mask, or ``AssertionError`` is raised.
+    """
+    seen = bytearray(1 << n * (n - 1) // 2)
+    swept = rep = 0
+    while rep != -1:
+        orbit = _relabellings(rep, n)
+        for x in orbit:
+            seen[x] = 1
+        swept += len(orbit)
+        yield rep, orbit
+        rep = seen.find(0, rep + 1)
+    if swept != len(seen):
+        raise AssertionError(f"order-{n} orbits cover {swept} of {len(seen)} edge masks")
 
 
 def _census_order(n: int) -> tuple[dict[int, int], list[str], int]:
@@ -425,35 +431,28 @@ def _census_order(n: int) -> tuple[dict[int, int], list[str], int]:
     orbits it shares.
     """
     pairs = list(combinations(range(n), 2))
-    tables = _transposition_tables(pairs, n)
-    seen = bytearray(1 << len(pairs))
+    sampled = set(range(0, 1 << len(pairs), _SELF_CHECK_STRIDE))
     hist: dict[int, int] = {}
     offenders: list[tuple[int, str]] = []
-    checked = swept = 0
-    rep = seen.find(0)
-    while rep != -1:
-        orbit = _orbit(rep, tables, seen)
-        swept += len(orbit)
+    checked = 0
+    for rep, orbit in _orbits(n):
         g = Graph(n, _mask_rows(rep, pairs, n), _validate=False)
-        if _connected(g):
-            dim = metric_dimension(g).dimension
-            edim = edge_metric_dimension(g).dimension
-            hist[dim - edim] = hist.get(dim - edim, 0) + len(orbit)
-            checked += len(orbit)
-            sample = orbit if edim < dim else [x for x in orbit if x % _SELF_CHECK_STRIDE == 0]
-            for x in sample:
-                h = Graph(n, _mask_rows(x, pairs, n), _validate=False)
-                ref_dim = metric_dimension_naive(h).dimension
-                ref_edim = edge_metric_dimension_naive(h).dimension
-                if (ref_dim, ref_edim) != (dim, edim):
-                    raise AssertionError(
-                        f"census solver disagrees with exact solver on {encode_graph6(h)}"
-                    )
-                if edim < dim:
-                    offenders.append((x, encode_graph6(h)))
-        rep = seen.find(0, rep + 1)
-    if swept != len(seen):
-        raise AssertionError(f"order-{n} orbits cover {swept} of {len(seen)} edge masks")
+        if not _connected(g):
+            continue
+        dim = metric_dimension(g).dimension
+        edim = edge_metric_dimension(g).dimension
+        hist[dim - edim] = hist.get(dim - edim, 0) + len(orbit)
+        checked += len(orbit)
+        for x in sorted(orbit if edim < dim else orbit & sampled):
+            h = Graph(n, _mask_rows(x, pairs, n), _validate=False)
+            ref_dim = metric_dimension_naive(h).dimension
+            ref_edim = edge_metric_dimension_naive(h).dimension
+            if (ref_dim, ref_edim) != (dim, edim):
+                raise AssertionError(
+                    f"census solver disagrees with exact solver on {encode_graph6(h)}"
+                )
+            if edim < dim:
+                offenders.append((x, encode_graph6(h)))
     return dict(sorted(hist.items())), [rec for _, rec in sorted(offenders)], checked
 
 

@@ -8,7 +8,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -33,7 +33,7 @@ from metricdim import (
     scan,
     verify_small_orders,
 )
-from metricdim.scan import CheckpointMismatch, _orbit, _transposition_tables
+from metricdim.scan import CheckpointMismatch, _orbits, _relabellings
 from conftest import (
     labelled_graphs,
     naive_results,
@@ -44,6 +44,9 @@ from conftest import (
 
 
 SCAN = importlib.import_module("metricdim.scan")
+needs_two_cpus = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="scan refuses jobs=2 with fewer than 2 CPUs"
+)
 
 
 def connected_labeled_count(n: int) -> int:
@@ -167,6 +170,7 @@ def test_scan_caps_retained_error_details():
     assert report.decoded == 1
 
 
+@needs_two_cpus
 def test_scan_deterministic_across_jobs(monkeypatch):
     rng = random.Random(79)
     lines = [
@@ -264,6 +268,7 @@ def test_scan_checkpoint_resume(tmp_path, monkeypatch):
     assert again.matches == fresh.matches
 
 
+@needs_two_cpus
 def test_scan_parallel_checkpointing(tmp_path, monkeypatch):
     rng = random.Random(89)
     lines = [
@@ -322,7 +327,7 @@ def test_scan_input_failure_finishes_every_record_read(tmp_path, monkeypatch):
         yield from lines[:200]
         raise OSError("disk gone")
 
-    for jobs in (1, 2):
+    for jobs in range(1, min(2, os.cpu_count() or 1) + 1):
         for size in (1, 7, 512):
             monkeypatch.setattr(SCAN, "BATCH_SIZE", size)
             ckpt = tmp_path / f"{jobs}-{size}.ckpt"
@@ -429,16 +434,40 @@ def test_verify_small_orders_basic():
 def test_relabelling_orbit_sizes():
     for n in range(3, 8):
         pairs = list(combinations(range(n), 2))
-        tables = _transposition_tables(pairs, n)
 
         def orbit_size(edges) -> int:
-            mask = sum(1 << pairs.index(e) for e in edges)
-            return len(_orbit(mask, tables, bytearray(1 << len(pairs))))
+            return len(_relabellings(sum(1 << pairs.index(e) for e in edges), n))
 
         assert orbit_size([]) == 1
         assert orbit_size(pairs) == 1
         assert orbit_size([(v, v + 1) for v in range(n - 1)]) == math.factorial(n) // 2
         assert orbit_size([(0, v) for v in range(1, n)]) == n
+
+
+def test_orbits_partition_edge_masks_into_isomorphism_classes():
+    # orbit counts are the numbers of graphs (OEIS A000088) and of connected
+    # graphs (A001349) up to isomorphism; up to order 5 each orbit is also
+    # recomputed by relabelling its representative pair by pair
+    graphs = {3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+    connected = {3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+    for n in range(3, 8):
+        pairs = list(combinations(range(n), 2))
+        index = {pair: i for i, pair in enumerate(pairs)}
+        found = linked = 0
+        for rep, orbit in _orbits(n):
+            found += 1
+            edges = [pair for i, pair in enumerate(pairs) if rep >> i & 1]
+            reach = {0}
+            for _ in range(n):
+                reach |= {w for u, v in edges if u in reach or v in reach for w in (u, v)}
+            linked += len(reach) == n
+            if n <= 5:
+                images = {
+                    sum(1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
+                    for p in permutations(range(n))
+                }
+                assert orbit == images and rep == min(images)
+        assert (found, linked) == (graphs[n], connected[n])
 
 
 def test_census_matches_naive_oracle():
