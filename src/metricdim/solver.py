@@ -36,11 +36,24 @@ graphs one solve takes about 0.4 ms at order 16, half the depth-first
 search's time, but about 6 ms at order 20, twice its time, with about
 7 MiB more peak memory; hence the limit of 16.
 
-Larger orders keep a depth-first search.  Distinct masks are kept,
-supersets of other masks dropped, and the rest sorted by popcount.
-Cardinalities k ascend from a greedy count of pairwise disjoint masks, each
-of which needs a landmark of its own; each k is a lexicographic depth-first
-search over landmarks, which at every node
+Larger orders split the search first.  Distinct masks are kept, supersets
+of other masks dropped, and landmarks that share a kept mask are joined
+into components.  No mask spans two components, so the dimension is the sum
+of the component minima, and the lexicographically least basis is the
+sorted union of the components' lexicographically least sets: for sets of
+equal size, S comes before T exactly when the least landmark of their
+symmetric difference lies in S, and that landmark lies in one component.
+Each component's landmarks are relabelled 0, 1, ... in ascending order,
+which keeps that order.  A component of at most ``PACKED_MAX_ORDER``
+landmarks goes to the subset lattice, a larger one to a depth-first search.
+A bounded search stops as soon as the minima found so far, plus one
+landmark for each component left, pass ``max_k``.  A chain of gadgets
+splits into about one component per copy, so its exact dimension no longer
+grows with the product of the copies' searches.
+
+The depth-first search tries cardinalities k ascending from a greedy count
+of pairwise disjoint masks, each of which needs a landmark of its own; each
+k is a lexicographic search over landmarks, which at every node
 
 1. refutes when a remaining mask has no landmark at or above the next
    candidate;
@@ -53,7 +66,10 @@ None of these discards a subtree holding a resolving set of size k, so the
 first set found is the lexicographically least.  The search also skips a
 landmark that hits no remaining mask, which is sound only because no
 smaller k has a resolving set, being below that count or refuted: a set
-with such a landmark would still resolve without it.
+with such a landmark would still resolve without it.  The last landmark is
+not searched for: it must lie in every remaining mask, so the search ANDs
+those masks, smallest first, from the next candidate up, stops as soon as
+the AND is empty, and else takes its lowest landmark.
 
 Up to ``PACKED_MAX_ORDER`` landmarks, every pair's mask comes from a few
 whole-buffer operations (``_packed_masks``): the signatures fill the slots
@@ -80,6 +96,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graph import PACKED_MAX_ORDER, Edge, Graph, iter_bits
@@ -275,20 +292,18 @@ def _lex_least_hitting_set(
 ) -> tuple[int, ...] | None:
     """Lexicographically least smallest landmark set hitting every mask.
 
-    ``masks`` are landmark sets sorted by popcount.  Cardinalities from the
-    disjoint-masks bound up to ``max_k`` are tried in ascending order; None
-    means that no set of at most ``max_k`` landmarks hits every mask.  No
-    smaller set than the one tried hits them all, so the search may skip
-    landmarks that hit no remaining mask: that can only hide sets that
-    contain a redundant landmark, and those imply a strictly smaller one.
+    ``masks`` are landmark sets sorted by popcount; dropping supersets first
+    (``_drop_supersets``) keeps the answer and shrinks the search.
+    Cardinalities from the disjoint-masks bound up to ``max_k`` are tried in
+    ascending order; None means that no set of at most ``max_k`` landmarks
+    hits every mask.  No smaller set than the one tried hits them all, so
+    the search may skip landmarks that hit no remaining mask: that can only
+    hide sets that contain a redundant landmark, and those imply a strictly
+    smaller one.
     """
-    # The disjoint-masks bound at the root, taken before the search index
-    # is built.  Greedy picks by popcount never take a superset of another
-    # mask, so the bound equals the one the search would find at its root.
     least = _disjoint_count(masks, max_k)
     if least > max_k:
         return None
-    masks = _drop_supersets(masks)
     # The search works on sets of masks: bit i stands for masks[i].
     # hits[z]: the masks landmark z hits.  Each mask's string of bits, one
     # character per landmark and landmark 0 last, is read down the columns.
@@ -307,7 +322,18 @@ def _lex_least_hitting_set(
             return None
         if r == 0 or rem & ~above[start]:
             return None
-        if r > 1 and rem.bit_count() > r:
+        if r == 1:
+            # The last landmark must lie in every mask left: AND them,
+            # smallest first, and stop as soon as the AND is empty.
+            common = -1 << start
+            while rem:
+                low = rem & -rem
+                common &= masks[low.bit_length() - 1]
+                if not common:
+                    return None
+                rem ^= low
+            return (*prefix, (common & -common).bit_length() - 1)
+        if rem.bit_count() > r:
             # Masks pairwise disjoint above start each need a landmark of
             # their own; r+1 of them, picked greedily, refute.
             free = rem
@@ -324,15 +350,11 @@ def _lex_least_hitting_set(
         for z in range(start, n - r + 1):
             h = hits[z]
             if rem & h:
-                if r == 1:
-                    if not rem & ~h:
-                        return (*prefix, z)
-                else:
-                    prefix.append(z)
-                    found = rec(z + 1, rem & ~h, r - 1)
-                    if found is not None:
-                        return found
-                    prefix.pop()
+                prefix.append(z)
+                found = rec(z + 1, rem & ~h, r - 1)
+                if found is not None:
+                    return found
+                prefix.pop()
             if rem & ~above[z + 1]:
                 # A remaining mask has no landmark above z, and the
                 # lex-least completion must still hit it.
@@ -345,6 +367,74 @@ def _lex_least_hitting_set(
         if found is not None:
             return found
     return None
+
+
+def _components(masks: list[int], n: int) -> list[tuple[list[int], list[int]]]:
+    """The masks split into groups that share no landmark, relabelled.
+
+    Landmarks that share a mask join one group.  Each group is its
+    landmarks in ascending order and its masks in their given order, with
+    landmark ``landmarks[j]`` moved to bit j; that keeps both popcounts and
+    the lexicographic order of landmark sets.
+    """
+    joined: list[int] = []
+    covered = 0
+    for m in masks:
+        if m & covered:
+            apart = []
+            for c in joined:
+                if c & m:
+                    m |= c
+                else:
+                    apart.append(c)
+            joined = apart
+        joined.append(m)
+        covered |= m
+    owner: dict[int, list[int]] = {}
+    groups = []
+    for c in joined:
+        landmarks, group = list(iter_bits(c)), []
+        for z in landmarks:
+            owner[z] = group
+        groups.append((landmarks, group))
+    for m in masks:
+        owner[(m & -m).bit_length() - 1].append(m)
+    for landmarks, group in groups:
+        if landmarks[-1] >= len(landmarks):
+            # Not yet landmarks 0, 1, ...: pick their characters of each
+            # mask's string of bits, landmark 0 last.
+            pick = itemgetter(*[n - 1 - z for z in reversed(landmarks)])
+            group[:] = [int("".join(pick(format(m, f"0{n}b"))), 2) for m in group]
+    return groups
+
+
+def _split_hitting_set(masks: list[int], n: int, max_k: int) -> tuple[int, ...] | None:
+    """``_lex_least_hitting_set`` solved one landmark-disjoint group at a time.
+
+    The groups' minima add up to the dimension, and the sorted union of
+    their lexicographically least sets is the lexicographically least
+    whole: for sets of equal size, S comes before T exactly when the least
+    landmark of their symmetric difference lies in S, and that landmark
+    belongs to one group.  Smaller groups go first; each is capped so that
+    every later group can still take one landmark.
+    """
+    # Disjoint masks that outnumber max_k refute before the pairwise drop.
+    if _disjoint_count(masks, max_k) > max_k:
+        return None
+    groups = sorted(_components(_drop_supersets(masks), n), key=lambda g: len(g[0]))
+    spare = max_k - len(groups)  # landmarks beyond one per group
+    witness: list[int] = []
+    for landmarks, group in groups:
+        if spare < 0:
+            return None
+        size = len(landmarks)
+        solve = _lattice_hitting_set if size <= PACKED_MAX_ORDER else _lex_least_hitting_set
+        found = solve(group, size, min(spare + 1, size))
+        if found is None:
+            return None
+        spare -= len(found) - 1
+        witness += [landmarks[j] for j in found]
+    return tuple(sorted(witness))
 
 
 def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> ResolveResult | None:
@@ -365,7 +455,7 @@ def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> Resolve
         witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, top)
     else:
         masks = sorted(_separator_masks(sigs, n, diam), key=int.bit_count)
-        witness = _lex_least_hitting_set(masks, n, top)
+        witness = _split_hitting_set(masks, n, top)
     if witness is None:
         return None
     return ResolveResult(kind, len(witness), witness)

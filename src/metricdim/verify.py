@@ -117,16 +117,17 @@ def confirm_dims(
     expected_edim: int,
     vertex_basis: tuple[int, ...],
     edge_basis: tuple[int, ...],
+    solved: tuple[int, int] | None = None,
 ) -> tuple[bool, str]:
     """Certify exact dimensions of a (possibly large) family graph.
 
-    Small orders get a full solve.  Larger ones are certified by checking
-    that the given bases, of the expected sizes, generate and by exhausting
-    all subsets one landmark smaller, which bounds the dimension from both
-    sides.
+    Small orders get a full solve, unless ``solved`` already holds its
+    (dim, edim).  Larger ones are certified by checking that the given
+    bases, of the expected sizes, generate and by exhausting all subsets
+    one landmark smaller, which bounds the dimension from both sides.
     """
     if graph.n <= FULL_SOLVE_ORDER_LIMIT:
-        dims = solved_dims(graph)
+        dims = solved or solved_dims(graph)
         return dims == (expected_dim, expected_edim), f"solved (dim, edim) = {dims}"
     upper_dim = is_metric_generator(graph, vertex_basis)
     upper_edim = is_edge_metric_generator(graph, edge_basis)
@@ -139,13 +140,16 @@ def confirm_dims(
     )
 
 
-def certify_chain(n1: int, n2: int, n3: int, ell: int) -> tuple[bool, str, tuple[int, int]]:
+def certify_chain(
+    n1: int, n2: int, n3: int, ell: int, solved: tuple[int, int] | None = None
+) -> tuple[bool, str, tuple[int, int]]:
     expected = expected_chain_dims(n1, n3, ell)
     ok, detail = confirm_dims(
         make_chain(n1, n2, n3, ell).graph,
         *expected,
         canonical_basis(n1, n2, n3, ell, kind="vertex"),
         canonical_basis(n1, n2, n3, ell, kind="edge"),
+        solved,
     )
     return ok, detail, expected
 
@@ -284,12 +288,13 @@ def suite_theorem2(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
         f"ratio_witness({target}) predicts ({w.predicted_dim}, {w.predicted_edim})",
         w.predicted_ratio >= target,
     )
-    ok, detail, _ = certify_chain(6, 1, 2, w.ell)
+    confirmed = None if w.confirmed_dim is None else (w.confirmed_dim, w.confirmed_edim)
+    ok, detail, _ = certify_chain(6, 1, 2, w.ell, confirmed)
     yield f"L^{w.ell}(6,1,2): {detail}", ok
-    if w.confirmed_dim is not None:
+    if confirmed is not None:
         yield (
-            f"solver confirms ({w.confirmed_dim}, {w.confirmed_edim})",
-            (w.confirmed_dim, w.confirmed_edim) == (w.predicted_dim, w.predicted_edim),
+            f"solver confirms {confirmed}",
+            confirmed == (w.predicted_dim, w.predicted_edim),
         )
 
 

@@ -14,6 +14,7 @@ from metricdim import (
     DisconnectedGraph,
     Graph,
     InstanceTooLarge,
+    cartesian_product,
     decode_graph6,
     edge_metric_dimension,
     edge_metric_dimension_naive,
@@ -29,14 +30,20 @@ from metricdim import (
     resolution_vector,
 )
 from metricdim.scan import enumerate_labeled_connected
+from metricdim.families import BasisBlueprint, glue, make_chain
+from metricdim.graph import PACKED_MAX_ORDER
 from metricdim.solver import (
+    _components,
+    _disjoint_count,
+    _drop_supersets,
     _edge_signatures,
     _lattice_hitting_set,
     _lex_least_hitting_set,
     _packed_masks,
     _separator_masks,
+    _split_hitting_set,
 )
-from metricdim.verify import expected_chain_dims
+from metricdim.verify import GRIDS, expected_chain_dims
 from conftest import naive_results, random_connected_graph, relabel
 
 
@@ -74,8 +81,6 @@ def test_edge_dimension_examples():
 def test_even_cycle_torus_pattern():
     # products of two cycles with lengths divisible by four keep the edge
     # dimension at 3 while the vertex dimension sits at 4
-    from metricdim import cartesian_product
-
     torus = cartesian_product(make_cycle(4), make_cycle(8))
     assert edge_metric_dimension(torus).dimension == 3
     assert metric_dimension(torus).dimension == 4
@@ -294,9 +299,10 @@ def test_wide_lanes():
 
 def test_hitting_set_searches_match_naive_oracle():
     # the lattice search serves every order the naive oracle reaches, so the
-    # depth-first search that larger orders use is checked here on the same
-    # masks, under every cap the scans use; each search gets the masks its
-    # own path builds, which must be the same set
+    # component split that larger orders use, and the depth-first search it
+    # hands components of more than 16 landmarks, are checked here on the
+    # same masks, under every cap the scans use; each search gets the masks
+    # its own path builds, which must be the same set
     rng = random.Random(97)
     graphs = [g for n in range(1, 7) for g in enumerate_labeled_connected(n)]
     for _ in range(1000):
@@ -309,11 +315,61 @@ def test_hitting_set_searches_match_naive_oracle():
             masks = sorted(_separator_masks(ground, g.n, diam), key=int.bit_count)
             packed = _packed_masks(ground, g.n, diam)
             assert set(packed) == set(masks)
+            kept = _drop_supersets(masks)
             d = naive.dimension
             for max_k in {d - 1, d, g.n}:
                 want = naive.witness if max_k >= d else None
-                assert _lex_least_hitting_set(masks, g.n, max_k) == want
+                assert _lex_least_hitting_set(kept, g.n, max_k) == want
+                assert _split_hitting_set(masks, g.n, max_k) == want
                 assert _lattice_hitting_set(packed, g.n, max_k) == want
+
+
+def _split_oracle_graphs():
+    rng = random.Random(71)
+    graphs = [
+        random_connected_graph(rng, n, extra=rng.randrange(0, n))
+        for n in [rng.randrange(17, 29) for _ in range(40)]
+    ]
+    graphs += [make_gadget(*params).graph for params in GRIDS["full"].gadgets]
+    for first in GRIDS["full"].lemma5_firsts:
+        for second in ((5, 1, 2), (6, 1, 2)):
+            g1, g2 = make_gadget(*first), make_gadget(*second)
+            alpha = BasisBlueprint.for_cycle(first[0]).alpha
+            graphs.append(glue(g1, g1.vertex("a", alpha), g2, g2.vertex("j", 1)).graph)
+    graphs += [make_chain(n1, 1, 2, ell).graph for n1 in (5, 6, 7) for ell in range(1, 5)]
+    graphs.append(cartesian_product(make_cycle(8), make_cycle(8)))
+    return graphs
+
+
+def test_component_split_matches_depth_first_search():
+    # above order 16 the solver splits the kept masks into landmark-disjoint
+    # components; the sorted union of the components' lex-least sets must be
+    # the lex-least set of the whole, and a cap must refute exactly when the
+    # whole search does
+    cases = set()
+    for g in _split_oracle_graphs():
+        sigs, diam = g.signatures()
+        for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
+            masks = sorted(_separator_masks(ground, g.n, diam), key=int.bit_count)
+            kept = _drop_supersets(masks)
+            sizes = [len(landmarks) for landmarks, _ in _components(kept, g.n)]
+            if max(sizes) > PACKED_MAX_ORDER:
+                cases.add("one component past the lattice")
+            elif len(sizes) > 1:
+                cases.add("several lattice components")
+            d = len(_lex_least_hitting_set(kept, g.n, g.n))
+            for max_k in {d - 1, d, g.n}:
+                split = _split_hitting_set(masks, g.n, max_k)
+                assert split == _lex_least_hitting_set(kept, g.n, max_k)
+                if split is None and max(_disjoint_count(masks, max_k), len(sizes)) <= max_k:
+                    # neither the disjoint count nor one landmark per
+                    # component refutes: the running sum of minima does
+                    cases.add("cap refuted by the running sum")
+    assert cases == {
+        "several lattice components",
+        "one component past the lattice",
+        "cap refuted by the running sum",
+    }
 
 
 def test_packed_masks_match_pairwise_masks():

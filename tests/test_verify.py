@@ -2,7 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from metricdim import verify
+from metricdim import (
+    edge_metric_dimension,
+    is_edge_metric_generator,
+    is_metric_generator,
+    make_chain,
+    metric_dimension,
+    verify,
+)
 from metricdim.verify import (
     SUITES,
     certify_chain,
@@ -10,6 +17,7 @@ from metricdim.verify import (
     gadget_grid,
     ratio_witness,
     run_suites,
+    solved_dims,
 )
 
 
@@ -58,6 +66,37 @@ def test_one_full_solve_limit_serves_witness_and_certificate(monkeypatch):
     w = ratio_witness(3)
     assert (w.confirmed_dim, w.confirmed_edim) == (6, 2)
     assert certify_chain(6, 1, 2, 4) == (True, "solved (dim, edim) = (6, 2)", (6, 2))
+
+
+def test_theorem2_solves_its_chain_once(monkeypatch):
+    # the witness's confirmed dims serve the certificate, so the small
+    # grid's order-22 chain is solved outright once, with the same rows
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return solved_dims(g)
+
+    monkeypatch.setattr(verify, "solved_dims", counted)
+    (res,) = run_suites(["theorem2"], grid="small")
+    assert res.passed, res.rows
+    assert res.rows == [
+        "PASS  ratio_witness(2) predicts (4, 2)",
+        "PASS  L^2(6,1,2): solved (dim, edim) = (4, 2)",
+        "PASS  solver confirms (4, 2)",
+    ]
+    assert calls == [22]
+
+
+@pytest.mark.parametrize("n1", [5, 6])
+def test_long_chains_solve_exactly(n1):
+    # chains split into about one landmark-disjoint component per copy, so
+    # exact solves reach the paper's constructions at any length
+    for ell in [*range(1, 11), 20, 30]:
+        g = make_chain(n1, 1, 2, ell).graph
+        assert solved_dims(g) == expected_chain_dims(n1, 2, ell)
+        assert is_metric_generator(g, metric_dimension(g).witness)
+        assert is_edge_metric_generator(g, edge_metric_dimension(g).witness)
 
 
 def test_unknown_suite_rejected():
