@@ -7,9 +7,10 @@ of pruned landmark labelling (Akiba, Iwata and Yoshida, SIGMOD 2013): lane
 v (bits ``[v*n, v*n + n)``) of one int holds the frontier of source v, and
 ``(frontier >> u & ones) * adj[u]`` copies row u into every lane whose
 frontier holds u, with no carries.  Larger orders walk each source in turn.
-The walk's limit is the solver's subset-lattice limit, so one constant says
-where a solve stops packing sources, and landmark sets, into single ints.
-The edge list is derived on first use; the edge count is a popcount sum.
+The limit is 64 because the solver packs each pair's landmark mask into one
+machine word up to that order; its subset lattice, which packs landmark
+sets, stops at ``solver.LATTICE_MAX_ORDER`` = 16.  The edge list is derived
+on first use; the edge count is a popcount sum.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator
 Edge = tuple[int, int]
 DistanceMatrix = tuple[tuple[int, ...], ...]
 
-PACKED_MAX_ORDER = 16
+PACKED_MAX_ORDER = 64
 
 
 class GraphError(Exception):

@@ -38,6 +38,7 @@ from .graph import Graph
 MAX_ORDER = 1 << 18
 HEADER = ">>graph6<<"
 
+_PRINTABLE = bytes(range(63, 127))
 _BAD_BYTE = re.compile(r"[^?-~]")  # anything outside 63..126
 _BLOCK = 4096  # most bits decode cuts from the vector at once
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -112,15 +113,18 @@ def decode_graph6(record: str | bytes) -> Graph:
         record = record[len(HEADER) :]
     if not record:
         raise MalformedHeader("empty record")
-    bad = _BAD_BYTE.search(record)
-    if bad:
+    # a character past ASCII encodes to bytes above 127, which stay too
+    data = record.encode()
+    if data.translate(None, _PRINTABLE):
+        # the regex only names the first offending character
+        bad = _BAD_BYTE.search(record)
         raise NonPrintableByte(
             f"byte {ord(bad.group())} at offset {bad.start()} outside 63..126"
         )
     n, at = _parse_order(record)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = record[at:]
+    body = data[at:]
     if len(body) < nbytes:
         raise TruncatedBitVector(
             f"order {n} needs {nbytes} data bytes, found {len(body)}"
@@ -130,7 +134,7 @@ def decode_graph6(record: str | bytes) -> Graph:
             f"order {n} needs {nbytes} data bytes, found {len(body)}"
         )
     # leading 'A's (zero bits above the vector) complete the last quantum
-    quanta = b"A" * (-nbytes % 4) + body.encode("ascii").translate(_TO_B64)[::-1]
+    quanta = b"A" * (-nbytes % 4) + body.translate(_TO_B64)[::-1]
     raw = binascii.a2b_base64(quanta)  # vector bit i is bit i of this big-endian int
     y = int.from_bytes(raw, "big")
     if y >> nbits:

@@ -9,22 +9,22 @@ lexicographically least minimum-cardinality generator.
 The search is a minimum hitting set (Khuller, Raghavachari and Rosenfeld,
 *Landmarks in graphs*, 1996).  ``Graph.signatures`` gives each vertex its
 distances to all n landmarks as bit planes: bit ``b*n + z`` is bit b of the
-distance to landmark z.  Up to ``PACKED_MAX_ORDER`` vertices they come from
-one BFS walk from every source at once, and larger orders walk each source
-in turn; either way one pass per graph, cached, serves every solve and
-generator check.  An edge takes the landmark-wise minimum of its endpoints;
-the edge list is read only by an edge search that the distance-class bound
-below does not refute.  XOR-ing two items and OR-folding the planes onto
-the lowest gives the pair's separator mask, an n-bit set of the landmarks
-that tell the pair apart, and S resolves the graph exactly when it hits
-every mask.
+distance to landmark z.  Up to ``PACKED_MAX_ORDER`` (64) vertices they come
+from one BFS walk from every source at once, and larger orders walk each
+source in turn; either way one pass per graph, cached, serves every solve
+and generator check.  An edge takes the landmark-wise minimum of its
+endpoints; the edge list is read only by an edge search that the
+distance-class bound below does not refute.  XOR-ing two items and
+OR-folding the planes onto the lowest gives the pair's separator mask, an
+n-bit set of the landmarks that tell the pair apart, and S resolves the
+graph exactly when it hits every mask.
 
-Up to ``PACKED_MAX_ORDER`` landmarks, every landmark set is one bit of a
-``2**n``-bit int, and all cardinalities are decided at once (a zeta-style
+Up to ``LATTICE_MAX_ORDER`` (16) landmarks, every landmark set is one bit of
+a ``2**n``-bit int, and all cardinalities are decided at once (a zeta-style
 down-closure over the subset lattice; Björklund, Husfeldt, Kaski and
 Koivisto, *Fourier meets Möbius*, STOC 2007).  A set misses a mask exactly
-when it lies inside the mask's complement, so the complements are marked
-and closed downwards with n shifts, ``bad |= (bad & hi[i]) >> 2**i``, where
+when it lies inside the mask's complement, so the complements are marked and
+closed downwards with n shifts, ``bad |= (bad & hi[i]) >> 2**i``, where
 ``hi[i]`` holds the sets that contain landmark i.  What is left is every
 resolving set.  The smallest k with a resolving set among the k-sets,
 ``pop[k]``, is the dimension, and the lexicographically least of those sets
@@ -33,8 +33,9 @@ whenever there are any.  ``hi`` and ``pop`` are built on first use for each
 order and cached; at order 16 they are 33 ints of 8 KiB.  Every landmark
 more doubles the tables and the ints each solve works on.  On random sparse
 graphs one solve takes about 0.4 ms at order 16, half the depth-first
-search's time, but about 6 ms at order 20, twice its time, with about
-7 MiB more peak memory; hence the limit of 16.
+search's time, but about 6 ms at order 20, twice its time, with about 7 MiB
+more peak memory; hence the lattice limit of 16, which is separate from the
+packing limit of 64 below.
 
 Larger orders split the search first.  Distinct masks are kept, supersets
 of other masks dropped, and landmarks that share a kept mask are joined
@@ -44,7 +45,7 @@ sorted union of the components' lexicographically least sets: for sets of
 equal size, S comes before T exactly when the least landmark of their
 symmetric difference lies in S, and that landmark lies in one component.
 Each component's landmarks are relabelled 0, 1, ... in ascending order,
-which keeps that order.  A component of at most ``PACKED_MAX_ORDER``
+which keeps that order.  A component of at most ``LATTICE_MAX_ORDER``
 landmarks goes to the subset lattice, a larger one to a depth-first search.
 A bounded search stops as soon as the minima found so far, plus one
 landmark for each component left, pass ``max_k``.  A chain of gadgets
@@ -71,18 +72,24 @@ not searched for: it must lie in every remaining mask, so the search ANDs
 those masks, smallest first, from the next candidate up, stops as soon as
 the AND is empty, and else takes its lowest landmark.
 
-Up to ``PACKED_MAX_ORDER`` landmarks, every pair's mask comes from a few
-whole-buffer operations (``_packed_masks``): the signatures fill the slots
-of one machine-word array, one XOR of the repeated buffer against a shifted
-read of it lines up every pair, and one fold over the whole int and one AND
-leave each mask in a 16-bit word; the slot layout is cached per order and
-plane count.  Larger orders cost one XOR and fold per item pair over n
-times ``diam.bit_length()`` bits, so setup grows with pairs times that
-width and dominates on large sparse graphs such as ``path:1000``, where a
-packed buffer would need about 1 GB.  A bounded search (``max_k``) first
-refutes by counting distance classes, before any mask is built.  The
-generator checks (``is_metric_generator`` and its edge twin)
-compare the signatures restricted to the landmark set in every plane.
+Up to ``PACKED_MAX_ORDER`` landmarks, so long as a mask fits a machine word
+of 16, 32 or 64 bits, every pair's mask comes from a few whole-buffer
+operations (``_packed_masks``): the signatures fill the slots of one buffer,
+one XOR of the repeated buffer against a shifted read of it lines up every
+pair, and one fold over the whole int and one AND leave each mask alone in
+its slot; the slot layout is cached per order and plane count.  Up to 16
+landmarks the pairs take one XOR, whose masks go to the lattice as they are.
+Above 16 the pairs are XORed in groups of at most ``PACK_BYTES`` bytes per
+operand, so memory stays bounded (the edges of K40 make 303,810 pairs and
+92,170 distinct masks), and the distinct masks go to the split as a set.
+Above 64 landmarks a mask no longer fits a machine word, and each item pair
+costs one XOR and fold over n times ``diam.bit_length()`` bits, so setup
+grows with pairs times that width and dominates on large sparse graphs such
+as ``path:1000``.  Both builders' sets are sorted by popcount, then value,
+so the search sees the same list from either.  A bounded search (``max_k``)
+first refutes by counting distance classes, before any mask is built.  The
+generator checks (``is_metric_generator`` and its edge twin) compare the
+signatures restricted to the landmark set in every plane.
 
 A deliberately dumb reference implementation (materialise every distance
 vector per subset, no partition machinery) is kept alongside as an oracle
@@ -102,6 +109,10 @@ from typing import Iterable, Sequence
 from .graph import PACKED_MAX_ORDER, Edge, Graph, iter_bits
 
 NAIVE_MAX_ORDER = 16
+LATTICE_MAX_ORDER = 16  # most landmarks the subset lattice takes at once
+PACK_BYTES = 1 << 16  # most bytes in one operand of a grouped pair XOR
+
+_ORDER = sys.byteorder
 
 
 class InstanceTooLarge(ValueError):
@@ -160,22 +171,31 @@ def _separator_masks(sigs: Sequence[int], n: int, diam: int) -> set[int]:
 
 
 @cache
-def _slot_layout(n: int, planes: int) -> tuple[str, int, tuple[int, ...], bytes, int]:
-    """Slot type code and width in bytes, fold shifts, lane mask, mask offset.
+def _slot_layout(n: int, planes: int) -> tuple[str, str, int, tuple[int, ...], bytes, slice]:
+    """Slot and mask word codes, slot width, fold shifts, lane mask, mask pick.
 
     The fold ORs bit ``z + j*n`` onto bit z for every j below the plane
     count rounded up to a power of two, so a slot holds that many planes
-    and the fold never reads the next slot.  A slot is the smallest array
+    and the fold never reads the next slot.  The mask word is the smallest
+    of 16, 32 or 64 bits that holds n bits.  A slot is the smallest array
     item of 16, 32 or 64 bits that fits (16 landmarks of four planes fill
-    64), and the mask sits in the 16-bit word that holds the slot's low
-    bits: the first in little-endian order, the last in big-endian order.
+    64), or else as many mask words as it takes (64 landmarks of six
+    planes take eight); the slot code is empty then.  After the AND with
+    the lane mask a slot holds only its mask, so an array item reads back
+    as the mask itself; in a slot of several words, the pick slice reads
+    the word with the slot's low bits: the first in little-endian order,
+    the last in big-endian order.
     """
     folds = max(planes - 1, 0).bit_length()
-    code = next(c for c in "HIQ" if array(c).itemsize * 8 >= n << folds)
-    width = array(code).itemsize
-    lane = ((1 << n) - 1).to_bytes(width, sys.byteorder)
-    first = 0 if sys.byteorder == "little" else width // 2 - 1
-    return code, width, tuple(n << i for i in range(folds)), lane, first
+    bits = n << folds
+    word = next(c for c in "HIQ" if array(c).itemsize * 8 >= n)
+    size = array(word).itemsize
+    item = next((c for c in "HIQ" if array(c).itemsize * 8 >= bits), "")
+    width = array(item).itemsize if item else -(-bits // (8 * size)) * size
+    step = width // size
+    pick = slice(0 if _ORDER == "little" else step - 1, None, step)
+    lane = ((1 << n) - 1).to_bytes(width, _ORDER)
+    return item, word, width, tuple(n << i for i in range(folds)), lane, pick
 
 
 def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
@@ -187,22 +207,51 @@ def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
     blocks for k = 1 .. N // 2 follow each other in one contiguous read of
     the repeated buffer; every block of the left operand reads it from slot
     0.  Block k lines up item i with item i + k (mod N), and every pair is
-    at most N // 2 apart around the cycle.  One XOR, the fold over the whole
-    int and one AND with the lane mask then leave each pair's mask in the
-    low word of its slot.
+    at most N // 2 apart around the cycle.  One XOR, the fold over the
+    whole int and one AND with the lane mask then leave each pair's mask
+    alone in its slot, one array item.  Sixteen landmarks take slots of at
+    most 8 bytes, so K16's 120 edges, the most items, need 58,080 bytes per
+    operand; ``_grouped_masks`` keeps larger orders in bounded memory.
     """
-    code, width, shifts, lane, first = _slot_layout(n, diam.bit_length())
-    order = sys.byteorder
-    buf = array(code, sigs).tobytes()
+    item, _, width, shifts, lane, _ = _slot_layout(n, diam.bit_length())
+    buf = array(item, sigs).tobytes()
     turns = len(sigs) // 2
     size = turns * (len(buf) + width)
     left = (buf + buf[:width]) * turns
     right = (buf * (turns + 2))[width : width + size]
-    d = int.from_bytes(left, order) ^ int.from_bytes(right, order)
+    d = int.from_bytes(left, _ORDER) ^ int.from_bytes(right, _ORDER)
     for shift in shifts:
         d |= d >> shift
-    d &= int.from_bytes(lane * (size // width), order)
-    return memoryview(d.to_bytes(size, order)).cast("H")[first :: width // 2]
+    d &= int.from_bytes(lane * (size // width), _ORDER)
+    return memoryview(d.to_bytes(size, _ORDER)).cast(item)
+
+
+def _grouped_masks(sigs: Sequence[int], n: int, diam: int) -> set[int]:
+    """``_packed_masks`` as a set, for at most 64 landmarks, in bounded memory.
+
+    The blocks are XORed a group at a time, as many as fit ``PACK_BYTES``
+    bytes per operand and one at least.  Block k of the right operand
+    starts at slot k of the cycle, so a group from block k reads the
+    repeated buffer from slot k on.  Slots may span several mask words.
+    """
+    _, word, width, shifts, lane, pick = _slot_layout(n, diam.bit_length())
+    buf = b"".join([sig.to_bytes(width, _ORDER) for sig in sigs])
+    block = len(buf) + width
+    turns = len(sigs) // 2
+    group = max(min(PACK_BYTES // block, turns), 1)
+    lanes = int.from_bytes(lane * (group * block // width), _ORDER)
+    masks: set[int] = set()
+    for k in range(1, turns + 1, group):
+        count = min(group, turns + 1 - k)
+        size = count * block
+        left = (buf + buf[:width]) * count
+        right = (buf * (count + 2))[k * width : k * width + size]
+        d = int.from_bytes(left, _ORDER) ^ int.from_bytes(right, _ORDER)
+        for shift in shifts:
+            d |= d >> shift
+        d &= lanes
+        masks.update(memoryview(d.to_bytes(size, _ORDER)).cast(word)[pick])
+    return masks
 
 
 def _disjoint_count(masks: list[int], cap: int) -> int:
@@ -428,7 +477,7 @@ def _split_hitting_set(masks: list[int], n: int, max_k: int) -> tuple[int, ...] 
         if spare < 0:
             return None
         size = len(landmarks)
-        solve = _lattice_hitting_set if size <= PACKED_MAX_ORDER else _lex_least_hitting_set
+        solve = _lattice_hitting_set if size <= LATTICE_MAX_ORDER else _lex_least_hitting_set
         found = solve(group, size, min(spare + 1, size))
         if found is None:
             return None
@@ -451,10 +500,12 @@ def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> Resolve
         return None
     if kind == "edge":
         sigs = _edge_signatures(sigs, g.edges, n)
-    if n <= PACKED_MAX_ORDER:
+    if n <= LATTICE_MAX_ORDER:
         witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, top)
     else:
-        masks = sorted(_separator_masks(sigs, n, diam), key=int.bit_count)
+        build = _grouped_masks if n <= PACKED_MAX_ORDER else _separator_masks
+        # By popcount, then value: both builders give the search one order.
+        masks = sorted(sorted(build(sigs, n, diam)), key=int.bit_count)
         witness = _split_hitting_set(masks, n, top)
     if witness is None:
         return None

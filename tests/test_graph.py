@@ -137,19 +137,21 @@ def test_lane_walk_matches_queue_bfs_and_per_source_walk():
         for g in labelled_graphs(n):
             _check_walks(g)
     rng = random.Random(29)
-    for n in range(1, PACKED_MAX_ORDER + 2):
+    # every order to 17, then samples up to both sides of the order limit
+    orders = [*range(1, 18), 24, 40, 63, PACKED_MAX_ORDER, PACKED_MAX_ORDER + 1]
+    for n in orders:
         for density in (0.15, 0.5, 0.85):
             for _ in range(3):
                 pairs = combinations(range(n), 2)
                 _check_walks(Graph.from_edges(n, [p for p in pairs if rng.random() < density]))
         _check_walks(random_connected_graph(rng, n, extra=rng.randrange(0, n)))
     # both sides of the order limit, where signatures() switches walks
-    star = Graph.from_edges(16, [(0, v) for v in range(1, 16)])
-    for g in (make_path(1), make_complete(2), make_complete(16), star, make_path(16), make_path(17)):
+    star = Graph.from_edges(64, [(0, v) for v in range(1, 64)])
+    for g in (make_path(1), make_complete(2), make_complete(64), star, make_path(64), make_path(65)):
         _check_walks(g)
-    assert make_complete(16).signatures()[1] == 1
-    assert make_path(16).signatures()[1] == 15
-    assert make_path(17).signatures()[1] == 16
+    assert make_complete(64).signatures()[1] == 1
+    assert make_path(64).signatures()[1] == 63
+    assert make_path(65).signatures()[1] == 64
 
 
 def test_edges_are_derived_on_first_use_in_row_order():

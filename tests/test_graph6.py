@@ -177,6 +177,21 @@ def test_decode_errors():
         decode_graph6("~~??????")
 
 
+def test_non_printable_byte_at_the_end_of_a_long_record():
+    # the order-330 chain record is 9,052 bytes; the offending character
+    # comes last, so the whole record passes the byte check before it
+    record = encode_graph6(make_chain(6, 1, 2, 30).graph)
+    assert len(record) == 9052
+    for tail, code in (("\u0100", 256), ("\u20ac", 8364), ("\x7f", 127)):
+        message = f"byte {code} at offset {len(record)} outside 63..126"
+        with pytest.raises(NonPrintableByte, match=message):
+            decode_graph6(record + tail)
+    for tail in (b"\x7f", b"\xff", b"\x3e"):
+        message = f"byte {tail[0]} at offset {len(record)} outside 63..126"
+        with pytest.raises(NonPrintableByte, match=message):
+            decode_graph6(record.encode("ascii") + tail)
+
+
 def test_header_prefix_tolerated():
     assert decode_graph6(">>graph6<<A_") == make_complete(2)
 

@@ -31,12 +31,15 @@ from metricdim import (
 )
 from metricdim.scan import enumerate_labeled_connected
 from metricdim.families import BasisBlueprint, glue, make_chain
+from metricdim import solver
 from metricdim.graph import PACKED_MAX_ORDER
 from metricdim.solver import (
+    LATTICE_MAX_ORDER,
     _components,
     _disjoint_count,
     _drop_supersets,
     _edge_signatures,
+    _grouped_masks,
     _lattice_hitting_set,
     _lex_least_hitting_set,
     _packed_masks,
@@ -353,7 +356,7 @@ def test_component_split_matches_depth_first_search():
             masks = sorted(_separator_masks(ground, g.n, diam), key=int.bit_count)
             kept = _drop_supersets(masks)
             sizes = [len(landmarks) for landmarks, _ in _components(kept, g.n)]
-            if max(sizes) > PACKED_MAX_ORDER:
+            if max(sizes) > LATTICE_MAX_ORDER:
                 cases.add("one component past the lattice")
             elif len(sizes) > 1:
                 cases.add("several lattice components")
@@ -372,7 +375,7 @@ def test_component_split_matches_depth_first_search():
     }
 
 
-def test_packed_masks_match_pairwise_masks():
+def test_packed_masks_match_pairwise_masks(monkeypatch):
     # with the labelled graphs and the Random(97) stream above: paths and
     # cycles up to order 16 give one to four planes, and three planes need
     # slots of four or the fold reads the next slot; K1 and K2 have fewer
@@ -387,6 +390,28 @@ def test_packed_masks_match_pairwise_masks():
         for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
             assert set(_packed_masks(ground, g.n, diam)) == _separator_masks(ground, g.n, diam)
     assert planes == {0, 1, 2, 3, 4}
+    # orders 17-64 take 32- and 64-bit mask words; paths and cycles give up
+    # to six planes, which need slots of several words; K40's 780 edges
+    # make 390 blocks of 781 eight-byte slots, several groups of PACK_BYTES
+    graphs = [make_path(n) for n in range(17, PACKED_MAX_ORDER + 1)]
+    graphs += [make_cycle(n) for n in range(17, PACKED_MAX_ORDER + 1)]
+    graphs += [make_complete(40)]
+    assert 390 * 781 * 8 > 4 * solver.PACK_BYTES
+    planes.clear()
+    for g in graphs:
+        sigs, diam = g.signatures()
+        planes.add(diam.bit_length())
+        for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
+            assert _grouped_masks(ground, g.n, diam) == _separator_masks(ground, g.n, diam)
+    assert planes == {1, 4, 5, 6}
+    # small budgets force groups on small graphs: one block per group, then
+    # K12's 6 vertex blocks of 26 bytes in groups of three
+    for budget in (1, 100):
+        monkeypatch.setattr(solver, "PACK_BYTES", budget)
+        for g in (make_complete(12), make_cycle(12), make_complete(16), make_path(40)):
+            sigs, diam = g.signatures()
+            for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
+                assert _grouped_masks(ground, g.n, diam) == _separator_masks(ground, g.n, diam)
 
 
 def test_edge_signatures_match_resolution_vectors():
