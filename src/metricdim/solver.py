@@ -52,6 +52,30 @@ landmark for each component left, pass ``max_k``.  A chain of gadgets
 splits into about one component per copy, so its exact dimension no longer
 grows with the product of the copies' searches.
 
+Above ``TWINS_ABOVE_ORDER`` (12) vertices, twin landmarks are forced before
+any search.  Vertices u and v are twins when N(u) - {v} = N(v) - {u}: equal
+adjacency rows, or equal rows once each holds its own bit.  Every resolving
+set holds all but one vertex of each twin class (Hernando, Mora, Pelayo,
+Seara and Wood, *Extremal graph theory for metric dimension and diameter*,
+EJC 2010), and the forced set F is every member of a class but its largest.
+The witness stays the same.  For n >= 3, the mask of a twin pair is exactly
+{u, v} for both kinds; for edges, the two edges to a common neighbour give
+it.  The transposition (u v) is an automorphism, so the lexicographically
+least basis holds the t - 1 smallest members of a class of size t.  Among
+sets that contain F, lexicographic order is the order of what remains, so
+the witness is F plus the lexicographically least smallest set hitting the
+masks that F misses, and a bound ``max_k`` refutes at once below |F|.  On
+K2 the two vertices are twins, but its edge dimension is 0, so nothing is
+forced below order 3.  Up to ``LATTICE_MAX_ORDER`` the forced landmarks
+move to the top bits of the packed masks and the lattice runs over the
+other n - |F|, 2**|F| times smaller; above it, the masks F hits are
+dropped before the split.  The rule costs one dict pass over the rows and,
+on the lattice path, a few whole-buffer operations per forced landmark.  On
+G(n, 0.3) and G(n, 0.5) graphs with one planted twin pair (Python 3.11, 2
+vCPUs) that cost exceeds the saving up to order 12 (both kinds, 111
+against 77 µs per graph at order 10, 170 against 143 at order 12) and wins
+from order 13 on (656 against 982 µs at order 16); hence the order limit.
+
 The depth-first search tries cardinalities k ascending from a greedy count
 of pairwise disjoint masks, each of which needs a landmark of its own; each
 k is a lexicographic search over landmarks, which at every node
@@ -111,6 +135,7 @@ from .graph import PACKED_MAX_ORDER, Edge, Graph, iter_bits
 NAIVE_MAX_ORDER = 16
 LATTICE_MAX_ORDER = 16  # most landmarks the subset lattice takes at once
 PACK_BYTES = 1 << 16  # most bytes in one operand of a grouped pair XOR
+TWINS_ABOVE_ORDER = 12  # twin landmarks are forced only above this order
 
 _ORDER = sys.byteorder
 
@@ -198,7 +223,7 @@ def _slot_layout(n: int, planes: int) -> tuple[str, str, int, tuple[int, ...], b
     return item, word, width, tuple(n << i for i in range(folds)), lane, pick
 
 
-def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
+def _packed_masks(sigs: Sequence[int], n: int, diam: int, forced: int = 0) -> memoryview:
     """Every pair's separator mask, some twice, for at most 16 landmarks.
 
     ``_separator_masks`` by a few whole-buffer operations.  The signatures
@@ -212,6 +237,12 @@ def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
     alone in its slot, one array item.  Sixteen landmarks take slots of at
     most 8 bytes, so K16's 120 edges, the most items, need 58,080 bytes per
     operand; ``_grouped_masks`` keeps larger orders in bounded memory.
+
+    Each landmark of the set ``forced``, highest first, then moves to the
+    top bit of every mask: the bits below it stay, the bits above it move
+    down one, and its own bit goes to bit n - 1.  The other landmarks keep
+    their order in the low bits, and a mask that ``forced`` hits reads at
+    least ``2**(n - |forced|)``.
     """
     item, _, width, shifts, lane, _ = _slot_layout(n, diam.bit_length())
     buf = array(item, sigs).tobytes()
@@ -223,6 +254,11 @@ def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
     for shift in shifts:
         d |= d >> shift
     d &= int.from_bytes(lane * (size // width), _ORDER)
+    if forced:
+        ones = int.from_bytes((1).to_bytes(width, _ORDER) * (size // width), _ORDER)
+        for z in sorted(iter_bits(forced), reverse=True):
+            below = (1 << z) - 1
+            d = d & ones * below | d >> 1 & ones * (((1 << n - 1) - 1) ^ below) | (d >> z & ones) << n - 1
     return memoryview(d.to_bytes(size, _ORDER)).cast(item)
 
 
@@ -306,7 +342,7 @@ def _tables(n: int) -> tuple[list[int], list[int]]:
 
 
 def _lattice_hitting_set(
-    masks: Iterable[int], n: int, max_k: int
+    masks: Iterable[int], n: int, max_k: int, fixed: int = 0
 ) -> tuple[int, ...] | None:
     """``_lex_least_hitting_set`` by one pass over the subset lattice.
 
@@ -316,13 +352,21 @@ def _lattice_hitting_set(
     landmark at a time; the smallest cardinality with a set left over
     wins, and among those sets the lexicographically least keeps the
     smallest landmarks it can, one at a time.
+
+    The top ``fixed`` landmarks are taken as chosen: the search runs over
+    the other ``n - fixed``, and a mask that any of the top ones hits is
+    met already.  Such a mask is at least ``2**(n - fixed)``, past the
+    characters that are read.
     """
-    hi, pop = _tables(n)
     # Character s of the string stands for bit full ^ s of the int, the
     # complement of mask s.
     marks = bytearray(b"0" * (1 << n))
     for m in masks:
         marks[m] = 49
+    if fixed:
+        n -= fixed
+        del marks[1 << n :]
+    hi, pop = _tables(n)
     bad = int(marks, 2)
     for i in range(n):
         bad |= (bad & hi[i]) >> (1 << i)
@@ -486,6 +530,25 @@ def _split_hitting_set(masks: list[int], n: int, max_k: int) -> tuple[int, ...] 
     return tuple(sorted(witness))
 
 
+def _forced_twins(adj: Sequence[int]) -> int:
+    """Every member but the largest of each twin class, as a landmark set.
+
+    Twins have equal open rows, or equal rows once each holds its own bit.
+    Below order 3 nothing is forced: K2's two vertices are twins, but no
+    landmark is needed to tell its one edge apart.
+    """
+    forced = 0
+    if len(adj) < 3:
+        return forced
+    for rows in (adj, [row | 1 << v for v, row in enumerate(adj)]):
+        last: dict[int, int] = {}
+        for v, row in enumerate(rows):
+            if row in last:
+                forced |= 1 << last[row]
+            last[row] = v
+    return forced
+
+
 def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> ResolveResult | None:
     sigs, diam = g.signatures()
     n = g.n
@@ -498,17 +561,32 @@ def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> Resolve
     bound = min(top, ground_size.bit_length())
     if max_k is not None and ground_size > (diam + 1) ** bound:
         return None
+    forced = fixed = 0
+    if n > TWINS_ABOVE_ORDER:
+        forced = _forced_twins(g.adj)
+        fixed = forced.bit_count()
+        top -= fixed
+        if top < 0:
+            return None
     if kind == "edge":
         sigs = _edge_signatures(sigs, g.edges, n)
     if n <= LATTICE_MAX_ORDER:
-        witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, top)
+        witness = _lattice_hitting_set(_packed_masks(sigs, n, diam, forced), n, top, fixed)
+        if forced and witness is not None:
+            kept = [z for z in range(n) if not forced >> z & 1]
+            witness = [kept[j] for j in witness]
     else:
         build = _grouped_masks if n <= PACKED_MAX_ORDER else _separator_masks
+        masks = build(sigs, n, diam)
+        if forced:
+            masks = [m for m in masks if not m & forced]
         # By popcount, then value: both builders give the search one order.
-        masks = sorted(sorted(build(sigs, n, diam)), key=int.bit_count)
+        masks = sorted(sorted(masks), key=int.bit_count)
         witness = _split_hitting_set(masks, n, top)
     if witness is None:
         return None
+    if forced:
+        witness = tuple(sorted([*iter_bits(forced), *witness]))
     return ResolveResult(kind, len(witness), witness)
 
 

@@ -107,10 +107,6 @@ def solved_dims(g: Graph) -> tuple[int, int]:
     return metric_dimension(g).dimension, edge_metric_dimension(g).dimension
 
 
-def solved_gadget_dims(n1: int, n2: int, n3: int) -> tuple[int, int]:
-    return solved_dims(make_gadget(n1, n2, n3).graph)
-
-
 def confirm_dims(
     graph,
     expected_dim: int,
@@ -197,7 +193,7 @@ def ratio_witness(q) -> RatioWitness:
     return RatioWitness(chain, ell, *expected_chain_dims(n1, n3, ell), *confirmed)
 
 
-def suite_observation1(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_observation1(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
         dim, edim = gadget_dims(n1, n2, n3)
         yield (
@@ -206,9 +202,9 @@ def suite_observation1(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
         )
 
 
-def suite_lemma2(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_lemma2(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
-        g = make_gadget(n1, n2, n3)
+        g = gadget(n1, n2, n3)
         bp = BasisBlueprint.for_cycle(n1)
         extended = sorted(
             [g.vertex("j", k) for k in range(1, n3)]
@@ -232,25 +228,25 @@ def suite_lemma2(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
         )
 
 
-def suite_lemma3(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_lemma3(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
         expected = expected_chain_dims(n1, n3)[0]
         dim, _ = gadget_dims(n1, n2, n3)
         yield f"G({n1},{n2},{n3}): dim={dim}, expected {expected}", dim == expected
 
 
-def suite_lemma4(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_lemma4(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
         expected = expected_chain_dims(n1, n3)[1]
         _, edim = gadget_dims(n1, n2, n3)
         yield f"G({n1},{n2},{n3}): edim={edim}, expected {expected}", edim == expected
 
 
-def suite_lemma5(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_lemma5(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
     for p1 in _grid(grid).lemma5_firsts:
         for p2 in ((5, 1, 2), (6, 1, 2)):
-            g1 = make_gadget(*p1)
-            g2 = make_gadget(*p2)
+            g1 = gadget(*p1)
+            g2 = gadget(*p2)
             d1, e1 = gadget_dims(*p1)
             d2, e2 = gadget_dims(*p2)
             alpha = BasisBlueprint.for_cycle(p1[0]).alpha
@@ -263,13 +259,13 @@ def suite_lemma5(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
             )
 
 
-def suite_lemma6(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_lemma6(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
     for n1, ell in chain_grid(grid):
         ok, detail, expected = certify_chain(n1, 1, 2, ell)
         yield f"L^{ell}({n1},1,2) expects {expected}: {detail}", ok
 
 
-def suite_theorem1(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_theorem1(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
     for r, t in _grid(grid).theorem1_targets:
         base = chain_order(5, 1, r, t - r) if r < t else chain_order(6, 1, t, r - t)
         for order in (base, base + 1, base + 5):
@@ -281,7 +277,7 @@ def suite_theorem1(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
             )
 
 
-def suite_theorem2(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_theorem2(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
     target = _grid(grid).theorem2_target
     w = ratio_witness(target)
     yield (
@@ -298,8 +294,9 @@ def suite_theorem2(grid: str, gadget_dims) -> Iterator[tuple[str, bool]]:
         )
 
 
-# Each suite is called as ``suite(grid, gadget_dims)`` and yields (label, ok)
-# rows; ``gadget_dims(n1, n2, n3)`` gives a gadget's solved (dim, edim).
+# Each suite is called as ``suite(grid, gadget, gadget_dims)`` and yields
+# (label, ok) rows; ``gadget(n1, n2, n3)`` gives a gadget's FamilyGraph and
+# ``gadget_dims(n1, n2, n3)`` its solved (dim, edim).
 SUITES = {
     "observation1": suite_observation1,
     "lemma2": suite_lemma2,
@@ -318,14 +315,16 @@ def run_suites(names: list[str] | None = None, grid: str = "small") -> list[Suit
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}")
-    # One solve per gadget for the whole call; a fresh cache each call, so
-    # repeated runs repeat the work.
-    gadget_dims = cache(solved_gadget_dims)
+    # One build and one solve per gadget for the whole call, so the generator
+    # checks and the solves share each gadget's cached signatures; fresh
+    # caches each call, so repeated runs repeat the work.
+    gadget = cache(make_gadget)
+    gadget_dims = cache(lambda n1, n2, n3: solved_dims(gadget(n1, n2, n3).graph))
     results = []
     for name in names:
         res = SuiteResult(name)
         t0 = time.monotonic()
-        for label, ok in SUITES[name](grid, gadget_dims):
+        for label, ok in SUITES[name](grid, gadget, gadget_dims):
             res.check(label, ok)
         res.seconds = time.monotonic() - t0
         results.append(res)

@@ -32,7 +32,7 @@ from metricdim import (
 from metricdim.scan import enumerate_labeled_connected
 from metricdim.families import BasisBlueprint, glue, make_chain
 from metricdim import solver
-from metricdim.graph import PACKED_MAX_ORDER
+from metricdim.graph import PACKED_MAX_ORDER, iter_bits
 from metricdim.solver import (
     LATTICE_MAX_ORDER,
     _components,
@@ -412,6 +412,93 @@ def test_packed_masks_match_pairwise_masks(monkeypatch):
             sigs, diam = g.signatures()
             for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
                 assert _grouped_masks(ground, g.n, diam) == _separator_masks(ground, g.n, diam)
+
+
+@pytest.mark.parametrize("k", [2, 3, 90, 120, 300])
+def test_stars_force_their_leaves(k):
+    # the k leaves of K1,k form one twin class, so every leaf but the last
+    # is a landmark and no leaf-pair mask reaches the search
+    star = Graph.from_edges(k + 1, [(0, leaf) for leaf in range(1, k + 1)])
+    for fast in (metric_dimension, edge_metric_dimension):
+        res = fast(star)
+        assert res.dimension == k - 1
+        assert res.witness == tuple(range(1, k))
+        assert fast(star, max_k=k - 2) is None
+
+
+def _twin_pairs(g):
+    # u and v are twins when N(u) - {v} = N(v) - {u}
+    return [
+        (u, v)
+        for u, v in combinations(range(g.n), 2)
+        if not (g.adj[u] ^ g.adj[v]) & ~(1 << u | 1 << v)
+    ]
+
+
+def test_twin_rule_matches_naive_oracle_on_small_orders(monkeypatch):
+    # with the order limit lowered, the rule serves every labelled
+    # connected graph of orders 3-6 that has a twin pair
+    monkeypatch.setattr(solver, "TWINS_ABOVE_ORDER", 2)
+    count = 0
+    for n in range(3, 7):
+        for g in enumerate_labeled_connected(n):
+            twins = bool(_twin_pairs(g))
+            assert (solver._forced_twins(g.adj) != 0) == twins
+            if not twins:
+                continue
+            count += 1
+            assert (metric_dimension(g), edge_metric_dimension(g)) == naive_results(g)
+    assert count == 14898
+    # K2's vertices are twins, yet its one edge needs no landmark
+    monkeypatch.setattr(solver, "TWINS_ABOVE_ORDER", 0)
+    k2 = make_path(2)
+    assert (metric_dimension(k2).dimension, edge_metric_dimension(k2).dimension) == (1, 0)
+    assert (metric_dimension(k2).witness, edge_metric_dimension(k2).witness) == ((0,), ())
+
+
+def _planted_twin_graph(rng, n):
+    """A random connected graph of order n with open and closed twin classes.
+
+    Each new vertex copies the row of a vertex already there, with (closed)
+    or without (open) an edge to it; the labels are shuffled at the end.
+    """
+    base = rng.randrange(n // 2, n - 1)
+    adj = list(random_connected_graph(rng, base, extra=rng.randrange(0, base)).adj)
+    while len(adj) < n:
+        v, w = rng.randrange(base), len(adj)
+        row = adj[v] | (1 << v if rng.random() < 0.5 else 0)
+        adj.append(row)
+        for u in iter_bits(row):
+            adj[u] |= 1 << w
+    g = Graph(n, adj)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_twin_rule_keeps_witnesses_and_caps(monkeypatch):
+    # orders 13-16 move the forced landmarks to the top of the lattice,
+    # larger orders drop the masks they hit before the split; both must
+    # give the witnesses and capped results of the search without the rule
+    rng = random.Random(113)
+    graphs = [_planted_twin_graph(rng, n) for n in range(13, 41) for _ in range(4)]
+    kinds = {g.has_edge(u, v) for g in graphs for u, v in _twin_pairs(g)}
+    assert kinds == {False, True}  # open and closed twins both occur
+    assert solver.TWINS_ABOVE_ORDER < 13
+    assert all(solver._forced_twins(g.adj) for g in graphs)
+
+    def solve_all():
+        rows = []
+        for g in graphs:
+            for fast in (metric_dimension, edge_metric_dimension):
+                full = fast(g)
+                d = full.dimension
+                rows.append((full, fast(g, max_k=d), fast(g, max_k=d - 1)))
+        return rows
+
+    with_rule = solve_all()
+    monkeypatch.setattr(solver, "TWINS_ABOVE_ORDER", 10**6)
+    assert solve_all() == with_rule
 
 
 def test_edge_signatures_match_resolution_vectors():

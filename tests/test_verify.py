@@ -7,10 +7,12 @@ from metricdim import (
     is_edge_metric_generator,
     is_metric_generator,
     make_chain,
+    make_gadget,
     metric_dimension,
     verify,
 )
 from metricdim.verify import (
+    GRIDS,
     SUITES,
     certify_chain,
     expected_chain_dims,
@@ -86,6 +88,23 @@ def test_theorem2_solves_its_chain_once(monkeypatch):
         "PASS  solver confirms (4, 2)",
     ]
     assert calls == [22]
+
+
+def test_run_suites_builds_each_gadget_once(monkeypatch):
+    # every suite takes its gadgets from one cache per run_suites call, and
+    # no cache outlives the call
+    built = []
+
+    def counted(*params):
+        built.append(params)
+        return make_gadget(*params)
+
+    monkeypatch.setattr(verify, "make_gadget", counted)
+    glued = [(5, 1, 2), (6, 1, 2), *GRIDS["small"].lemma5_firsts]
+    for _ in range(2):
+        built.clear()
+        assert all(res.passed for res in run_suites(grid="small"))
+        assert sorted(built) == sorted(set(gadget_grid("small") + glued))
 
 
 @pytest.mark.parametrize("n1", [5, 6])
