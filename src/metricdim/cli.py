@@ -24,9 +24,7 @@ from typing import Sequence
 
 from .families import (
     FamilyGraph,
-    InvalidParams,
-    RealizeError,
-    chain_order,
+    minimum_realizable_order,
     parse_family_spec,
     plain_graph,
     realize,
@@ -41,7 +39,7 @@ from .scan import (
     verify_small_orders,
 )
 from .solver import edge_metric_dimension, metric_dimension
-from .verify import GRIDS, SUITES, ratio_chain, ratio_witness, run_suites, solved_dims
+from .verify import GRIDS, SUITES, ratio_dim, ratio_witness, run_suites, solved_dims
 
 FAMILY_SPEC_EXAMPLES = (
     "G:7,3,4",
@@ -138,9 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="instead of suites, exhaust all connected graphs with 3 <= n <= N (N <= 7)",
-    )
-    sub.add_argument(
-        "--jobs", type=int, default=1, help="ignored: the census runs in one process"
     )
     sub.set_defaults(func=_cmd_verify)
 
@@ -266,7 +261,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.small_orders is not None:
-        report = verify_small_orders(args.small_orders, jobs=args.jobs)
+        report = verify_small_orders(args.small_orders)
         for n in sorted(report.histograms):
             hist = " ".join(
                 f"{gap:+d}:{count}" for gap, count in report.histograms[n].items()
@@ -294,7 +289,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    _check_order(chain_order(*ratio_chain(args.target)), "the ratio witness")
+    _check_order(minimum_realizable_order(ratio_dim(args.target), 2), "the ratio witness")
     w = ratio_witness(args.target)
     record = encode_graph6(w.graph.graph)
     print(f"g6={record}")
@@ -316,10 +311,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, OrderTooLarge, CheckpointMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, Graph6Error, InvalidParams, RealizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:  # OSError: an unreadable input or a closed stdout
+    except (GraphError, ValueError, OSError) as exc:  # OSError: an unreadable input or a closed stdout
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

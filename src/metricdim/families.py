@@ -5,9 +5,9 @@ tail path ``b_1..b_n2`` (joined at ``a_2``), a pendant ``c`` at ``a_n1``, and
 a hub ``i`` at ``a_1`` holding ``n3`` pendants ``j_1..j_n3``.  Whether the
 cycle length is odd or even decides which of the two dimensions (vertex or
 edge) stays at ``n3`` and which grows, and chaining copies of the gadget
-through single bridge edges widens that gap one unit per copy.  The
-``realize`` constructor picks cycle length 5 or 6 and a chain length to hit
-any prescribed pair of dimensions at any sufficiently large order.
+through single bridge edges widens that gap one unit per copy.
+``target_chain`` picks the cycle and chain lengths for any prescribed pair
+of dimensions, and ``realize`` builds that chain at any large enough order.
 
 Vertex ids inside a copy are assigned in the fixed order
 ``a_1..a_n1, b_1..b_n2, c, i, j_1..j_n3`` and copies are concatenated, so
@@ -270,28 +270,22 @@ def canonical_basis(
     size ``n3 + ell``.  Odd cycles use the compact set for vertices and the
     extended one for edges; even cycles swap the two roles.
     """
-    params = FamilyParams(n1, n2, n3, ell).validate()
+    FamilyParams(n1, n2, n3, ell).validate()
     if kind not in ("vertex", "edge"):
         raise ValueError(f"kind must be 'vertex' or 'edge', got {kind!r}")
     bp = BasisBlueprint.for_cycle(n1)
-    compact = (n1 % 2 == 1) == (kind == "vertex")
-    basis = _chain_basis(params, bp, compact)
-    return tuple(sorted(basis))
 
-
-def _chain_basis(p: FamilyParams, bp: BasisBlueprint, compact: bool) -> list[int]:
     def anchor(t: int, copy: int) -> int:
-        return _copy_base(p.n1, p.n2, p.n3, copy) + t - 1
+        return _copy_base(n1, n2, n3, copy) + t - 1
 
-    hub = p.n1 + p.n2 + 1  # i of copy 1; its pendant j_k is hub + k
-    out = [hub + k for k in range(1, p.n3)]
-    if compact:
-        out.append(anchor(bp.alpha, p.ell))
+    hub = n1 + n2 + 1  # i of copy 1; its pendant j_k is hub + k
+    basis = [hub + k for k in range(1, n3)]
+    if (n1 % 2 == 1) == (kind == "vertex"):  # the compact set
+        basis.append(anchor(bp.alpha, ell))
     else:
-        out += [anchor(bp.beta, k) for k in range(1, p.ell)]
-        out.append(anchor(bp.alpha, p.ell))
-        out.append(anchor(bp.beta, p.ell))
-    return out
+        basis += [anchor(bp.beta, k) for k in range(1, ell)]
+        basis += [anchor(bp.alpha, ell), anchor(bp.beta, ell)]
+    return tuple(sorted(basis))
 
 
 def make_path(n: int) -> Graph:
@@ -316,8 +310,13 @@ def make_complete(n: int) -> Graph:
     )
 
 
-def minimum_realizable_order(dim_target: int, edim_target: int) -> int:
-    """Smallest order the realization construction can hit for the targets."""
+def target_chain(dim_target: int, edim_target: int) -> tuple[int, int, int]:
+    """Chain ``(n1, n3, ell)`` whose dimensions are the targets.
+
+    Odd (length 5) cycles pin the vertex dimension at ``n3`` and let the
+    edge dimension grow one unit per copy; even (length 6) cycles do the
+    opposite.  ``expected_chain_dims`` is the inverse.
+    """
     if dim_target < 2 or edim_target < 2:
         raise InvalidTarget("both dimension targets must be at least 2")
     if dim_target == edim_target:
@@ -325,28 +324,37 @@ def minimum_realizable_order(dim_target: int, edim_target: int) -> int:
             "equal vertex and edge dimension targets are not constructible here"
         )
     if dim_target < edim_target:
-        return chain_order(5, 1, dim_target, edim_target - dim_target)
-    return chain_order(6, 1, edim_target, dim_target - edim_target)
+        return 5, dim_target, edim_target - dim_target
+    return 6, edim_target, dim_target - edim_target
+
+
+def expected_chain_dims(n1: int, n3: int, ell: int = 1) -> tuple[int, int]:
+    """Predicted (dim, edim) of an ``ell``-copy chain, split by cycle parity."""
+    if n1 % 2 == 1:
+        return n3, n3 + ell
+    return n3 + ell, n3
+
+
+def minimum_realizable_order(dim_target: int, edim_target: int) -> int:
+    """Smallest order the realization construction can hit for the targets."""
+    n1, n3, ell = target_chain(dim_target, edim_target)
+    return chain_order(n1, 1, n3, ell)
 
 
 def realize(dim_target: int, edim_target: int, order: int) -> FamilyGraph:
     """Graph of exactly ``order`` vertices with the prescribed dimensions.
 
-    Odd (length 5) cycles pin the vertex dimension and let the edge
-    dimension grow with the chain; even (length 6) cycles do the opposite.
-    All slack between the minimum order and the requested one is absorbed
-    by the tail of copy 1.
+    The chain is the one ``target_chain`` names; all slack between the
+    minimum order and the requested one is absorbed by the tail of copy 1.
     """
-    n0 = minimum_realizable_order(dim_target, edim_target)
+    n1, n3, ell = target_chain(dim_target, edim_target)
+    n0 = chain_order(n1, 1, n3, ell)
     if order < n0:
         raise OrderTooSmall(
             f"targets ({dim_target}, {edim_target}) need order >= {n0}, got {order}",
             minimum_order=n0,
         )
-    tail = 1 + order - n0
-    if dim_target < edim_target:
-        return make_chain(5, tail, dim_target, edim_target - dim_target)
-    return make_chain(6, tail, edim_target, dim_target - edim_target)
+    return make_chain(n1, 1 + order - n0, n3, ell)
 
 
 def parse_family_spec(spec: str):

@@ -169,15 +169,6 @@ def _evaluate(g: Graph, pred: Predicate) -> tuple[int, int] | None:
     return dim, edim_res.dimension
 
 
-def _connected(g: Graph) -> bool:
-    """Connectivity from the cached signatures: the solves' one BFS pass."""
-    try:
-        g.signatures()
-    except DisconnectedGraph:
-        return False
-    return True
-
-
 def _scan_batch(payload: tuple[list[tuple[int, str]], Predicate]):
     batch, pred = payload
     decoded = connected = 0
@@ -190,10 +181,11 @@ def _scan_batch(payload: tuple[list[tuple[int, str]], Predicate]):
             errors.append((lineno, str(exc)))
             continue
         decoded += 1
-        if not _connected(g):
+        try:
+            dims = _evaluate(g, pred)
+        except DisconnectedGraph:  # from the first solve's one BFS pass
             continue
         connected += 1
-        dims = _evaluate(g, pred)
         if dims is not None:
             matches.append(ScanMatch(lineno, line, *dims))
     return len(batch), decoded, connected, errors, matches
@@ -437,9 +429,10 @@ def _census_order(n: int) -> tuple[dict[int, int], list[str], int]:
     checked = 0
     for rep, orbit in _orbits(n):
         g = Graph(n, _mask_rows(rep, pairs, n), _validate=False)
-        if not _connected(g):
+        try:
+            dim = metric_dimension(g).dimension
+        except DisconnectedGraph:
             continue
-        dim = metric_dimension(g).dimension
         edim = edge_metric_dimension(g).dimension
         hist[dim - edim] = hist.get(dim - edim, 0) + len(orbit)
         checked += len(orbit)

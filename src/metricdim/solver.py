@@ -409,10 +409,10 @@ def _lex_least_hitting_set(
 
     def rec(start: int, rem: int, r: int) -> tuple[int, ...] | None:
         if not rem:
-            # Everything already hit; lex-least completion wins.
-            if n - start >= r:
-                return (*prefix, *range(start, start + r))
-            return None
+            # Here r == 0: every landmark taken hit a remaining mask, and k
+            # rises from a lower bound, so a spare landmark would mean a
+            # smaller hitting set that an earlier k found.
+            return tuple(prefix)
         if r == 0 or rem & ~above[start]:
             return None
         if r == 1:

@@ -22,11 +22,13 @@ from .families import (
     BasisBlueprint,
     FamilyGraph,
     canonical_basis,
-    chain_order,
+    expected_chain_dims,
     glue,
     make_chain,
     make_gadget,
+    minimum_realizable_order,
     realize,
+    target_chain,
 )
 from .graph import Graph
 from .solver import (
@@ -90,62 +92,35 @@ def gadget_grid(grid: str) -> list[tuple[int, int, int]]:
     return _grid(grid).gadgets
 
 
-def chain_grid(grid: str) -> list[tuple[int, int]]:
-    """(n1, ell) pairs for the chain suite; tail and pendants stay minimal."""
-    return _grid(grid).chains
-
-
-def expected_chain_dims(n1: int, n3: int, ell: int = 1) -> tuple[int, int]:
-    """Predicted (dim, edim) of an ``ell``-copy chain, split by cycle parity."""
-    if n1 % 2 == 1:
-        return n3, n3 + ell
-    return n3 + ell, n3
-
-
 def solved_dims(g: Graph) -> tuple[int, int]:
     """Exact (dim, edim) of a connected graph, by two full solves."""
     return metric_dimension(g).dimension, edge_metric_dimension(g).dimension
 
 
-def confirm_dims(
-    graph,
-    expected_dim: int,
-    expected_edim: int,
-    vertex_basis: tuple[int, ...],
-    edge_basis: tuple[int, ...],
-    solved: tuple[int, int] | None = None,
-) -> tuple[bool, str]:
-    """Certify exact dimensions of a (possibly large) family graph.
-
-    Small orders get a full solve, unless ``solved`` already holds its
-    (dim, edim).  Larger ones are certified by checking that the given
-    bases, of the expected sizes, generate and by exhausting all subsets
-    one landmark smaller, which bounds the dimension from both sides.
-    """
-    if graph.n <= FULL_SOLVE_ORDER_LIMIT:
-        dims = solved or solved_dims(graph)
-        return dims == (expected_dim, expected_edim), f"solved (dim, edim) = {dims}"
-    upper_dim = is_metric_generator(graph, vertex_basis)
-    upper_edim = is_edge_metric_generator(graph, edge_basis)
-    lower_dim = metric_dimension(graph, max_k=expected_dim - 1) is None
-    lower_edim = edge_metric_dimension(graph, max_k=expected_edim - 1) is None
-    ok = upper_dim and upper_edim and lower_dim and lower_edim
-    return ok, (
-        f"basis sizes ({expected_dim}, {expected_edim}) generate: "
-        f"{upper_dim}/{upper_edim}; smaller refuted: {lower_dim}/{lower_edim}"
-    )
-
-
 def certify_chain(
     n1: int, n2: int, n3: int, ell: int, solved: tuple[int, int] | None = None
 ) -> tuple[bool, str, tuple[int, int]]:
+    """Certify the predicted (dim, edim) of ``make_chain(n1, n2, n3, ell)``.
+
+    Small orders get a full solve, unless ``solved`` already holds its
+    (dim, edim).  Larger ones are certified by checking that the canonical
+    bases, of the expected sizes, generate and by exhausting all subsets
+    one landmark smaller, which bounds the dimension from both sides.
+    """
     expected = expected_chain_dims(n1, n3, ell)
-    ok, detail = confirm_dims(
-        make_chain(n1, n2, n3, ell).graph,
-        *expected,
-        canonical_basis(n1, n2, n3, ell, kind="vertex"),
-        canonical_basis(n1, n2, n3, ell, kind="edge"),
-        solved,
+    graph = make_chain(n1, n2, n3, ell).graph
+    if graph.n <= FULL_SOLVE_ORDER_LIMIT:
+        dims = solved or solved_dims(graph)
+        return dims == expected, f"solved (dim, edim) = {dims}", expected
+    dim, edim = expected
+    upper_dim = is_metric_generator(graph, canonical_basis(n1, n2, n3, ell, kind="vertex"))
+    upper_edim = is_edge_metric_generator(graph, canonical_basis(n1, n2, n3, ell, kind="edge"))
+    lower_dim = metric_dimension(graph, max_k=dim - 1) is None
+    lower_edim = edge_metric_dimension(graph, max_k=edim - 1) is None
+    ok = upper_dim and upper_edim and lower_dim and lower_edim
+    detail = (
+        f"basis sizes ({dim}, {edim}) generate: "
+        f"{upper_dim}/{upper_edim}; smaller refuted: {lower_dim}/{lower_edim}"
     )
     return ok, detail, expected
 
@@ -166,31 +141,30 @@ class RatioWitness:
         return Fraction(self.predicted_dim, self.predicted_edim)
 
 
-def ratio_chain(q) -> tuple[int, int, int, int]:
-    """Chain parameters ``(n1, n2, n3, ell)`` of the witness for ``q >= 1``.
-
-    Even six-cycles pin the edge dimension at two while each extra copy adds
-    one to the vertex dimension, so ``ell`` copies give ratio ``(2+ell)/2``.
-    """
-    q = Fraction(q)
+def ratio_dim(q) -> int:
+    """Vertex dimension of the witness for ratio ``q >= 1`` at edge dimension 2."""
+    try:
+        q = Fraction(q)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed ratio target {q!r}: {exc}") from None
     if q < 1:
         raise ValueError(f"ratio target must be at least 1, got {q}")
-    return 6, 1, 2, max(1, math.ceil(2 * q - 2))
+    return max(3, math.ceil(2 * q))
 
 
 def ratio_witness(q) -> RatioWitness:
-    """Chain whose vertex-to-edge dimension ratio is at least ``q >= 1``.
+    """Graph whose vertex-to-edge dimension ratio is at least ``q >= 1``.
 
-    The chain is the one ``ratio_chain(q)`` describes.  Its dimensions are
+    It is the smallest ``realize(ratio_dim(q), 2, n)``.  Its dimensions are
     confirmed by the exact solver when its order is at most
     ``FULL_SOLVE_ORDER_LIMIT``.
     """
-    n1, n2, n3, ell = ratio_chain(q)
-    chain = make_chain(n1, n2, n3, ell)
+    dim = ratio_dim(q)
+    chain = realize(dim, 2, minimum_realizable_order(dim, 2))
     confirmed = (None, None)
     if chain.graph.n <= FULL_SOLVE_ORDER_LIMIT:
         confirmed = solved_dims(chain.graph)
-    return RatioWitness(chain, ell, *expected_chain_dims(n1, n3, ell), *confirmed)
+    return RatioWitness(chain, chain.copies, dim, 2, *confirmed)
 
 
 def suite_observation1(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
@@ -260,14 +234,14 @@ def suite_lemma5(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
 
 
 def suite_lemma6(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
-    for n1, ell in chain_grid(grid):
+    for n1, ell in _grid(grid).chains:
         ok, detail, expected = certify_chain(n1, 1, 2, ell)
         yield f"L^{ell}({n1},1,2) expects {expected}: {detail}", ok
 
 
 def suite_theorem1(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
     for r, t in _grid(grid).theorem1_targets:
-        base = chain_order(5, 1, r, t - r) if r < t else chain_order(6, 1, t, r - t)
+        base = minimum_realizable_order(r, t)
         for order in (base, base + 1, base + 5):
             fam = realize(r, t, order)
             dim, edim = solved_dims(fam.graph)
@@ -285,8 +259,9 @@ def suite_theorem2(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]
         w.predicted_ratio >= target,
     )
     confirmed = None if w.confirmed_dim is None else (w.confirmed_dim, w.confirmed_edim)
-    ok, detail, _ = certify_chain(6, 1, 2, w.ell, confirmed)
-    yield f"L^{w.ell}(6,1,2): {detail}", ok
+    n1, n3, ell = target_chain(w.predicted_dim, w.predicted_edim)
+    ok, detail, _ = certify_chain(n1, 1, n3, ell, confirmed)
+    yield f"L^{ell}({n1},1,{n3}): {detail}", ok
     if confirmed is not None:
         yield (
             f"solver confirms {confirmed}",

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import metricdim
 from metricdim import decode_graph6, encode_graph6, make_cycle, parse_family_spec
 from metricdim.cli import FAMILY_SPEC_EXAMPLES, main
 
@@ -162,6 +168,23 @@ def test_ratio_command(capsys):
     assert code == 0
     assert "predicted dim=4 edim=2" in out
     assert "confirmed dim=4 edim=2" in out
+
+
+@pytest.mark.parametrize("target", ["1/0", "abc", "0.5"])
+def test_ratio_rejects_a_bad_target_without_a_traceback(target):
+    # run as a command, so an uncaught exception would print its traceback
+    src = str(Path(metricdim.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "metricdim", "ratio", "--target", target],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
+    assert not done.stdout
 
 
 def test_help_family_specs_parse():

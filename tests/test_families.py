@@ -28,6 +28,7 @@ from metricdim import (
     parse_family_spec,
     realize,
 )
+from metricdim.families import expected_chain_dims, target_chain
 from conftest import relabel
 
 
@@ -238,6 +239,20 @@ def test_realize_examples():
     assert fam.graph.n == 23
     assert metric_dimension(fam.graph).dimension == 2
     assert edge_metric_dimension(fam.graph).dimension == 4
+
+
+def test_target_chain_round_trips():
+    for r in range(2, 10):
+        for t in range(2, 10):
+            if r == t:
+                continue
+            n1, n3, ell = target_chain(r, t)
+            assert expected_chain_dims(n1, n3, ell) == (r, t)
+            assert minimum_realizable_order(r, t) == chain_order(n1, 1, n3, ell)
+    with pytest.raises(InvalidTarget):
+        target_chain(1, 3)
+    with pytest.raises(EqualDimensionsUnsupported):
+        target_chain(4, 4)
 
 
 def test_realize_large_order_keeps_prescribed_bases():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from metricdim import (
@@ -62,12 +65,24 @@ def test_certify_chain_detects_wrong_expectation():
 
 
 def test_one_full_solve_limit_serves_witness_and_certificate(monkeypatch):
-    # ratio_witness and confirm_dims read the same limit: raised to the
+    # ratio_witness and certify_chain read the same limit: raised to the
     # order-44 chain of ratio 3, both solve it outright
     monkeypatch.setattr(verify, "FULL_SOLVE_ORDER_LIMIT", 44)
     w = ratio_witness(3)
     assert (w.confirmed_dim, w.confirmed_edim) == (6, 2)
     assert certify_chain(6, 1, 2, 4) == (True, "solved (dim, edim) = (6, 2)", (6, 2))
+
+
+@pytest.mark.parametrize("q", [1, Fraction(3, 2), 2, Fraction(9, 4), 3, 16])
+def test_ratio_witness_is_the_even_cycle_chain(q):
+    # the witness is a realization, and the even-cycle chain formula is its
+    # reference
+    ell = max(1, math.ceil(2 * q - 2))
+    reference = make_chain(6, 1, 2, ell).graph
+    w = ratio_witness(q)
+    assert (w.graph.graph.n, w.graph.graph.adj) == (reference.n, reference.adj)
+    assert w.ell == ell
+    assert (w.predicted_dim, w.predicted_edim) == (2 + ell, 2)
 
 
 def test_theorem2_solves_its_chain_once(monkeypatch):
