@@ -6,6 +6,8 @@ import math
 import os
 import random
 import re
+import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -33,7 +35,7 @@ from metricdim import (
     scan,
     verify_small_orders,
 )
-from metricdim.scan import CheckpointMismatch, _orbits, _relabellings
+from metricdim.scan import CheckpointMismatch, _orbit_representatives, _pair_columns
 from conftest import (
     labelled_graphs,
     naive_results,
@@ -431,17 +433,40 @@ def test_verify_small_orders_basic():
         verify_small_orders(2)
 
 
+def _image_strings(images: int, n: int) -> set[int]:
+    code, size, _, _ = _pair_columns(n)
+    return set(array(code, images.to_bytes(size, sys.byteorder)))
+
+
 def test_relabelling_orbit_sizes():
     for n in range(3, 8):
         pairs = list(combinations(range(n), 2))
+        sizes = {rep: size for rep, size, _ in _orbit_representatives(n)}
+        columns = _pair_columns(n)[3]
 
         def orbit_size(edges) -> int:
-            return len(_relabellings(sum(1 << pairs.index(e) for e in edges), n))
+            orbit = _image_strings(sum(columns[pairs.index(e)] for e in edges), n)
+            assert sizes[max(orbit)] == len(orbit)
+            return len(orbit)
 
         assert orbit_size([]) == 1
         assert orbit_size(pairs) == 1
         assert orbit_size([(v, v + 1) for v in range(n - 1)]) == math.factorial(n) // 2
         assert orbit_size([(0, v) for v in range(1, n)]) == n
+
+
+def _relabelled_strings(string: int, n: int) -> list[int]:
+    """The string of each relabelling of an order-n edge set, brute force.
+
+    Pair j of ``combinations(range(n), 2)`` is bit E-1-j of the string.
+    """
+    pairs = list(combinations(range(n), 2))
+    bit = {pair: 1 << len(pairs) - 1 - j for j, pair in enumerate(pairs)}
+    edges = [pair for pair in pairs if string & bit[pair]]
+    return [
+        sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
+        for p in permutations(range(n))
+    ]
 
 
 def test_orbits_partition_edge_masks_into_isomorphism_classes():
@@ -452,22 +477,45 @@ def test_orbits_partition_edge_masks_into_isomorphism_classes():
     connected = {3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
     for n in range(3, 8):
         pairs = list(combinations(range(n), 2))
-        index = {pair: i for i, pair in enumerate(pairs)}
         found = linked = 0
-        for rep, orbit in _orbits(n):
+        for rep, size, images in _orbit_representatives(n):
             found += 1
-            edges = [pair for i, pair in enumerate(pairs) if rep >> i & 1]
+            edges = [pair for j, pair in enumerate(pairs) if rep >> len(pairs) - 1 - j & 1]
             reach = {0}
             for _ in range(n):
                 reach |= {w for u, v in edges if u in reach or v in reach for w in (u, v)}
             linked += len(reach) == n
             if n <= 5:
-                images = {
-                    sum(1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
-                    for p in permutations(range(n))
-                }
-                assert orbit == images and rep == min(images)
+                relabelled = set(_relabelled_strings(rep, n))
+                orbit = _image_strings(images, n)
+                assert orbit == relabelled and rep == max(relabelled)
+                assert size == len(orbit)
         assert (found, linked) == (graphs[n], connected[n])
+
+
+def test_orderly_generation_yields_each_max_canonical_mask_once():
+    # the representatives are exactly the masks whose string no relabelling
+    # exceeds, each with orbit size n!/|Aut|, |Aut| counted by brute force
+    for n in range(1, 8):
+        orbits = [(rep, size) for rep, size, _ in _orbit_representatives(n)]
+        assert sum(size for _, size in orbits) == 1 << n * (n - 1) // 2
+        assert len({rep for rep, _ in orbits}) == len(orbits)
+        if n <= 5:
+            canonical = {}
+            for string in range(1 << n * (n - 1) // 2):
+                images = _relabelled_strings(string, n)
+                if string == max(images):
+                    canonical[string] = math.factorial(n) // images.count(string)
+            assert dict(orbits) == canonical
+
+
+def test_orbit_coverage_check_rejects_a_corrupted_column(monkeypatch):
+    scan_module = importlib.import_module("metricdim.scan")
+    code, size, ones, columns = _pair_columns(4)
+    broken = (code, size, ones, [columns[0] & ~ones, *columns[1:]])
+    monkeypatch.setattr(scan_module, "_pair_columns", lambda n: broken)
+    with pytest.raises(AssertionError, match="order-4 orbits cover"):
+        list(_orbit_representatives(4))
 
 
 def test_census_matches_naive_oracle():
@@ -494,6 +542,51 @@ def test_census_self_check_rejects_a_wrong_edim(monkeypatch):
     monkeypatch.setattr(scan_module, "edge_metric_dimension", off_by_two)
     with pytest.raises(AssertionError, match="census solver disagrees"):
         verify_small_orders(4)
+
+
+def test_census_lists_every_labelled_offender_in_mask_order(monkeypatch):
+    # a solver and oracle that both read an edim of 3 or more as 2 lower make
+    # offending orbits; the census lists each of their labelled members, in
+    # the edge-mask order of enumerate_labeled_connected
+    scan_module = importlib.import_module("metricdim.scan")
+
+    def lowered(solve):
+        def wrapped(g):
+            res = solve(g)
+            if res.dimension < 3:
+                return res
+            return dataclasses.replace(res, dimension=res.dimension - 2)
+
+        return wrapped
+
+    monkeypatch.setattr(scan_module, "edge_metric_dimension", lowered(edge_metric_dimension))
+    monkeypatch.setattr(
+        scan_module, "edge_metric_dimension_naive", lowered(edge_metric_dimension_naive)
+    )
+    expected = []
+    for n in range(3, 6):
+        for g in enumerate_labeled_connected(n):
+            dim, edim = (res.dimension for res in naive_results(g))
+            if 3 <= edim < dim + 2:
+                expected.append((n, encode_graph6(g)))
+    assert len(expected) > 100
+    assert verify_small_orders(5).violations == expected
+
+
+def test_census_self_check_re_solves_sampled_members(monkeypatch):
+    # an edim raised by one leaves every orbit inoffensive, so only the
+    # sampled labelled graphs (masks 9973, 19946 and 29919 at order 6) catch it
+    scan_module = importlib.import_module("metricdim.scan")
+    real = scan_module.edge_metric_dimension
+
+    def off_by_one(g):
+        res = real(g)
+        return dataclasses.replace(res, dimension=res.dimension + 1)
+
+    monkeypatch.setattr(scan_module, "edge_metric_dimension", off_by_one)
+    verify_small_orders(5)  # its one sampled mask, 0, is disconnected
+    with pytest.raises(AssertionError, match="census solver disagrees"):
+        verify_small_orders(6)
 
 
 def test_verify_small_orders_jobs_agree():
