@@ -7,9 +7,7 @@ codec, and predicate scans over exhaustive graph streams.
 
 from .graph import (
     DisconnectedGraph,
-    DistanceMatrix,
     DuplicateEdge,
-    Edge,
     Graph,
     GraphError,
     SelfLoop,
@@ -31,13 +29,10 @@ from .solver import (
 from .families import (
     BasisBlueprint,
     EqualDimensionsUnsupported,
-    FamilyGraph,
     FamilyParams,
     InvalidParams,
     InvalidTarget,
     OrderTooSmall,
-    RealizeError,
-    RoleLabel,
     canonical_basis,
     chain_order,
     gadget_order,
@@ -46,7 +41,6 @@ from .families import (
     make_complete,
     make_cycle,
     make_gadget,
-    make_gadget_core,
     make_path,
     minimum_realizable_order,
     parse_family_spec,
@@ -69,11 +63,10 @@ from .scan import (
     Predicate,
     ScanMatch,
     ScanReport,
-    SmallOrderReport,
     enumerate_labeled_connected,
     scan,
     verify_small_orders,
 )
-from .verify import RatioWitness, ratio_witness
+from .verify import ratio_witness
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Constructors for the graph families with role-labelled vertices.
+"""Constructors for the gadget families and their chains.
 
 The central family is a unicyclic gadget: a cycle ``a_1..a_n1`` carrying a
 tail path ``b_1..b_n2`` (joined at ``a_2``), a pendant ``c`` at ``a_n1``, and
@@ -11,8 +11,9 @@ of dimensions, and ``realize`` builds that chain at any large enough order.
 
 Vertex ids inside a copy are assigned in the fixed order
 ``a_1..a_n1, b_1..b_n2, c, i, j_1..j_n3`` and copies are concatenated, so
-solver witnesses are reproducible.  Role labels live in a side table and
-never enter solver loops.
+solver witnesses are reproducible.  A family graph records only the
+``(n1, n2, n3)`` of each copy; the role of each vertex is derived from those
+on the first role lookup and never enters solver loops.
 
 Chain ids are closed-form.  Copy 1 starts at id 0 and every further copy is
 an ``(n1, 1, 2)`` gadget of order ``n1 + 5``, so copy ``k >= 2`` starts at
@@ -117,11 +118,21 @@ class BasisBlueprint:
 
 @dataclass(frozen=True)
 class FamilyGraph:
-    """A family-built graph together with its vertex role table."""
+    """A family-built graph and the ``(n1, n2, n3)`` of each copy, in id order."""
 
     graph: Graph
-    labels: tuple[RoleLabel, ...]
-    copies: int = 1
+    parts: tuple[tuple[int, int, int], ...]
+
+    @property
+    def copies(self) -> int:
+        return len(self.parts)
+
+    @cached_property
+    def labels(self) -> tuple[RoleLabel, ...]:
+        """Role of every vertex in id order, built on the first lookup."""
+        return tuple(
+            lab for k, part in enumerate(self.parts, 1) for lab in _gadget_labels(k, *part)
+        )
 
     def vertex(self, role: str, index: int = 0, copy: int = 1) -> int:
         target = RoleLabel(copy, role, index)
@@ -143,7 +154,7 @@ class FamilyGraph:
 
 
 def plain_graph(g: Graph | FamilyGraph) -> Graph:
-    """The graph itself, with any role table dropped."""
+    """The graph itself, with any copy record dropped."""
     return g.graph if isinstance(g, FamilyGraph) else g
 
 
@@ -152,30 +163,12 @@ def gadget_order(n1: int, n2: int, n3: int) -> int:
 
 
 def make_gadget(n1: int, n2: int, n3: int) -> FamilyGraph:
-    """Cycle-with-tail gadget plus a pendant hub; one copy, labels attached."""
+    """Cycle-with-tail gadget plus a pendant hub, as a one-copy family graph."""
     return make_chain(n1, n2, n3)
 
 
 def _gadget_edges(base: int, n1: int, n2: int, n3: int) -> list[tuple[int, int]]:
     """Edges of one gadget copy whose ids start at ``base``."""
-    hub = base + n1 + n2 + 1
-    return (
-        _core_edges(base, n1, n2)
-        + [(base, hub)]
-        + [(hub, hub + 1 + k) for k in range(n3)]
-    )
-
-
-def _gadget_labels(copy: int, n1: int, n2: int, n3: int) -> list[RoleLabel]:
-    """Role labels of one gadget copy, in id order."""
-    return (
-        _core_labels(copy, n1, n2)
-        + [RoleLabel(copy, "i")]
-        + [RoleLabel(copy, "j", k + 1) for k in range(n3)]
-    )
-
-
-def _core_edges(base: int, n1: int, n2: int) -> list[tuple[int, int]]:
     # cycle a_1..a_n1 on ids base..base+n1-1
     edges = [(base + k, base + k + 1) for k in range(n1 - 1)]
     edges.append((base, base + n1 - 1))
@@ -183,46 +176,34 @@ def _core_edges(base: int, n1: int, n2: int) -> list[tuple[int, int]]:
     edges += [(base + n1 + k, base + n1 + k + 1) for k in range(n2 - 1)]
     edges.append((base + 1, base + n1))
     edges.append((base + n1 - 1, base + n1 + n2))
+    # hub i at a_1, carrying the pendants j_1..j_n3
+    hub = base + n1 + n2 + 1
+    edges.append((base, hub))
+    edges += [(hub, hub + 1 + k) for k in range(n3)]
     return edges
 
 
-def _core_labels(copy: int, n1: int, n2: int) -> list[RoleLabel]:
+def _gadget_labels(copy: int, n1: int, n2: int, n3: int) -> list[RoleLabel]:
+    """Role labels of one gadget copy, in id order."""
     return (
         [RoleLabel(copy, "a", k + 1) for k in range(n1)]
         + [RoleLabel(copy, "b", k + 1) for k in range(n2)]
-        + [RoleLabel(copy, "c")]
-    )
-
-
-def make_gadget_core(n1: int, n2: int) -> FamilyGraph:
-    """The gadget without hub and pendants: cycle, tail and the ``c`` pendant."""
-    if n1 < 5:
-        raise InvalidParams(f"cycle length n1 must be >= 5, got {n1}")
-    if n2 < 1:
-        raise InvalidParams(f"tail length n2 must be >= 1, got {n2}")
-    return FamilyGraph(
-        Graph.from_edges(n1 + n2 + 1, _core_edges(0, n1, n2)),
-        tuple(_core_labels(1, n1, n2)),
+        + [RoleLabel(copy, "c"), RoleLabel(copy, "i")]
+        + [RoleLabel(copy, "j", k + 1) for k in range(n3)]
     )
 
 
 def glue(g1, v1: int, g2, v2: int):
     """Join two graphs by one bridge edge ``v1``--``v2``.
 
-    Accepts plain graphs or labelled family graphs; labelled inputs produce
-    a labelled result whose second block of copies is renumbered to follow
-    the first.
+    Accepts plain graphs or family graphs; two family graphs give a family
+    graph whose copies are those of ``g1`` followed by those of ``g2``.
     """
-    labelled = isinstance(g1, FamilyGraph) and isinstance(g2, FamilyGraph)
     raw1, raw2 = plain_graph(g1), plain_graph(g2)
     joined = add_edge(disjoint_union(raw1, raw2), v1, raw1.n + v2)
-    if not labelled:
-        return joined
-    shift = g1.copies
-    moved = tuple(
-        RoleLabel(lab.copy + shift, lab.role, lab.index) for lab in g2.labels
-    )
-    return FamilyGraph(joined, g1.labels + moved, copies=g1.copies + g2.copies)
+    if isinstance(g1, FamilyGraph) and isinstance(g2, FamilyGraph):
+        return FamilyGraph(joined, g1.parts + g2.parts)
+    return joined
 
 
 def make_chain(n1: int, n2: int, n3: int, ell: int = 1) -> FamilyGraph:
@@ -236,15 +217,14 @@ def make_chain(n1: int, n2: int, n3: int, ell: int = 1) -> FamilyGraph:
     FamilyParams(n1, n2, n3, ell).validate()
     alpha = BasisBlueprint.for_cycle(n1).alpha
     edges = _gadget_edges(0, n1, n2, n3)
-    labels = _gadget_labels(1, n1, n2, n3)
     for k in range(2, ell + 1):
         base = _copy_base(n1, n2, n3, k)
         edges += _gadget_edges(base, n1, 1, 2)
-        labels += _gadget_labels(k, n1, 1, 2)
         # a_alpha of copy k-1 to j_1 of copy k
         edges.append((_copy_base(n1, n2, n3, k - 1) + alpha - 1, base + n1 + 3))
     order = chain_order(n1, n2, n3, ell)
-    return FamilyGraph(Graph.from_edges(order, edges), tuple(labels), copies=ell)
+    parts = ((n1, n2, n3),) + ((n1, 1, 2),) * (ell - 1)
+    return FamilyGraph(Graph.from_edges(order, edges), parts)
 
 
 def _copy_base(n1: int, n2: int, n3: int, k: int) -> int:

@@ -289,7 +289,7 @@ def run_suites(names: list[str] | None = None, grid: str = "small") -> list[Suit
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
-        raise ValueError(f"unknown suites: {', '.join(unknown)}")
+        raise ValueError(f"unknown suites: {', '.join(map(repr, unknown))}")
     # One build and one solve per gadget for the whole call, so the generator
     # checks and the solves share each gadget's cached signatures; fresh
     # caches each call, so repeated runs repeat the work.

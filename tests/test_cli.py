@@ -160,7 +160,11 @@ def test_verify_small_orders(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "lemma99")
     assert code == 1
-    assert "unknown suites" in err
+    assert "unknown suites: 'lemma99'" in err
+    # a trailing comma names an empty suite, which the message must show
+    code, _, err = run(capsys, "verify", "--suite", "lemma2,")
+    assert code == 1
+    assert "unknown suites: ''" in err
 
 
 def test_ratio_command(capsys):

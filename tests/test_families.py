@@ -21,7 +21,6 @@ from metricdim import (
     make_complete,
     make_cycle,
     make_gadget,
-    make_gadget_core,
     make_path,
     metric_dimension,
     minimum_realizable_order,
@@ -85,13 +84,14 @@ def test_vertex_lookup_covers_every_label_and_refuses_unknown_ones():
         ch.vertex("j", 3)
 
 
-def test_core_is_subgraph_of_gadget():
-    core = make_gadget_core(7, 3)
-    assert core.graph.n == 11
-    assert make_gadget_core(5, 1).graph.n == 7
-    full = make_gadget(7, 3, 4)
-    # shared roles keep their ids, so edge containment is direct
-    assert set(core.graph.edges) <= set(full.graph.edges)
+def test_role_table_is_built_on_first_lookup():
+    # a family graph records its copies; the per-vertex roles wait for a lookup
+    for lookup in (lambda g: g.vertex("a", 1), lambda g: g.label_name(0)):
+        ch = make_chain(6, 1, 2, 30)
+        assert "labels" not in ch.__dict__
+        lookup(ch)
+        assert "labels" in ch.__dict__
+        assert ch.parts == ((6, 1, 2),) * 30
 
 
 def test_basis_blueprint():
@@ -187,6 +187,21 @@ def test_glue_reproduces_chain():
     assert glued.copies == 2
     assert glued.label_name(glued.graph.n - 1) == "j2^2"
     assert metric_dimension(glued.graph).dimension == 2
+    # lemma 5's join of unequal gadgets: G(7,3,4) at a_4 to G(5,1,2) at j_1
+    g1, g2 = make_gadget(7, 3, 4), make_gadget(5, 1, 2)
+    glued = glue(g1, g1.vertex("a", 4), g2, g2.vertex("j", 1))
+    assert glued.parts == ((7, 3, 4), (5, 1, 2))
+    assert glued.graph.has_edge(3, 16 + 8)
+    roles = (
+        "a1 a2 a3 a4 a5 a6 a7 b1 b2 b3 c i j1 j2 j3 j4".split()
+        + "a1 a2 a3 a4 a5 b1 c i j1 j2".split()
+    )
+    copies = [1] * 16 + [2] * 10
+    assert glued.graph.n == len(roles)
+    for v, (role, copy) in enumerate(zip(roles, copies)):
+        assert glued.label_name(v) == f"{role}^{copy}"
+        letter, index = role[0], int(role[1:] or 0)
+        assert glued.vertex(letter, index, copy) == v
 
 
 def _glued_chain(n1, n2, n3, ell):
@@ -212,6 +227,7 @@ def test_chain_builder_matches_glue_fold():
                     ref = _glued_chain(n1, n2, n3, ell)
                     got = make_chain(n1, n2, n3, ell)
                     assert got.graph == ref.graph
+                    assert got.parts == ref.parts
                     assert got.labels == ref.labels
                     assert got.copies == ref.copies == ell
                     pendants = [ref.vertex("j", k) for k in range(1, n3)]
