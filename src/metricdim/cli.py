@@ -24,6 +24,7 @@ from typing import Sequence
 
 from .families import (
     FamilyGraph,
+    family_order,
     minimum_realizable_order,
     parse_family_spec,
     plain_graph,
@@ -167,6 +168,7 @@ def _read_edge_list(path: str) -> Graph:
 
 def _load_graph(args) -> Graph | FamilyGraph:
     if args.family is not None:
+        _check_order(family_order(args.family), f"family {args.family}")
         return parse_family_spec(args.family)
     if args.g6 is not None:
         return decode_graph6(args.g6)

@@ -19,14 +19,16 @@ Chain ids are closed-form.  Copy 1 starts at id 0 and every further copy is
 an ``(n1, 1, 2)`` gadget of order ``n1 + 5``, so copy ``k >= 2`` starts at
 ``gadget_order(n1, n2, n3) + (k - 2) * (n1 + 5)``.  Role ``a_t`` of copy
 ``k`` is ``base(k) + t - 1`` and ``j_t`` is ``base(k) + n1 + n2_k + 1 + t``,
-with ``n2_k`` the tail length of that copy.  The chain and its canonical
-bases are built from these offsets in one pass.
+with ``n2_k`` the tail length of that copy.  The canonical bases come from
+these offsets, and so does the chain: copy 1's rows, then one ``(n1, 1, 2)``
+copy's rows shifted up by ``base(k)`` for each further copy, plus the bridges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from math import prod
 
 from .graph import Graph, add_edge, cartesian_product, disjoint_union
 
@@ -167,20 +169,19 @@ def make_gadget(n1: int, n2: int, n3: int) -> FamilyGraph:
     return make_chain(n1, n2, n3)
 
 
-def _gadget_edges(base: int, n1: int, n2: int, n3: int) -> list[tuple[int, int]]:
-    """Edges of one gadget copy whose ids start at ``base``."""
-    # cycle a_1..a_n1 on ids base..base+n1-1
-    edges = [(base + k, base + k + 1) for k in range(n1 - 1)]
-    edges.append((base, base + n1 - 1))
-    # tail b_1..b_n2 on the next n2 ids, joined at a_2, then c at a_n1
-    edges += [(base + n1 + k, base + n1 + k + 1) for k in range(n2 - 1)]
-    edges.append((base + 1, base + n1))
-    edges.append((base + n1 - 1, base + n1 + n2))
-    # hub i at a_1, carrying the pendants j_1..j_n3
-    hub = base + n1 + n2 + 1
-    edges.append((base, hub))
+def _gadget_rows(n1: int, n2: int, n3: int) -> list[int]:
+    """Adjacency rows of one gadget copy whose ids start at 0."""
+    hub = n1 + n2 + 1  # i, after the cycle a_1..a_n1, the tail b_1..b_n2 and c
+    # the cycle, the tail joined at a_2, c at a_n1, i at a_1 and its pendants
+    edges = [(k, k + 1) for k in range(n1 - 1)] + [(0, n1 - 1)]
+    edges += [(n1 + k, n1 + k + 1) for k in range(n2 - 1)]
+    edges += [(1, n1), (n1 - 1, n1 + n2), (0, hub)]
     edges += [(hub, hub + 1 + k) for k in range(n3)]
-    return edges
+    rows = [0] * (hub + 1 + n3)
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
 def _gadget_labels(copy: int, n1: int, n2: int, n3: int) -> list[RoleLabel]:
@@ -216,22 +217,20 @@ def make_chain(n1: int, n2: int, n3: int, ell: int = 1) -> FamilyGraph:
     """
     FamilyParams(n1, n2, n3, ell).validate()
     alpha = BasisBlueprint.for_cycle(n1).alpha
-    edges = _gadget_edges(0, n1, n2, n3)
+    rows, copy = _gadget_rows(n1, n2, n3), _gadget_rows(n1, 1, 2)
     for k in range(2, ell + 1):
-        base = _copy_base(n1, n2, n3, k)
-        edges += _gadget_edges(base, n1, 1, 2)
-        # a_alpha of copy k-1 to j_1 of copy k
-        edges.append((_copy_base(n1, n2, n3, k - 1) + alpha - 1, base + n1 + 3))
-    order = chain_order(n1, n2, n3, ell)
+        # copy k at the next free id, bridged from a_alpha of copy k-1 by j_1
+        base, u = len(rows), _copy_base(n1, n2, n3, k - 1) + alpha - 1
+        rows += [row << base for row in copy]
+        rows[u] |= 1 << base + n1 + 3
+        rows[base + n1 + 3] |= 1 << u
     parts = ((n1, n2, n3),) + ((n1, 1, 2),) * (ell - 1)
-    return FamilyGraph(Graph.from_edges(order, edges), parts)
+    return FamilyGraph(Graph(len(rows), rows, _validate=False), parts)
 
 
 def _copy_base(n1: int, n2: int, n3: int, k: int) -> int:
-    """Id of ``a_1`` in copy ``k`` of a chain."""
-    if k == 1:
-        return 0
-    return gadget_order(n1, n2, n3) + (k - 2) * (n1 + 5)
+    """Id of ``a_1`` in copy ``k`` of a chain: the order of copies 1..k-1."""
+    return chain_order(n1, n2, n3, k - 1) if k > 1 else 0
 
 
 def chain_order(n1: int, n2: int, n3: int, ell: int) -> int:
@@ -277,9 +276,7 @@ def make_path(n: int) -> Graph:
 def make_cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParams(f"cycle needs n >= 3, got {n}")
-    edges = [(k, k + 1) for k in range(n - 1)]
-    edges.append((0, n - 1))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, [(k, (k + 1) % n) for k in range(n)])
 
 
 def make_complete(n: int) -> Graph:
@@ -344,6 +341,27 @@ def parse_family_spec(spec: str):
     ``complete:n`` and ``cp:<spec>x<spec>`` for Cartesian products (folded
     left to right; factors may not themselves be products).
     """
+    graphs = [build(*args) for build, _, args in _spec_factors(spec)]
+    return graphs[0] if len(graphs) == 1 else reduce(cartesian_product, map(plain_graph, graphs))
+
+
+def family_order(spec: str) -> int:
+    """Order of the graph ``parse_family_spec(spec)`` builds, without building it."""
+    return prod(order(*args) for _, order, args in _spec_factors(spec))
+
+
+# spec head -> (argument count, builder, order of the graph it builds)
+_SPECS = {
+    "G": (3, make_gadget, gadget_order),
+    "L": (4, lambda ell, *p: make_chain(*p, ell), lambda ell, *p: chain_order(*p, ell)),
+    "cycle": (1, make_cycle, int),
+    "path": (1, make_path, int),
+    "complete": (1, make_complete, int),
+}
+
+
+def _spec_factors(spec: str) -> list[tuple]:
+    """``(builder, order rule, arguments)`` of each factor of a spec, in order."""
     head, sep, rest = spec.partition(":")
     if not sep:
         raise InvalidParams(f"malformed family spec {spec!r}")
@@ -351,28 +369,14 @@ def parse_family_spec(spec: str):
         parts = rest.split("x")
         if len(parts) < 2:
             raise InvalidParams(f"product spec needs at least two factors: {spec!r}")
-        graphs = [plain_graph(parse_family_spec(p)) for p in parts]
-        out = graphs[0]
-        for g in graphs[1:]:
-            out = cartesian_product(out, g)
-        return out
-    if head == "G":
-        n1, n2, n3 = _int_args(rest, 3, spec)
-        return make_gadget(n1, n2, n3)
-    if head == "L":
-        ell, n1, n2, n3 = _int_args(rest, 4, spec)
-        return make_chain(n1, n2, n3, ell)
-    if head in ("cycle", "path", "complete"):
-        (n,) = _int_args(rest, 1, spec)
-        return {"cycle": make_cycle, "path": make_path, "complete": make_complete}[head](n)
-    raise InvalidParams(f"unknown family {head!r} in spec {spec!r}")
-
-
-def _int_args(rest: str, count: int, spec: str) -> list[int]:
-    parts = rest.split(",")
-    if len(parts) != count:
+        return [factor for p in parts for factor in _spec_factors(p)]
+    if head not in _SPECS:
+        raise InvalidParams(f"unknown family {head!r} in spec {spec!r}")
+    count, build, order = _SPECS[head]
+    args = rest.split(",")
+    if len(args) != count:
         raise InvalidParams(f"spec {spec!r} needs {count} integer arguments")
     try:
-        return [int(p) for p in parts]
+        return [(build, order, [int(a) for a in args])]
     except ValueError as exc:
         raise InvalidParams(f"non-integer argument in spec {spec!r}") from exc

@@ -12,16 +12,14 @@ That body is base64 under another alphabet, so ``binascii`` does the bit
 packing in C.  Each record byte is translated to the base64 character of its
 bit-reversed six-bit value and the body is reversed; ``a2b_base64`` then
 yields one int ``y`` whose bit ``i`` is bit ``i`` of the vector, so column
-``v`` is the plain slice ``y >> v(v-1)/2 & (2**v - 1)``.  Encode runs the
-same steps backwards from ``int`` of the columns' binary strings, joined
-from the last column down.
-
-Both directions are linear in the record length.  No int as long as the
-whole vector is shifted once per column, which would cost time cubic in
-``n``: decode cuts whole columns from the bytes of ``y`` in blocks of at
-most ``_BLOCK`` bits (one column, if it alone is longer) and shifts only
-within a block.  A record of order 91 or less (at most 4,095 bits) is a
-single block, ``y`` itself.
+``v`` is the slice ``y >> v(v-1)/2 & (2**v - 1)``.  Encode runs the same
+steps backwards from ``y``, which it joins from the columns pairwise, level
+by level, the later part of each pair shifted above the earlier.  Decode splits
+``y`` the inverse way, halving the column range, and peels the columns of a
+range of at most 16 off its low end.  No int as long as the vector is
+shifted once per column, which would cost time cubic in ``n``: each
+direction takes Python steps linear in ``n`` and C work ``O(N log n)`` for
+``N = n(n-1)/2`` bits, and encode holds about ``2N`` bits of ints at once.
 
 ``record_lines`` is the one reader of line-oriented graph6 input: the scan
 and the command line both take their records from it.
@@ -40,7 +38,6 @@ HEADER = ">>graph6<<"
 
 _PRINTABLE = bytes(range(63, 127))
 _BAD_BYTE = re.compile(r"[^?-~]")  # anything outside 63..126
-_BLOCK = 4096  # most bits decode cuts from the vector at once
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _REV6 = [int(format(i, "06b")[::-1], 2) for i in range(64)]
 # record byte <-> base64 character of its bit-reversed six-bit value
@@ -81,18 +78,18 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     if n >= MAX_ORDER:
         raise GraphTooLarge(f"graph6 supports n < {MAX_ORDER}, got {n}")
-    if n <= 62:
-        head = chr(n + 63)
-    else:
-        head = "~" + "".join(
-            chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0)
-        )
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     if n < 2:
         return head
     nbytes = (n * (n - 1) // 2 + 5) // 6
     adj = g.adj
-    cols = [format(adj[v] & ((1 << v) - 1), f"0{v}b") for v in range(n - 1, 0, -1)]
-    y = int("".join(cols), 2)  # bit i is vector bit i
+    # (bits, width) of each column, joined pairwise, the later one above, until
+    # one is left; an odd one out is carried up to the next level unjoined
+    parts = [(adj[v] & ((1 << v) - 1), v) for v in range(1, n)]
+    while len(parts) > 1:
+        pairs = zip(parts[::2], parts[1::2])
+        parts = [(a | b << wa, wa + wb) for (a, wa), (b, wb) in pairs] + parts[len(parts) & ~1 :]
+    y = parts[0][0]  # bit i is vector bit i
     # a multiple of 3 bytes leaves no '=' padding; the zero bytes this adds
     # above y become leading 'A's, which the cut to nbytes drops
     quanta = y.to_bytes(3 * ((nbytes + 3) // 4), "big")
@@ -135,33 +132,30 @@ def decode_graph6(record: str | bytes) -> Graph:
         )
     # leading 'A's (zero bits above the vector) complete the last quantum
     quanta = b"A" * (-nbytes % 4) + body.translate(_TO_B64)[::-1]
-    raw = binascii.a2b_base64(quanta)  # vector bit i is bit i of this big-endian int
-    y = int.from_bytes(raw, "big")
+    y = int.from_bytes(binascii.a2b_base64(quanta), "big")  # bit i is vector bit i
     if y >> nbits:
         raise PaddingBitsSet(f"{6 * nbytes - nbits} padding bits are not all zero")
-    # block holds vector bits base .. end-1; a longer vector is cut into blocks
-    block, base, end = y, 0, nbits if nbits <= _BLOCK else 0
     adj = [0] * n
-    off = 0  # column v holds vector bits off .. off+v-1
-    for v in range(1, n):
-        if off + v > end:
-            # the next block: whole columns from v on, one if it alone is longer
-            base, end, w = off, off + v, v + 1
-            while w < n and end + w - base <= _BLOCK:
-                end += w
-                w += 1
-            cut = raw[len(raw) - (end + 7) // 8 : len(raw) - base // 8]
-            block = int.from_bytes(cut, "big") >> base % 8
-        low = block >> (off - base) & ((1 << v) - 1)
-        off += v
-        adj[v] |= low
-        bit = 1 << v
-        # an inline walk, not iter_bits: scans decode every order-10 record,
-        # and the generator costs about a fifth of such a decode
-        while low:
-            lsb = low & -low
-            adj[lsb.bit_length() - 1] |= bit
-            low ^= lsb
+    # (bits, lo, hi): columns lo..hi-1 from bit 0, halved down to 16 columns
+    todo = [(y, 1, n)]
+    while todo:
+        x, lo, hi = todo.pop()
+        if hi - lo > 16:
+            mid = (lo + hi) // 2
+            cut = (mid * (mid - 1) - lo * (lo - 1)) // 2
+            todo += [(x >> cut, mid, hi), (x & ((1 << cut) - 1), lo, mid)]
+            continue
+        for v in range(lo, hi):
+            low = x & ((1 << v) - 1)
+            x >>= v
+            adj[v] |= low
+            bit = 1 << v
+            # an inline walk, not iter_bits: scans decode every order-10
+            # record, and the generator costs about a fifth of such a decode
+            while low:
+                lsb = low & -low
+                adj[lsb.bit_length() - 1] |= bit
+                low ^= lsb
     return Graph(n, adj, _validate=False)
 
 

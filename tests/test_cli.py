@@ -224,6 +224,42 @@ def test_ratio_refuses_target_beyond_graph6(capsys, monkeypatch):
     assert "error:" in err and "graph6" in err
 
 
+@pytest.mark.parametrize("spec", ["path:300000", "L:30000,6,1,2", "cp:path:600xpath:600"])
+def test_family_specs_beyond_graph6_exit_2(capsys, monkeypatch, spec):
+    import metricdim.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli, "parse_family_spec", refuse)
+    for command in ("family", "dim", "edim", "both"):
+        code, out, err = run(capsys, command, "--family", spec)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: ") and "graph6" in err and "Traceback" not in err
+
+
+def test_family_order_at_the_graph6_limit():
+    # the order rule alone; no graph of this size is built
+    import metricdim.cli as cli
+    from metricdim.families import family_order
+
+    for spec, order in (
+        ("path:262143", 262143),
+        ("cp:path:511xpath:513", 262143),
+        ("L:23831,6,1,2", 262141),
+        ("L:23832,6,1,2", 262152),
+        ("path:262144", 262144),
+        ("cp:path:512xcycle:512", 262144),
+    ):
+        assert family_order(spec) == order
+        if order < 1 << 18:
+            cli._check_order(order, spec)
+        else:
+            with pytest.raises(cli.UsageError, match="graph6"):
+                cli._check_order(order, spec)
+
+
 def test_scan_io_failure_reports_the_error(capsys, monkeypatch):
     import sys
 

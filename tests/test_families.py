@@ -25,9 +25,10 @@ from metricdim import (
     metric_dimension,
     minimum_realizable_order,
     parse_family_spec,
+    ratio_witness,
     realize,
 )
-from metricdim.families import expected_chain_dims, target_chain
+from metricdim.families import expected_chain_dims, family_order, plain_graph, target_chain
 from conftest import relabel
 
 
@@ -244,6 +245,24 @@ def test_chain_builder_matches_glue_fold():
                     assert canonical_basis(n1, n2, n3, ell, kind="edge") == tuple(edge)
 
 
+def test_long_chains_match_glue_fold():
+    # the shifted copy rows at the lengths and orders the benchmark times
+    for n1 in (5, 6):
+        got, ref = make_chain(n1, 1, 2, 30), _glued_chain(n1, 1, 2, 30)
+        assert got.graph == ref.graph and got.parts == ref.parts
+    witness = ratio_witness(16)
+    assert (witness.predicted_dim, witness.predicted_edim) == (32, 2)
+    for got, dim, edim, order in (
+        (realize(2, 26, 300), 2, 26, 300),
+        (realize(26, 2, 320), 26, 2, 320),
+        (witness.graph, 32, 2, 330),
+    ):
+        n1, n3, ell = target_chain(dim, edim)
+        ref = _glued_chain(n1, 1 + order - minimum_realizable_order(dim, edim), n3, ell)
+        assert got.graph.n == order
+        assert got.graph == ref.graph and got.parts == ref.parts
+
+
 def test_realize_examples():
     fam = realize(2, 4, 20)
     assert fam.graph.n == 20
@@ -321,3 +340,11 @@ def test_parse_family_spec():
     for bad in ("", "G:1,2", "Q:5", "cp:cycle:4", "G:a,b,c"):
         with pytest.raises(InvalidParams):
             parse_family_spec(bad)
+        with pytest.raises(InvalidParams):
+            family_order(bad)
+
+
+def test_family_order_is_the_built_order():
+    specs = ("G:7,3,4", "L:2,5,1,2", "L:30,6,1,2", "cycle:8", "path:1", "complete:5")
+    for spec in specs + ("cp:cycle:4xpath:3", "cp:path:2xG:5,1,2xL:3,6,2,3"):
+        assert family_order(spec) == plain_graph(parse_family_spec(spec)).n

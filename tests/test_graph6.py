@@ -110,6 +110,24 @@ def test_every_order_to_130_agrees_with_reference_tool():
             assert decode_graph6(record) == g
 
 
+def test_join_and_split_around_powers_of_two():
+    # 2**k - 2 .. 2**k + 1 columns: the encoder's pairwise join carries an odd
+    # part up at the first level, the second, no level, or every level but the
+    # last; the decoder's halving split meets odd ranges likewise
+    rng = random.Random(97)
+    graphs = [random_connected_graph(rng, n, extra=n) for n in range(127, 131)]
+    graphs += [random_connected_graph(rng, n, extra=n) for n in range(255, 259)]
+    graphs += [random_connected_graph(rng, n, extra=n) for n in range(511, 515)]
+    graphs += [
+        Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+        for n in range(127, 130)
+    ]
+    for g in graphs:
+        record = encode_graph6(g)
+        assert record == _nx_record(g)
+        assert decode_graph6(record) == g
+
+
 def test_every_padding_bit_is_refused():
     rng = random.Random(83)
     for n in range(2, 41):
