@@ -10,8 +10,8 @@ Exit codes: 0 on success, 2 on usage errors (including sizes that graph6
 cannot encode, census orders beyond the enumeration limit, malformed
 predicates, ``--jobs`` outside 1 to the CPU count and a scan checkpoint
 written for another predicate), 1 on computation errors such as
-disconnected input and on an input file that cannot be opened.  Results go
-to stdout, diagnostics to stderr.
+disconnected input, on an input file that cannot be opened and on running
+out of memory.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from typing import Sequence
 
 from .families import (
@@ -40,7 +41,15 @@ from .scan import (
     verify_small_orders,
 )
 from .solver import edge_metric_dimension, metric_dimension
-from .verify import GRIDS, SUITES, ratio_dim, ratio_witness, run_suites, solved_dims
+from .verify import (
+    GRIDS,
+    SUITES,
+    ratio_dim,
+    ratio_witness,
+    run_suites,
+    solved_dims,
+    solved_within_limit,
+)
 
 FAMILY_SPEC_EXAMPLES = (
     "G:7,3,4",
@@ -291,17 +300,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    _check_order(minimum_realizable_order(ratio_dim(args.target), 2), "the ratio witness")
+    dim = ratio_dim(args.target)
+    _check_order(minimum_realizable_order(dim, 2), "the ratio witness")
     w = ratio_witness(args.target)
-    record = encode_graph6(w.graph.graph)
-    print(f"g6={record}")
+    print(f"g6={encode_graph6(w.graph)}")
     print(
-        f"copies={w.ell} order={w.graph.graph.n} "
-        f"predicted dim={w.predicted_dim} edim={w.predicted_edim} "
-        f"ratio={w.predicted_ratio}"
+        f"copies={w.copies} order={w.graph.n} "
+        f"predicted dim={dim} edim=2 ratio={Fraction(dim, 2)}"
     )
-    if w.confirmed_dim is not None:
-        print(f"confirmed dim={w.confirmed_dim} edim={w.confirmed_edim}")
+    solved = solved_within_limit(w.graph)
+    if solved is not None:
+        print(f"confirmed dim={solved[0]} edim={solved[1]}")
     return 0
 
 
@@ -315,6 +324,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (GraphError, ValueError, OSError) as exc:  # OSError: an unreadable input or a closed stdout
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its message is usually empty, so name the cause
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

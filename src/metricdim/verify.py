@@ -5,8 +5,9 @@ exact solver (or, where the order makes a full lexicographic solve wasteful,
 with a canonical-basis generator check paired with exhaustive refutation of
 every smaller cardinality) and yields ``(label, ok)`` rows.  ``run_suites``
 names and times them; the CLI ``verify`` command prints them as PASS/FAIL
-rows so CI can pick suites individually.  Up to ``FULL_SOLVE_ORDER_LIMIT``
-the suites and ``ratio_witness`` solve a graph outright.
+rows so CI can pick suites individually.  Up to ``FULL_SOLVE_ORDER_LIMIT``,
+read only by ``solved_within_limit``, a graph is solved outright, once per
+``run_suites`` call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .families import (
     make_gadget,
     minimum_realizable_order,
     realize,
-    target_chain,
 )
 from .graph import Graph
 from .solver import (
@@ -97,21 +97,24 @@ def solved_dims(g: Graph) -> tuple[int, int]:
     return metric_dimension(g).dimension, edge_metric_dimension(g).dimension
 
 
-def certify_chain(
-    n1: int, n2: int, n3: int, ell: int, solved: tuple[int, int] | None = None
-) -> tuple[bool, str, tuple[int, int]]:
-    """Certify the predicted (dim, edim) of ``make_chain(n1, n2, n3, ell)``.
+def solved_within_limit(g: Graph, dims=solved_dims) -> tuple[int, int] | None:
+    """``dims(g)`` up to ``FULL_SOLVE_ORDER_LIMIT``, ``None`` above it."""
+    return dims(g) if g.n <= FULL_SOLVE_ORDER_LIMIT else None
 
-    Small orders get a full solve, unless ``solved`` already holds its
-    (dim, edim).  Larger ones are certified by checking that the canonical
-    bases, of the expected sizes, generate and by exhausting all subsets
-    one landmark smaller, which bounds the dimension from both sides.
+
+def certify_chain(chain: FamilyGraph, dims=solved_dims) -> tuple[bool, str, tuple[int, int]]:
+    """Certify the predicted (dim, edim) of a chain that ``make_chain`` built.
+
+    Small orders get a full solve through ``dims``.  Larger ones are
+    certified by checking that the canonical bases, of the expected sizes,
+    generate and by exhausting all subsets one landmark smaller, which
+    bounds the dimension from both sides.
     """
+    (n1, n2, n3), ell, graph = chain.parts[0], chain.copies, chain.graph
     expected = expected_chain_dims(n1, n3, ell)
-    graph = make_chain(n1, n2, n3, ell).graph
-    if graph.n <= FULL_SOLVE_ORDER_LIMIT:
-        dims = solved or solved_dims(graph)
-        return dims == expected, f"solved (dim, edim) = {dims}", expected
+    solved = solved_within_limit(graph, dims)
+    if solved is not None:
+        return solved == expected, f"solved (dim, edim) = {solved}", expected
     dim, edim = expected
     upper_dim = is_metric_generator(graph, canonical_basis(n1, n2, n3, ell, kind="vertex"))
     upper_edim = is_edge_metric_generator(graph, canonical_basis(n1, n2, n3, ell, kind="edge"))
@@ -125,22 +128,6 @@ def certify_chain(
     return ok, detail, expected
 
 
-@dataclass(frozen=True)
-class RatioWitness:
-    """A chain construction certifying a prescribed dim/edim ratio."""
-
-    graph: FamilyGraph
-    ell: int
-    predicted_dim: int
-    predicted_edim: int
-    confirmed_dim: int | None
-    confirmed_edim: int | None
-
-    @property
-    def predicted_ratio(self) -> Fraction:
-        return Fraction(self.predicted_dim, self.predicted_edim)
-
-
 def ratio_dim(q) -> int:
     """Vertex dimension of the witness for ratio ``q >= 1`` at edge dimension 2."""
     try:
@@ -152,31 +139,26 @@ def ratio_dim(q) -> int:
     return max(3, math.ceil(2 * q))
 
 
-def ratio_witness(q) -> RatioWitness:
-    """Graph whose vertex-to-edge dimension ratio is at least ``q >= 1``.
+def ratio_witness(q) -> FamilyGraph:
+    """Chain whose vertex-to-edge dimension ratio is at least ``q >= 1``.
 
-    It is the smallest ``realize(ratio_dim(q), 2, n)``.  Its dimensions are
-    confirmed by the exact solver when its order is at most
-    ``FULL_SOLVE_ORDER_LIMIT``.
+    It is the smallest ``realize(ratio_dim(q), 2, n)``, so its predicted
+    dimensions are ``(ratio_dim(q), 2)``.
     """
     dim = ratio_dim(q)
-    chain = realize(dim, 2, minimum_realizable_order(dim, 2))
-    confirmed = (None, None)
-    if chain.graph.n <= FULL_SOLVE_ORDER_LIMIT:
-        confirmed = solved_dims(chain.graph)
-    return RatioWitness(chain, chain.copies, dim, 2, *confirmed)
+    return realize(dim, 2, minimum_realizable_order(dim, 2))
 
 
-def suite_observation1(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_observation1(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
-        dim, edim = gadget_dims(n1, n2, n3)
+        dim, edim = dims(gadget(n1, n2, n3).graph)
         yield (
             f"G({n1},{n2},{n3}): dim={dim} >= {n3} and edim={edim} >= {n3}",
             dim >= n3 and edim >= n3,
         )
 
 
-def suite_lemma2(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_lemma2(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
         g = gadget(n1, n2, n3)
         bp = BasisBlueprint.for_cycle(n1)
@@ -202,30 +184,30 @@ def suite_lemma2(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
         )
 
 
-def suite_lemma3(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_lemma3(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
         expected = expected_chain_dims(n1, n3)[0]
-        dim, _ = gadget_dims(n1, n2, n3)
+        dim, _ = dims(gadget(n1, n2, n3).graph)
         yield f"G({n1},{n2},{n3}): dim={dim}, expected {expected}", dim == expected
 
 
-def suite_lemma4(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_lemma4(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in gadget_grid(grid):
         expected = expected_chain_dims(n1, n3)[1]
-        _, edim = gadget_dims(n1, n2, n3)
+        _, edim = dims(gadget(n1, n2, n3).graph)
         yield f"G({n1},{n2},{n3}): edim={edim}, expected {expected}", edim == expected
 
 
-def suite_lemma5(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_lemma5(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
     for p1 in _grid(grid).lemma5_firsts:
         for p2 in ((5, 1, 2), (6, 1, 2)):
             g1 = gadget(*p1)
             g2 = gadget(*p2)
-            d1, e1 = gadget_dims(*p1)
-            d2, e2 = gadget_dims(*p2)
+            d1, e1 = dims(g1.graph)
+            d2, e2 = dims(g2.graph)
             alpha = BasisBlueprint.for_cycle(p1[0]).alpha
             joined = glue(g1, g1.vertex("a", alpha), g2, g2.vertex("j", 1))
-            dim, edim = solved_dims(joined.graph)
+            dim, edim = dims(joined.graph)
             yield (
                 f"glue G{p1} + G{p2}: dim {dim} = {d1}+{d2}-2, "
                 f"edim {edim} = {e1}+{e2}-2",
@@ -233,45 +215,40 @@ def suite_lemma5(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
             )
 
 
-def suite_lemma6(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_lemma6(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
     for n1, ell in _grid(grid).chains:
-        ok, detail, expected = certify_chain(n1, 1, 2, ell)
+        ok, detail, expected = certify_chain(make_chain(n1, 1, 2, ell), dims)
         yield f"L^{ell}({n1},1,2) expects {expected}: {detail}", ok
 
 
-def suite_theorem1(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_theorem1(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
     for r, t in _grid(grid).theorem1_targets:
         base = minimum_realizable_order(r, t)
         for order in (base, base + 1, base + 5):
             fam = realize(r, t, order)
-            dim, edim = solved_dims(fam.graph)
+            dim, edim = dims(fam.graph)
             yield (
                 f"realize({r},{t},{order}): order {fam.graph.n}, dims ({dim},{edim})",
                 fam.graph.n == order and (dim, edim) == (r, t),
             )
 
 
-def suite_theorem2(grid: str, gadget, gadget_dims) -> Iterator[tuple[str, bool]]:
+def suite_theorem2(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
     target = _grid(grid).theorem2_target
     w = ratio_witness(target)
-    yield (
-        f"ratio_witness({target}) predicts ({w.predicted_dim}, {w.predicted_edim})",
-        w.predicted_ratio >= target,
-    )
-    confirmed = None if w.confirmed_dim is None else (w.confirmed_dim, w.confirmed_edim)
-    n1, n3, ell = target_chain(w.predicted_dim, w.predicted_edim)
-    ok, detail, _ = certify_chain(n1, 1, n3, ell, confirmed)
-    yield f"L^{ell}({n1},1,{n3}): {detail}", ok
-    if confirmed is not None:
-        yield (
-            f"solver confirms {confirmed}",
-            confirmed == (w.predicted_dim, w.predicted_edim),
-        )
+    predicted = (ratio_dim(target), 2)
+    yield f"ratio_witness({target}) predicts {predicted}", Fraction(*predicted) >= target
+    ok, detail, _ = certify_chain(w, dims)
+    n1, n2, n3 = w.parts[0]
+    yield f"L^{w.copies}({n1},{n2},{n3}): {detail}", ok
+    solved = solved_within_limit(w.graph, dims)
+    if solved is not None:
+        yield f"solver confirms {solved}", solved == predicted
 
 
-# Each suite is called as ``suite(grid, gadget, gadget_dims)`` and yields
-# (label, ok) rows; ``gadget(n1, n2, n3)`` gives a gadget's FamilyGraph and
-# ``gadget_dims(n1, n2, n3)`` its solved (dim, edim).
+# Each suite is called as ``suite(grid, gadget, dims)`` and yields (label, ok)
+# rows; ``gadget(n1, n2, n3)`` gives a gadget's FamilyGraph and ``dims(g)``
+# the solved (dim, edim) of a plain graph ``g``.
 SUITES = {
     "observation1": suite_observation1,
     "lemma2": suite_lemma2,
@@ -290,16 +267,16 @@ def run_suites(names: list[str] | None = None, grid: str = "small") -> list[Suit
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(map(repr, unknown))}")
-    # One build and one solve per gadget for the whole call, so the generator
-    # checks and the solves share each gadget's cached signatures; fresh
-    # caches each call, so repeated runs repeat the work.
+    # One build per gadget and one solve per distinct graph for the whole
+    # call; equal graphs built apart share a solve, since ``Graph`` hashes by
+    # its rows.  Fresh caches each call, so repeated runs repeat the work.
     gadget = cache(make_gadget)
-    gadget_dims = cache(lambda n1, n2, n3: solved_dims(gadget(n1, n2, n3).graph))
+    dims = cache(solved_dims)
     results = []
     for name in names:
         res = SuiteResult(name)
         t0 = time.monotonic()
-        for label, ok in SUITES[name](grid, gadget, gadget_dims):
+        for label, ok in SUITES[name](grid, gadget, dims):
             res.check(label, ok)
         res.seconds = time.monotonic() - t0
         results.append(res)

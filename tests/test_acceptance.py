@@ -42,6 +42,7 @@ from metricdim import (
     scan,
     verify_small_orders,
 )
+from metricdim.verify import ratio_dim
 from conftest import naive_results, random_connected_graph
 
 
@@ -103,10 +104,10 @@ def test_c03_realization_spot_checks():
 def test_c04_ratio_witness():
     with criterion(4, "ratio witness reaches dim/edim >= 3"):
         w = ratio_witness(3)
-        assert (w.predicted_dim, w.predicted_edim) == (6, 2)
-        chain = w.graph.graph
-        vb = canonical_basis(6, 1, 2, w.ell, kind="vertex")
-        eb = canonical_basis(6, 1, 2, w.ell, kind="edge")
+        assert ratio_dim(3) == 6 and w.copies == 4
+        chain = w.graph
+        vb = canonical_basis(6, 1, 2, w.copies, kind="vertex")
+        eb = canonical_basis(6, 1, 2, w.copies, kind="edge")
         assert len(vb) == 6 and len(eb) == 2
         assert is_metric_generator(chain, vb)
         assert is_edge_metric_generator(chain, eb)

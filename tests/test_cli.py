@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,47 @@ def test_ratio_command(capsys):
     assert "confirmed dim=4 edim=2" in out
 
 
+THEOREM2_LEMMA6_FULL = """\
+theorem2: PASS (Xs)
+  PASS  ratio_witness(3) predicts (6, 2)
+  PASS  L^4(6,1,2): basis sizes (6, 2) generate: True/True; smaller refuted: True/True
+lemma6: PASS (Xs)
+  PASS  L^1(5,1,2) expects (2, 3): solved (dim, edim) = (2, 3)
+  PASS  L^2(5,1,2) expects (2, 4): solved (dim, edim) = (2, 4)
+  PASS  L^3(5,1,2) expects (2, 5): basis sizes (2, 5) generate: True/True; smaller refuted: True/True
+  PASS  L^1(6,1,2) expects (3, 2): solved (dim, edim) = (3, 2)
+  PASS  L^2(6,1,2) expects (4, 2): solved (dim, edim) = (4, 2)
+  PASS  L^3(6,1,2) expects (5, 2): basis sizes (5, 2) generate: True/True; smaller refuted: True/True
+  PASS  L^1(7,1,2) expects (2, 3): solved (dim, edim) = (2, 3)
+  PASS  L^2(7,1,2) expects (2, 4): solved (dim, edim) = (2, 4)
+  PASS  L^3(7,1,2) expects (2, 5): basis sizes (2, 5) generate: True/True; smaller refuted: True/True
+"""
+
+
+def test_verify_rows_keep_their_text(capsys):
+    # solved rows and basis-plus-refutation rows, timings masked
+    code, out, _ = run(capsys, "verify", "--suite", "theorem2,lemma6", "--grid", "full")
+    assert code == 0
+    assert re.sub(r"\(\d+\.\ds\)", "(Xs)", out) == THEOREM2_LEMMA6_FULL
+
+
+@pytest.mark.parametrize(
+    "target, lines",
+    [
+        ("1", ["copies=1 order=11 predicted dim=3 edim=2 ratio=3/2", "confirmed dim=3 edim=2"]),
+        ("2", ["copies=2 order=22 predicted dim=4 edim=2 ratio=2", "confirmed dim=4 edim=2"]),
+        ("3", ["copies=4 order=44 predicted dim=6 edim=2 ratio=3"]),
+        ("16", ["copies=30 order=330 predicted dim=32 edim=2 ratio=16"]),
+    ],
+)
+def test_ratio_lines_keep_their_text(capsys, target, lines):
+    # above order 24 the witness is not solved, so no confirmed line
+    code, out, err = run(capsys, "ratio", "--target", target)
+    assert code == 0 and not err
+    assert out.splitlines()[0].startswith("g6=")
+    assert out.splitlines()[1:] == lines
+
+
 @pytest.mark.parametrize("target", ["1/0", "abc", "0.5"])
 def test_ratio_rejects_a_bad_target_without_a_traceback(target):
     # run as a command, so an uncaught exception would print its traceback
@@ -328,3 +370,16 @@ def test_missing_input_file_exits_1(capsys, tmp_path, argv):
     assert not out
     assert err.startswith("error: ") and "No such file or directory" in err
     assert missing in err and "Traceback" not in err
+
+
+def test_out_of_memory_exits_1_with_an_error_line(capsys, monkeypatch):
+    import metricdim.cli as cli
+
+    def exhausted(spec):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "parse_family_spec", exhausted)
+    code, out, err = run(capsys, "family", "--family", "complete:8000", "--format", "records")
+    assert code == 1
+    assert not out
+    assert err == "error: out of memory\n"

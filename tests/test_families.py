@@ -29,6 +29,7 @@ from metricdim import (
     realize,
 )
 from metricdim.families import expected_chain_dims, family_order, plain_graph, target_chain
+from metricdim.verify import ratio_dim
 from conftest import relabel
 
 
@@ -251,11 +252,11 @@ def test_long_chains_match_glue_fold():
         got, ref = make_chain(n1, 1, 2, 30), _glued_chain(n1, 1, 2, 30)
         assert got.graph == ref.graph and got.parts == ref.parts
     witness = ratio_witness(16)
-    assert (witness.predicted_dim, witness.predicted_edim) == (32, 2)
+    assert (ratio_dim(16), 2) == (32, 2) == expected_chain_dims(6, 2, witness.copies)
     for got, dim, edim, order in (
         (realize(2, 26, 300), 2, 26, 300),
         (realize(26, 2, 320), 26, 2, 320),
-        (witness.graph, 32, 2, 330),
+        (witness, 32, 2, 330),
     ):
         n1, n3, ell = target_chain(dim, edim)
         ref = _glued_chain(n1, 1 + order - minimum_realizable_order(dim, edim), n3, ell)

@@ -87,7 +87,7 @@ def test_large_orders_agree_with_reference_tool():
         make_chain(5, 1, 2, 30).graph,
         realize(2, 26, 300).graph,
         realize(26, 2, 320).graph,
-        ratio_witness(16).graph.graph,
+        ratio_witness(16).graph,
         dense,
         make_path(1000),
     ]

@@ -36,6 +36,7 @@ from metricdim import (
     verify_small_orders,
 )
 from metricdim.scan import CheckpointMismatch, _orbit_representatives, _pair_columns
+from metricdim.verify import expected_chain_dims, ratio_dim, solved_within_limit
 from conftest import (
     labelled_graphs,
     naive_results,
@@ -598,19 +599,19 @@ def test_verify_small_orders_jobs_agree():
 
 def test_ratio_witness_targets():
     w = ratio_witness(2)
-    assert w.ell == 2
-    assert (w.predicted_dim, w.predicted_edim) == (4, 2)
-    assert (w.confirmed_dim, w.confirmed_edim) == (4, 2)
-    assert w.graph.graph.n == chain_order(6, 1, 2, 2)
+    assert w.copies == 2
+    assert (ratio_dim(2), 2) == (4, 2) == expected_chain_dims(6, 2, w.copies)
+    assert solved_within_limit(w.graph) == (4, 2)
+    assert w.graph.n == chain_order(6, 1, 2, 2)
 
     w1 = ratio_witness(1)
-    assert w1.ell == 1
-    assert w1.predicted_ratio == Fraction(3, 2)
+    assert w1.copies == 1
+    assert Fraction(ratio_dim(1), 2) == Fraction(3, 2)
 
     w3 = ratio_witness(3)
-    assert w3.ell == 4
-    assert (w3.predicted_dim, w3.predicted_edim) == (6, 2)
-    assert w3.confirmed_dim is None  # order 44 stays outside the solve budget
+    assert w3.copies == 4
+    assert (ratio_dim(3), 2) == (6, 2) == expected_chain_dims(6, 2, w3.copies)
+    assert solved_within_limit(w3.graph) is None  # order 44 stays outside the solve budget
 
     with pytest.raises(ValueError):
         ratio_witness(Fraction(1, 2))

@@ -21,8 +21,10 @@ from metricdim.verify import (
     expected_chain_dims,
     gadget_grid,
     ratio_witness,
+    ratio_dim,
     run_suites,
     solved_dims,
+    solved_within_limit,
 )
 
 
@@ -60,17 +62,24 @@ def test_lemma6_full_grid():
 
 
 def test_certify_chain_detects_wrong_expectation():
-    ok, _, expected = certify_chain(5, 1, 2, 2)
+    ok, _, expected = certify_chain(make_chain(5, 1, 2, 2))
     assert ok and expected == (2, 4)
 
 
 def test_one_full_solve_limit_serves_witness_and_certificate(monkeypatch):
-    # ratio_witness and certify_chain read the same limit: raised to the
-    # order-44 chain of ratio 3, both solve it outright
-    monkeypatch.setattr(verify, "FULL_SOLVE_ORDER_LIMIT", 44)
+    # the witness's confirmation and certify_chain read the same limit: at
+    # 24 the order-44 chain of ratio 3 is not solved, raised to 44 both solve
+    # it outright
     w = ratio_witness(3)
-    assert (w.confirmed_dim, w.confirmed_edim) == (6, 2)
-    assert certify_chain(6, 1, 2, 4) == (True, "solved (dim, edim) = (6, 2)", (6, 2))
+    assert w.graph.n == 44
+    assert solved_within_limit(w.graph) is None
+    monkeypatch.setattr(verify, "FULL_SOLVE_ORDER_LIMIT", 44)
+    assert solved_within_limit(w.graph) == (6, 2)
+    assert certify_chain(make_chain(6, 1, 2, 4)) == (
+        True,
+        "solved (dim, edim) = (6, 2)",
+        (6, 2),
+    )
 
 
 @pytest.mark.parametrize("q", [1, Fraction(3, 2), 2, Fraction(9, 4), 3, 16])
@@ -80,14 +89,15 @@ def test_ratio_witness_is_the_even_cycle_chain(q):
     ell = max(1, math.ceil(2 * q - 2))
     reference = make_chain(6, 1, 2, ell).graph
     w = ratio_witness(q)
-    assert (w.graph.graph.n, w.graph.graph.adj) == (reference.n, reference.adj)
-    assert w.ell == ell
-    assert (w.predicted_dim, w.predicted_edim) == (2 + ell, 2)
+    assert (w.graph.n, w.graph.adj) == (reference.n, reference.adj)
+    assert w.copies == ell
+    assert (ratio_dim(q), 2) == (2 + ell, 2) == expected_chain_dims(6, 2, w.copies)
 
 
 def test_theorem2_solves_its_chain_once(monkeypatch):
-    # the witness's confirmed dims serve the certificate, so the small
-    # grid's order-22 chain is solved outright once, with the same rows
+    # the certificate and the confirmation share the run's solve cache, so
+    # the small grid's order-22 chain is solved outright once, with the same
+    # rows
     calls = []
 
     def counted(g):
@@ -103,6 +113,22 @@ def test_theorem2_solves_its_chain_once(monkeypatch):
         "PASS  solver confirms (4, 2)",
     ]
     assert calls == [22]
+
+
+@pytest.mark.parametrize("grid, solves", [("small", 17), ("full", 79)])
+def test_run_suites_solves_each_graph_once(monkeypatch, grid, solves):
+    # every suite solves through one cache per call keyed by the graph, so
+    # equal graphs built apart (a one-copy chain and its gadget, a glue and a
+    # two-copy chain, a realization and the ratio witness) share one solve
+    calls = []
+
+    def counted(g):
+        calls.append((g.n, g.adj))
+        return solved_dims(g)
+
+    monkeypatch.setattr(verify, "solved_dims", counted)
+    assert all(res.passed for res in run_suites(grid=grid))
+    assert len(set(calls)) == len(calls) == solves
 
 
 def test_run_suites_builds_each_gadget_once(monkeypatch):
