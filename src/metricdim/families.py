@@ -328,7 +328,8 @@ def realize(dim_target: int, edim_target: int, order: int) -> FamilyGraph:
     n0 = chain_order(n1, 1, n3, ell)
     if order < n0:
         raise OrderTooSmall(
-            f"targets ({dim_target}, {edim_target}) need order >= {n0}, got {order}",
+            f"the construction for targets ({dim_target}, {edim_target}) needs order >= {n0},"
+            f" got {order}",
             minimum_order=n0,
         )
     return make_chain(n1, 1 + order - n0, n3, ell)

@@ -37,20 +37,21 @@ search's time, but about 6 ms at order 20, twice its time, with about 7 MiB
 more peak memory; hence the lattice limit of 16, which is separate from the
 packing limit of 64 below.
 
-Larger orders split the search first.  Distinct masks are kept, supersets
-of other masks dropped, and landmarks that share a kept mask are joined
-into components.  No mask spans two components, so the dimension is the sum
-of the component minima, and the lexicographically least basis is the
-sorted union of the components' lexicographically least sets: for sets of
-equal size, S comes before T exactly when the least landmark of their
-symmetric difference lies in S, and that landmark lies in one component.
-Each component's landmarks are relabelled 0, 1, ... in ascending order,
-which keeps that order.  A component of at most ``LATTICE_MAX_ORDER``
-landmarks goes to the subset lattice, a larger one to a depth-first search.
-A bounded search stops as soon as the minima found so far, plus one
-landmark for each component left, pass ``max_k``.  A chain of gadgets
-splits into about one component per copy, so its exact dimension no longer
-grows with the product of the copies' searches.
+Larger orders, and every order with twins forced (below), split the search
+first.  Distinct masks are kept, supersets of other masks dropped, and
+landmarks that share a kept mask are joined into components.  No mask spans
+two components, so the dimension is the sum of the component minima, and
+the lexicographically least basis is the sorted union of the components'
+lexicographically least sets: for sets of equal size, S comes before T
+exactly when the least landmark of their symmetric difference lies in S,
+and that landmark lies in one component.  Each component's landmarks are
+relabelled 0, 1, ... in ascending order, which keeps that order.  A
+component of at most ``LATTICE_MAX_ORDER`` landmarks goes to the subset
+lattice, a larger one to a depth-first search.  A bounded search stops as
+soon as the minima found so far, plus one landmark for each component left,
+pass ``max_k``.  A chain of gadgets splits into about one component per
+copy, so its exact dimension no longer grows with the product of the
+copies' searches.
 
 Above ``TWINS_ABOVE_ORDER`` (12) vertices, twin landmarks are forced before
 any search.  Vertices u and v are twins when N(u) - {v} = N(v) - {u}: equal
@@ -66,15 +67,19 @@ sets that contain F, lexicographic order is the order of what remains, so
 the witness is F plus the lexicographically least smallest set hitting the
 masks that F misses, and a bound ``max_k`` refutes at once below |F|.  On
 K2 the two vertices are twins, but its edge dimension is 0, so nothing is
-forced below order 3.  Up to ``LATTICE_MAX_ORDER`` the forced landmarks
-move to the top bits of the packed masks and the lattice runs over the
-other n - |F|, 2**|F| times smaller; above it, the masks F hits are
-dropped before the split.  The rule costs one dict pass over the rows and,
-on the lattice path, a few whole-buffer operations per forced landmark.  On
-G(n, 0.3) and G(n, 0.5) graphs with one planted twin pair (Python 3.11, 2
-vCPUs) that cost exceeds the saving up to order 12 (both kinds, 111
-against 77 µs per graph at order 10, 170 against 143 at order 12) and wins
-from order 13 on (656 against 982 µs at order 16); hence the order limit.
+forced below order 3.  Two items agree on every landmark of F exactly when
+their signatures agree on F's bits in every plane, which is exactly when
+their mask misses F.  So the items are grouped by those bits in one dict
+pass, only the pairs inside a group are folded, one at a time, at every
+order, and their masks go to the split; no mask that F hits is built.
+Every gadget's pendants form a class, so ``L:100,6,1,2`` (order 1,100)
+folds 899 of its 604,450 vertex pairs and 1,098 of its 718,201 edge pairs.
+On G(n, 0.3) and G(n, 0.5) graphs with one planted twin pair (Python 3.11,
+2 vCPUs; both kinds, signatures cached) the rule costs more than it saves
+at orders 10-16 (192 against 70 µs per graph at order 10, 509 against 206
+at order 13) and wins at order 20 (5.0 against 7.6 ms).  Graphs with large
+twin classes win from order 13: with the limit at 16 rather than 12, the
+paper's suites take 67 ms a pass rather than 59; hence the order limit.
 
 The depth-first search tries cardinalities k ascending from a greedy count
 of pairwise disjoint masks, each of which needs a landmark of its own; each
@@ -108,12 +113,13 @@ operand, so memory stays bounded (the edges of K40 make 303,810 pairs and
 92,170 distinct masks), and the distinct masks go to the split as a set.
 Above 64 landmarks a mask no longer fits a machine word, and each item pair
 costs one XOR and fold over n times ``diam.bit_length()`` bits, so setup
-grows with pairs times that width and dominates on large sparse graphs such
-as ``path:1000``.  Both builders' sets are sorted by popcount, then value,
-so the search sees the same list from either.  A bounded search (``max_k``)
-first refutes by counting distance classes, before any mask is built.  The
-generator checks (``is_metric_generator`` and its edge twin) compare the
-signatures restricted to the landmark set in every plane.
+grows with pairs times that width and dominates on large twin-free sparse
+graphs such as ``path:1000``; with twins forced, only the pairs inside a
+class are folded, at any order.  Every builder's set is sorted by popcount,
+then value, so the search sees the same list from each.  A bounded search
+(``max_k``) first refutes by counting distance classes, before any mask is
+built.  The generator checks (``is_metric_generator`` and its edge twin)
+compare the signatures restricted to the landmark set in every plane.
 
 A deliberately dumb reference implementation (materialise every distance
 vector per subset, no partition machinery) is kept alongside as an oracle
@@ -126,7 +132,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -172,12 +178,13 @@ def _edge_signatures(sigs: Sequence[int], edges: Sequence[Edge], n: int) -> list
     return out
 
 
-def _separator_masks(sigs: Sequence[int], n: int, diam: int) -> set[int]:
-    """Distinct per-pair masks of the landmarks that tell two items apart.
+def _separator_masks(pairs: Iterable[tuple[int, int]], n: int, diam: int) -> set[int]:
+    """Distinct masks of the landmarks that tell each pair of items apart.
 
-    The XOR of two signatures is non-zero exactly at the separating
-    landmarks of some plane; OR-folding the planes onto the lowest leaves
-    landmark z at bit z.
+    ``pairs`` are signature pairs, every pair of the ground set being
+    ``combinations(sigs, 2)``.  The XOR of two signatures is non-zero
+    exactly at the separating landmarks of some plane; OR-folding the planes
+    onto the lowest leaves landmark z at bit z.
     """
     full = (1 << n) - 1
     shifts = []
@@ -187,7 +194,7 @@ def _separator_masks(sigs: Sequence[int], n: int, diam: int) -> set[int]:
         shift <<= 1
     masks: set[int] = set()
     add = masks.add
-    for a, b in combinations(sigs, 2):
+    for a, b in pairs:
         d = a ^ b
         for shift in shifts:
             d |= d >> shift
@@ -223,7 +230,7 @@ def _slot_layout(n: int, planes: int) -> tuple[str, str, int, tuple[int, ...], b
     return item, word, width, tuple(n << i for i in range(folds)), lane, pick
 
 
-def _packed_masks(sigs: Sequence[int], n: int, diam: int, forced: int = 0) -> memoryview:
+def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
     """Every pair's separator mask, some twice, for at most 16 landmarks.
 
     ``_separator_masks`` by a few whole-buffer operations.  The signatures
@@ -236,13 +243,9 @@ def _packed_masks(sigs: Sequence[int], n: int, diam: int, forced: int = 0) -> me
     whole int and one AND with the lane mask then leave each pair's mask
     alone in its slot, one array item.  Sixteen landmarks take slots of at
     most 8 bytes, so K16's 120 edges, the most items, need 58,080 bytes per
-    operand; ``_grouped_masks`` keeps larger orders in bounded memory.
-
-    Each landmark of the set ``forced``, highest first, then moves to the
-    top bit of every mask: the bits below it stay, the bits above it move
-    down one, and its own bit goes to bit n - 1.  The other landmarks keep
-    their order in the low bits, and a mask that ``forced`` hits reads at
-    least ``2**(n - |forced|)``.
+    operand; ``_grouped_masks`` keeps larger orders in bounded memory.  Only
+    twin-free graphs come here: with twins forced, only the pairs inside a
+    twin class are folded.
     """
     item, _, width, shifts, lane, _ = _slot_layout(n, diam.bit_length())
     buf = array(item, sigs).tobytes()
@@ -254,11 +257,6 @@ def _packed_masks(sigs: Sequence[int], n: int, diam: int, forced: int = 0) -> me
     for shift in shifts:
         d |= d >> shift
     d &= int.from_bytes(lane * (size // width), _ORDER)
-    if forced:
-        ones = int.from_bytes((1).to_bytes(width, _ORDER) * (size // width), _ORDER)
-        for z in sorted(iter_bits(forced), reverse=True):
-            below = (1 << z) - 1
-            d = d & ones * below | d >> 1 & ones * (((1 << n - 1) - 1) ^ below) | (d >> z & ones) << n - 1
     return memoryview(d.to_bytes(size, _ORDER)).cast(item)
 
 
@@ -341,9 +339,7 @@ def _tables(n: int) -> tuple[list[int], list[int]]:
     return hi, pop
 
 
-def _lattice_hitting_set(
-    masks: Iterable[int], n: int, max_k: int, fixed: int = 0
-) -> tuple[int, ...] | None:
+def _lattice_hitting_set(masks: Iterable[int], n: int, max_k: int) -> tuple[int, ...] | None:
     """``_lex_least_hitting_set`` by one pass over the subset lattice.
 
     A set misses a mask exactly when it lies inside the mask's complement,
@@ -351,21 +347,15 @@ def _lattice_hitting_set(
     complements are marked in one int of ``2**n`` bits and down-closed, one
     landmark at a time; the smallest cardinality with a set left over
     wins, and among those sets the lexicographically least keeps the
-    smallest landmarks it can, one at a time.
-
-    The top ``fixed`` landmarks are taken as chosen: the search runs over
-    the other ``n - fixed``, and a mask that any of the top ones hits is
-    met already.  Such a mask is at least ``2**(n - fixed)``, past the
-    characters that are read.
+    smallest landmarks it can, one at a time.  It takes twin-free graphs of
+    at most 16 vertices whole, and the split's components of at most 16
+    landmarks.
     """
     # Character s of the string stands for bit full ^ s of the int, the
     # complement of mask s.
     marks = bytearray(b"0" * (1 << n))
     for m in masks:
         marks[m] = 49
-    if fixed:
-        n -= fixed
-        del marks[1 << n :]
     hi, pop = _tables(n)
     bad = int(marks, 2)
     for i in range(n):
@@ -561,28 +551,32 @@ def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> Resolve
     bound = min(top, ground_size.bit_length())
     if max_k is not None and ground_size > (diam + 1) ** bound:
         return None
-    forced = fixed = 0
+    forced = 0
     if n > TWINS_ABOVE_ORDER:
         forced = _forced_twins(g.adj)
-        fixed = forced.bit_count()
-        top -= fixed
+        top -= forced.bit_count()
         if top < 0:
             return None
     if kind == "edge":
         sigs = _edge_signatures(sigs, g.edges, n)
-    if n <= LATTICE_MAX_ORDER:
-        witness = _lattice_hitting_set(_packed_masks(sigs, n, diam, forced), n, top, fixed)
-        if forced and witness is not None:
-            kept = [z for z in range(n) if not forced >> z & 1]
-            witness = [kept[j] for j in witness]
+    if n <= LATTICE_MAX_ORDER and not forced:
+        witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, top)
     else:
-        build = _grouped_masks if n <= PACKED_MAX_ORDER else _separator_masks
-        masks = build(sigs, n, diam)
         if forced:
-            masks = [m for m in masks if not m & forced]
-        # By popcount, then value: both builders give the search one order.
-        masks = sorted(sorted(masks), key=int.bit_count)
-        witness = _split_hitting_set(masks, n, top)
+            # Two items agree on F, in every plane, exactly when their mask
+            # misses F: only the pairs inside one such class are folded.
+            sel = forced * sum(1 << b * n for b in range(diam.bit_length()))
+            classes: dict[int, list[int]] = {}
+            for sig in sigs:
+                classes.setdefault(sig & sel, []).append(sig)
+            pairs = chain.from_iterable(combinations(c, 2) for c in classes.values())
+            masks = _separator_masks(pairs, n, diam)
+        elif n <= PACKED_MAX_ORDER:
+            masks = _grouped_masks(sigs, n, diam)
+        else:
+            masks = _separator_masks(combinations(sigs, 2), n, diam)
+        # By popcount, then value: every builder gives the search one order.
+        witness = _split_hitting_set(sorted(sorted(masks), key=int.bit_count), n, top)
     if witness is None:
         return None
     if forced:

@@ -53,6 +53,15 @@ def test_realize_roundtrip(capsys):
     assert g.n == 23
 
 
+def test_realize_below_construction_order_fails(capsys):
+    # (2, 3) occurs at order 4, so the refusal names the construction's
+    # bound, not a bound on the pair
+    code, out, err = run(capsys, "realize", "--dim", "2", "--edim", "3", "--order", "6")
+    assert code == 1
+    assert not out
+    assert err == "error: the construction for targets (2, 3) needs order >= 10, got 6\n"
+
+
 def test_realize_equal_targets_fails(capsys):
     code, _, err = run(capsys, "realize", "--dim", "3", "--edim", "3", "--order", "30")
     assert code == 1

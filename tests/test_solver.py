@@ -27,6 +27,7 @@ from metricdim import (
     make_path,
     metric_dimension,
     metric_dimension_naive,
+    realize,
     resolution_vector,
 )
 from metricdim.scan import enumerate_labeled_connected
@@ -315,7 +316,7 @@ def test_hitting_set_searches_match_naive_oracle():
         sigs, diam = g.signatures()
         grounds = (sigs, _edge_signatures(sigs, g.edges, g.n))
         for ground, naive in zip(grounds, naive_results(g)):
-            masks = sorted(_separator_masks(ground, g.n, diam), key=int.bit_count)
+            masks = sorted(_separator_masks(combinations(ground, 2), g.n, diam), key=int.bit_count)
             packed = _packed_masks(ground, g.n, diam)
             assert set(packed) == set(masks)
             kept = _drop_supersets(masks)
@@ -353,7 +354,7 @@ def test_component_split_matches_depth_first_search():
     for g in _split_oracle_graphs():
         sigs, diam = g.signatures()
         for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
-            masks = sorted(_separator_masks(ground, g.n, diam), key=int.bit_count)
+            masks = sorted(_separator_masks(combinations(ground, 2), g.n, diam), key=int.bit_count)
             kept = _drop_supersets(masks)
             sizes = [len(landmarks) for landmarks, _ in _components(kept, g.n)]
             if max(sizes) > LATTICE_MAX_ORDER:
@@ -388,7 +389,8 @@ def test_packed_masks_match_pairwise_masks(monkeypatch):
         sigs, diam = g.signatures()
         planes.add(diam.bit_length())
         for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
-            assert set(_packed_masks(ground, g.n, diam)) == _separator_masks(ground, g.n, diam)
+            pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
+            assert set(_packed_masks(ground, g.n, diam)) == pairwise
     assert planes == {0, 1, 2, 3, 4}
     # orders 17-64 take 32- and 64-bit mask words; paths and cycles give up
     # to six planes, which need slots of several words; K40's 780 edges
@@ -402,7 +404,8 @@ def test_packed_masks_match_pairwise_masks(monkeypatch):
         sigs, diam = g.signatures()
         planes.add(diam.bit_length())
         for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
-            assert _grouped_masks(ground, g.n, diam) == _separator_masks(ground, g.n, diam)
+            pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
+            assert _grouped_masks(ground, g.n, diam) == pairwise
     assert planes == {1, 4, 5, 6}
     # small budgets force groups on small graphs: one block per group, then
     # K12's 6 vertex blocks of 26 bytes in groups of three
@@ -411,7 +414,8 @@ def test_packed_masks_match_pairwise_masks(monkeypatch):
         for g in (make_complete(12), make_cycle(12), make_complete(16), make_path(40)):
             sigs, diam = g.signatures()
             for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
-                assert _grouped_masks(ground, g.n, diam) == _separator_masks(ground, g.n, diam)
+                pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
+                assert _grouped_masks(ground, g.n, diam) == pairwise
 
 
 @pytest.mark.parametrize("k", [2, 3, 90, 120, 300])
@@ -476,12 +480,51 @@ def _planted_twin_graph(rng, n):
     return relabel(g, perm)
 
 
+def test_twin_classes_fold_exactly_the_masks_the_forced_set_misses(monkeypatch):
+    # with twins forced, the solver folds only the pairs of items that agree
+    # on every forced landmark; those are exactly the pairs whose mask misses
+    # the forced set, so the search must get the masks that filtering every
+    # pair's mask would keep, in the same order, below and above order 64
+    rng = random.Random(131)
+    graphs = [_planted_twin_graph(rng, n) for n in [*range(13, 41), 64, 65, 80, 100]]
+    stars = [[(0, leaf) for leaf in range(1, k + 1)] for k in (12, 15, 63, 64, 99)]
+    graphs += [Graph.from_edges(len(edges) + 1, edges) for edges in stars]
+    graphs += [make_chain(n1, 1, 2, ell).graph for n1 in (5, 6) for ell in (2, 6, 9)]
+    assert min(g.n for g in graphs) > solver.TWINS_ABOVE_ORDER
+    handed = []
+    split = solver._split_hitting_set
+
+    def record(masks, n, max_k):
+        handed.append(masks)
+        return split(masks, n, max_k)
+
+    monkeypatch.setattr(solver, "_split_hitting_set", record)
+    for g in graphs:
+        forced = solver._forced_twins(g.adj)
+        assert forced
+        sigs, diam = g.signatures()
+        grounds = (sigs, _edge_signatures(sigs, g.edges, g.n))
+        for fast, ground in zip((metric_dimension, edge_metric_dimension), grounds):
+            handed.clear()
+            fast(g)
+            pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
+            kept = {m for m in pairwise if not m & forced}
+            assert handed == [sorted(sorted(kept), key=int.bit_count)]
+
+
 def test_twin_rule_keeps_witnesses_and_caps(monkeypatch):
-    # orders 13-16 move the forced landmarks to the top of the lattice,
-    # larger orders drop the masks they hit before the split; both must
-    # give the witnesses and capped results of the search without the rule
+    # above TWINS_ABOVE_ORDER the solver folds only the pairs inside the
+    # forced twin classes, at every order: up to 64 in place of the lattice
+    # and the packed masks, above 64 in place of every pair's mask; up to
+    # order 120 that must give the witnesses and capped results of the
+    # search without the rule
     rng = random.Random(113)
     graphs = [_planted_twin_graph(rng, n) for n in range(13, 41) for _ in range(4)]
+    graphs += [make_chain(5, 1, 2, ell).graph for ell in range(7, 13)]  # orders 70-120
+    graphs += [make_chain(6, 1, 2, ell).graph for ell in range(6, 11)]  # orders 66-110
+    graphs += [realize(2, 4, 66).graph, realize(5, 2, 90).graph, realize(2, 9, 120).graph]
+    graphs += [realize(9, 2, 120).graph]
+    assert max(g.n for g in graphs) == 120
     kinds = {g.has_edge(u, v) for g in graphs for u, v in _twin_pairs(g)}
     assert kinds == {False, True}  # open and closed twins both occur
     assert solver.TWINS_ABOVE_ORDER < 13

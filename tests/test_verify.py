@@ -150,9 +150,11 @@ def test_run_suites_builds_each_gadget_once(monkeypatch):
 
 @pytest.mark.parametrize("n1", [5, 6])
 def test_long_chains_solve_exactly(n1):
-    # chains split into about one landmark-disjoint component per copy, so
-    # exact solves reach the paper's constructions at any length
-    for ell in [*range(1, 11), 20, 30]:
+    # chains split into about one landmark-disjoint component per copy, and
+    # above order 12 only the pairs inside forced twin classes are folded,
+    # so exact solves reach the paper's constructions at any length: ell =
+    # 100 is order 1,000 or 1,100
+    for ell in [*range(1, 11), 20, 30, 100]:
         g = make_chain(n1, 1, 2, ell).graph
         assert solved_dims(g) == expected_chain_dims(n1, 2, ell)
         assert is_metric_generator(g, metric_dimension(g).witness)
