@@ -9,25 +9,26 @@ through single bridge edges widens that gap one unit per copy.
 ``target_chain`` picks the cycle and chain lengths for any prescribed pair
 of dimensions, and ``realize`` builds that chain at any large enough order.
 
-Vertex ids inside a copy are assigned in the fixed order
-``a_1..a_n1, b_1..b_n2, c, i, j_1..j_n3`` and copies are concatenated, so
+Vertex ids follow one rule, ``_roles``: inside a copy, the order
+``a_1..a_n1, b_1..b_n2, c, i, j_1..j_n3``; copies are concatenated, so
 solver witnesses are reproducible.  A family graph records only the
-``(n1, n2, n3)`` of each copy; the role of each vertex is derived from those
-on the first role lookup and never enters solver loops.
+``(n1, n2, n3)`` of each copy and, on the first lookup, the first id of
+each; a role lookup is arithmetic on those, and nothing per vertex is built.
 
-Chain ids are closed-form.  Copy 1 starts at id 0 and every further copy is
-an ``(n1, 1, 2)`` gadget of order ``n1 + 5``, so copy ``k >= 2`` starts at
-``gadget_order(n1, n2, n3) + (k - 2) * (n1 + 5)``.  Role ``a_t`` of copy
-``k`` is ``base(k) + t - 1`` and ``j_t`` is ``base(k) + n1 + n2_k + 1 + t``,
-with ``n2_k`` the tail length of that copy.  The canonical bases come from
-these offsets, and so does the chain: copy 1's rows, then one ``(n1, 1, 2)``
-copy's rows shifted up by ``base(k)`` for each further copy, plus the bridges.
+Copy 1 of a chain starts at id 0 and every further copy is an ``(n1, 1, 2)``
+gadget of order ``n1 + 5``, so copy ``k >= 2`` starts at
+``gadget_order(n1, n2, n3) + (k - 2) * (n1 + 5)``.  The canonical bases add
+``_roles`` ids to these starts; the chain is copy 1's rows, then one
+``(n1, 1, 2)`` copy's rows shifted up by each further start, plus the
+bridges.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from math import prod
 
 from .graph import Graph, add_edge, cartesian_product, disjoint_union
@@ -79,19 +80,6 @@ class FamilyParams:
 
 
 @dataclass(frozen=True)
-class RoleLabel:
-    """Structural role of one vertex: copy number, role letter, role index."""
-
-    copy: int
-    role: str  # "a", "b", "c", "i" or "j"
-    index: int = 0  # 1-based position for a/b/j, 0 for c and i
-
-    @property
-    def name(self) -> str:
-        return self.role if self.index == 0 else f"{self.role}{self.index}"
-
-
-@dataclass(frozen=True)
 class BasisBlueprint:
     """Cycle anchor positions used by the canonical bases.
 
@@ -130,29 +118,28 @@ class FamilyGraph:
         return len(self.parts)
 
     @cached_property
-    def labels(self) -> tuple[RoleLabel, ...]:
-        """Role of every vertex in id order, built on the first lookup."""
-        return tuple(
-            lab for k, part in enumerate(self.parts, 1) for lab in _gadget_labels(k, *part)
-        )
+    def _starts(self) -> tuple[int, ...]:
+        """First id of each copy, then the order."""
+        return tuple(accumulate((gadget_order(*p) for p in self.parts), initial=0))
 
     def vertex(self, role: str, index: int = 0, copy: int = 1) -> int:
-        target = RoleLabel(copy, role, index)
-        try:
-            return self._ids[target]
-        except KeyError:
-            raise KeyError(f"no vertex labelled {target}") from None
-
-    @cached_property
-    def _ids(self) -> dict[RoleLabel, int]:
-        """Label -> vertex id, built on the first lookup; the lowest id wins."""
-        return {lab: v for v, lab in reversed(list(enumerate(self.labels)))}
+        roles = _roles(*self.parts[copy - 1]) if 1 <= copy <= self.copies else {}
+        base, indices = roles.get(role, (0, ()))
+        if index not in indices:
+            raise KeyError(f"no vertex {role}{index or ''} in copy {copy}")
+        return self._starts[copy - 1] + base + index
 
     def label_name(self, v: int) -> str:
-        lab = self.labels[v]
-        if self.copies > 1:
-            return f"{lab.name}^{lab.copy}"
-        return lab.name
+        if not 0 <= v < self.graph.n:
+            raise IndexError(f"no vertex {v} in a family graph of order {self.graph.n}")
+        k = bisect_right(self._starts, v) - 1
+        r = v - self._starts[k]
+        name = next(
+            f"{role}{r - base or ''}"
+            for role, (base, indices) in _roles(*self.parts[k]).items()
+            if r - base in indices
+        )
+        return f"{name}^{k + 1}" if self.copies > 1 else name
 
 
 def plain_graph(g: Graph | FamilyGraph) -> Graph:
@@ -169,29 +156,36 @@ def make_gadget(n1: int, n2: int, n3: int) -> FamilyGraph:
     return make_chain(n1, n2, n3)
 
 
+def _roles(n1: int, n2: int, n3: int) -> dict[str, tuple[int, range]]:
+    """Role letter -> ``(base, indices)`` in one copy whose ids start at 0.
+
+    The one in-copy order, ``a_1..a_n1, b_1..b_n2, c, i, j_1..j_n3``: role
+    ``r`` with index ``t`` in ``indices`` has id ``base + t``.  The single
+    vertices ``c`` and ``i`` have the one index 0.
+    """
+    hub = n1 + n2 + 1
+    return {
+        "a": (-1, range(1, n1 + 1)),
+        "b": (n1 - 1, range(1, n2 + 1)),
+        "c": (n1 + n2, range(1)),
+        "i": (hub, range(1)),
+        "j": (hub, range(1, n3 + 1)),
+    }
+
+
 def _gadget_rows(n1: int, n2: int, n3: int) -> list[int]:
     """Adjacency rows of one gadget copy whose ids start at 0."""
-    hub = n1 + n2 + 1  # i, after the cycle a_1..a_n1, the tail b_1..b_n2 and c
+    (a, _), (b, _), (c, _), (i, _), (j, _) = _roles(n1, n2, n3).values()
     # the cycle, the tail joined at a_2, c at a_n1, i at a_1 and its pendants
-    edges = [(k, k + 1) for k in range(n1 - 1)] + [(0, n1 - 1)]
-    edges += [(n1 + k, n1 + k + 1) for k in range(n2 - 1)]
-    edges += [(1, n1), (n1 - 1, n1 + n2), (0, hub)]
-    edges += [(hub, hub + 1 + k) for k in range(n3)]
-    rows = [0] * (hub + 1 + n3)
+    edges = [(a + t, a + t + 1) for t in range(1, n1)] + [(a + 1, a + n1)]
+    edges += [(b + t, b + t + 1) for t in range(1, n2)]
+    edges += [(a + 2, b + 1), (a + n1, c), (a + 1, i)]
+    edges += [(i, j + t) for t in range(1, n3 + 1)]
+    rows = [0] * gadget_order(n1, n2, n3)
     for u, v in edges:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return rows
-
-
-def _gadget_labels(copy: int, n1: int, n2: int, n3: int) -> list[RoleLabel]:
-    """Role labels of one gadget copy, in id order."""
-    return (
-        [RoleLabel(copy, "a", k + 1) for k in range(n1)]
-        + [RoleLabel(copy, "b", k + 1) for k in range(n2)]
-        + [RoleLabel(copy, "c"), RoleLabel(copy, "i")]
-        + [RoleLabel(copy, "j", k + 1) for k in range(n3)]
-    )
 
 
 def glue(g1, v1: int, g2, v2: int):
@@ -218,19 +212,17 @@ def make_chain(n1: int, n2: int, n3: int, ell: int = 1) -> FamilyGraph:
     FamilyParams(n1, n2, n3, ell).validate()
     alpha = BasisBlueprint.for_cycle(n1).alpha
     rows, copy = _gadget_rows(n1, n2, n3), _gadget_rows(n1, 1, 2)
-    for k in range(2, ell + 1):
-        # copy k at the next free id, bridged from a_alpha of copy k-1 by j_1
-        base, u = len(rows), _copy_base(n1, n2, n3, k - 1) + alpha - 1
+    (a, _), *_, (j, _) = _roles(n1, 1, 2).values()
+    u = a + alpha  # a_alpha of copy 1: the cycle comes first in every copy
+    for _ in range(1, ell):
+        # the next copy at the next free id, bridged from a_alpha of the last by j_1
+        base = len(rows)
         rows += [row << base for row in copy]
-        rows[u] |= 1 << base + n1 + 3
-        rows[base + n1 + 3] |= 1 << u
+        rows[u] |= 1 << base + j + 1
+        rows[base + j + 1] |= 1 << u
+        u = base + a + alpha
     parts = ((n1, n2, n3),) + ((n1, 1, 2),) * (ell - 1)
     return FamilyGraph(Graph(len(rows), rows, _validate=False), parts)
-
-
-def _copy_base(n1: int, n2: int, n3: int, k: int) -> int:
-    """Id of ``a_1`` in copy ``k`` of a chain: the order of copies 1..k-1."""
-    return chain_order(n1, n2, n3, k - 1) if k > 1 else 0
 
 
 def chain_order(n1: int, n2: int, n3: int, ell: int) -> int:
@@ -253,12 +245,13 @@ def canonical_basis(
     if kind not in ("vertex", "edge"):
         raise ValueError(f"kind must be 'vertex' or 'edge', got {kind!r}")
     bp = BasisBlueprint.for_cycle(n1)
+    (a, _), *_, (j, _) = _roles(n1, n2, n3).values()
 
     def anchor(t: int, copy: int) -> int:
-        return _copy_base(n1, n2, n3, copy) + t - 1
+        # a_t of a copy, after the order of the copies before it
+        return (chain_order(n1, n2, n3, copy - 1) if copy > 1 else 0) + a + t
 
-    hub = n1 + n2 + 1  # i of copy 1; its pendant j_k is hub + k
-    basis = [hub + k for k in range(1, n3)]
+    basis = [j + t for t in range(1, n3)]  # j_1..j_{n3-1} of copy 1
     if (n1 % 2 == 1) == (kind == "vertex"):  # the compact set
         basis.append(anchor(bp.alpha, ell))
     else:

@@ -111,15 +111,17 @@ landmarks the pairs take one XOR, whose masks go to the lattice as they are.
 Above 16 the pairs are XORed in groups of at most ``PACK_BYTES`` bytes per
 operand, so memory stays bounded (the edges of K40 make 303,810 pairs and
 92,170 distinct masks), and the distinct masks go to the split as a set.
-Above 64 landmarks a mask no longer fits a machine word, and each item pair
-costs one XOR and fold over n times ``diam.bit_length()`` bits, so setup
-grows with pairs times that width and dominates on large twin-free sparse
-graphs such as ``path:1000``; with twins forced, only the pairs inside a
-class are folded, at any order.  Every builder's set is sorted by popcount,
-then value, so the search sees the same list from each.  A bounded search
-(``max_k``) first refutes by counting distance classes, before any mask is
-built.  The generator checks (``is_metric_generator`` and its edge twin)
-compare the signatures restricted to the landmark set in every plane.
+Above 64 landmarks a mask no longer fits a machine word, and the pairs go
+through the twin-class fold, F empty and one class holding every item when
+the graph is twin-free.  Each pair then costs one XOR and fold over n times
+``diam.bit_length()`` bits, so setup grows with pairs times that width and
+dominates on large twin-free sparse graphs such as ``path:1000``; with
+twins forced, only the pairs inside a class are folded, at any order.
+Every builder's set is sorted by popcount, then value, so the search sees
+the same list from each.  A bounded search (``max_k``) first refutes by
+counting distance classes, before any mask is built.  The generator checks
+(``is_metric_generator`` and its edge twin) compare the signatures
+restricted to the landmark set in every plane.
 
 A deliberately dumb reference implementation (materialise every distance
 vector per subset, no partition machinery) is kept alongside as an oracle
@@ -562,19 +564,18 @@ def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> Resolve
     if n <= LATTICE_MAX_ORDER and not forced:
         witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, top)
     else:
-        if forced:
+        if n <= PACKED_MAX_ORDER and not forced:
+            masks = _grouped_masks(sigs, n, diam)
+        else:
             # Two items agree on F, in every plane, exactly when their mask
-            # misses F: only the pairs inside one such class are folded.
+            # misses F: only the pairs inside one such class are folded.  A
+            # twin-free graph has F empty, and one class holds every item.
             sel = forced * sum(1 << b * n for b in range(diam.bit_length()))
             classes: dict[int, list[int]] = {}
             for sig in sigs:
                 classes.setdefault(sig & sel, []).append(sig)
             pairs = chain.from_iterable(combinations(c, 2) for c in classes.values())
             masks = _separator_masks(pairs, n, diam)
-        elif n <= PACKED_MAX_ORDER:
-            masks = _grouped_masks(sigs, n, diam)
-        else:
-            masks = _separator_masks(combinations(sigs, 2), n, diam)
         # By popcount, then value: every builder gives the search one order.
         witness = _split_hitting_set(sorted(sorted(masks), key=int.bit_count), n, top)
     if witness is None:

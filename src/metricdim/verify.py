@@ -82,16 +82,6 @@ GRIDS = {
 }
 
 
-def _grid(grid: str) -> Grid:
-    if grid not in GRIDS:
-        raise ValueError(f"grid must be one of {', '.join(GRIDS)}, got {grid!r}")
-    return GRIDS[grid]
-
-
-def gadget_grid(grid: str) -> list[tuple[int, int, int]]:
-    return _grid(grid).gadgets
-
-
 def solved_dims(g: Graph) -> tuple[int, int]:
     """Exact (dim, edim) of a connected graph, by two full solves."""
     return metric_dimension(g).dimension, edge_metric_dimension(g).dimension
@@ -149,8 +139,8 @@ def ratio_witness(q) -> FamilyGraph:
     return realize(dim, 2, minimum_realizable_order(dim, 2))
 
 
-def suite_observation1(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
-    for n1, n2, n3 in gadget_grid(grid):
+def suite_observation1(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
+    for n1, n2, n3 in grid.gadgets:
         dim, edim = dims(gadget(n1, n2, n3).graph)
         yield (
             f"G({n1},{n2},{n3}): dim={dim} >= {n3} and edim={edim} >= {n3}",
@@ -158,8 +148,8 @@ def suite_observation1(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
         )
 
 
-def suite_lemma2(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
-    for n1, n2, n3 in gadget_grid(grid):
+def suite_lemma2(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
+    for n1, n2, n3 in grid.gadgets:
         g = gadget(n1, n2, n3)
         bp = BasisBlueprint.for_cycle(n1)
         extended = sorted(
@@ -184,22 +174,22 @@ def suite_lemma2(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
         )
 
 
-def suite_lemma3(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
-    for n1, n2, n3 in gadget_grid(grid):
+def suite_lemma3(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
+    for n1, n2, n3 in grid.gadgets:
         expected = expected_chain_dims(n1, n3)[0]
         dim, _ = dims(gadget(n1, n2, n3).graph)
         yield f"G({n1},{n2},{n3}): dim={dim}, expected {expected}", dim == expected
 
 
-def suite_lemma4(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
-    for n1, n2, n3 in gadget_grid(grid):
+def suite_lemma4(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
+    for n1, n2, n3 in grid.gadgets:
         expected = expected_chain_dims(n1, n3)[1]
         _, edim = dims(gadget(n1, n2, n3).graph)
         yield f"G({n1},{n2},{n3}): edim={edim}, expected {expected}", edim == expected
 
 
-def suite_lemma5(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
-    for p1 in _grid(grid).lemma5_firsts:
+def suite_lemma5(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
+    for p1 in grid.lemma5_firsts:
         for p2 in ((5, 1, 2), (6, 1, 2)):
             g1 = gadget(*p1)
             g2 = gadget(*p2)
@@ -215,14 +205,14 @@ def suite_lemma5(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
             )
 
 
-def suite_lemma6(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
-    for n1, ell in _grid(grid).chains:
+def suite_lemma6(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
+    for n1, ell in grid.chains:
         ok, detail, expected = certify_chain(make_chain(n1, 1, 2, ell), dims)
         yield f"L^{ell}({n1},1,2) expects {expected}: {detail}", ok
 
 
-def suite_theorem1(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
-    for r, t in _grid(grid).theorem1_targets:
+def suite_theorem1(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
+    for r, t in grid.theorem1_targets:
         base = minimum_realizable_order(r, t)
         for order in (base, base + 1, base + 5):
             fam = realize(r, t, order)
@@ -233,8 +223,8 @@ def suite_theorem1(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
             )
 
 
-def suite_theorem2(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
-    target = _grid(grid).theorem2_target
+def suite_theorem2(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
+    target = grid.theorem2_target
     w = ratio_witness(target)
     predicted = (ratio_dim(target), 2)
     yield f"ratio_witness({target}) predicts {predicted}", Fraction(*predicted) >= target
@@ -247,8 +237,9 @@ def suite_theorem2(grid: str, gadget, dims) -> Iterator[tuple[str, bool]]:
 
 
 # Each suite is called as ``suite(grid, gadget, dims)`` and yields (label, ok)
-# rows; ``gadget(n1, n2, n3)`` gives a gadget's FamilyGraph and ``dims(g)``
-# the solved (dim, edim) of a plain graph ``g``.
+# rows; ``grid`` is the run's ``Grid``, ``gadget(n1, n2, n3)`` gives a
+# gadget's FamilyGraph and ``dims(g)`` the solved (dim, edim) of a plain
+# graph ``g``.
 SUITES = {
     "observation1": suite_observation1,
     "lemma2": suite_lemma2,
@@ -267,6 +258,9 @@ def run_suites(names: list[str] | None = None, grid: str = "small") -> list[Suit
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(map(repr, unknown))}")
+    if grid not in GRIDS:
+        raise ValueError(f"grid must be one of {', '.join(GRIDS)}, got {grid!r}")
+    params = GRIDS[grid]
     # One build per gadget and one solve per distinct graph for the whole
     # call; equal graphs built apart share a solve, since ``Graph`` hashes by
     # its rows.  Fresh caches each call, so repeated runs repeat the work.
@@ -276,7 +270,7 @@ def run_suites(names: list[str] | None = None, grid: str = "small") -> list[Suit
     for name in names:
         res = SuiteResult(name)
         t0 = time.monotonic()
-        for label, ok in SUITES[name](grid, gadget, dims):
+        for label, ok in SUITES[name](params, gadget, dims):
             res.check(label, ok)
         res.seconds = time.monotonic() - t0
         results.append(res)

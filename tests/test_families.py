@@ -64,36 +64,90 @@ def test_gadget_structure():
         assert raw.degree(g.vertex("j", k)) == 1
 
 
+def _roles_in_order(parts):
+    """``(letter, index, copy)`` of every vertex in id order: a1..an1 b1..bn2
+    c i j1..jn3 in each copy, copies one after another."""
+    return [
+        (letter, index, copy)
+        for copy, (n1, n2, n3) in enumerate(parts, 1)
+        for letter, index in (
+            [("a", t) for t in range(1, n1 + 1)]
+            + [("b", t) for t in range(1, n2 + 1)]
+            + [("c", 0), ("i", 0)]
+            + [("j", t) for t in range(1, n3 + 1)]
+        )
+    ]
+
+
+def _names(fam):
+    return [fam.label_name(v) for v in range(fam.graph.n)]
+
+
+def _check_roles(fam):
+    """Every name and every id of a family graph against the enumeration."""
+    roles = _roles_in_order(fam.parts)
+    assert len(roles) == fam.graph.n
+    for v, (letter, index, copy) in enumerate(roles):
+        name = f"{letter}{index or ''}"
+        assert fam.label_name(v) == (f"{name}^{copy}" if fam.copies > 1 else name)
+        assert fam.vertex(letter, index, copy) == v
+
+
 def test_labels_bijection():
-    g = make_gadget(6, 2, 3)
-    seen = set()
-    for v in range(g.graph.n):
-        name = g.label_name(v)
-        assert name not in seen
-        seen.add(name)
-        lab = g.labels[v]
-        assert g.vertex(lab.role, lab.index, lab.copy) == v
+    # names are distinct, and vertex() inverts label_name(), on chains,
+    # realizations whose first tail takes the slack, and an unequal glue
+    g1, g2 = make_gadget(7, 3, 4), make_gadget(5, 1, 2)
+    graphs = [make_gadget(6, 2, 3), glue(g1, g1.vertex("a", 4), g2, g2.vertex("j", 1))]
+    graphs += [make_chain(n1, 1, 2, ell) for n1 in (5, 6, 7) for ell in range(1, 31)]
+    graphs += [realize(2, 4, 20 + slack) for slack in (0, 1, 9)]
+    graphs += [realize(4, 2, 22 + slack) for slack in (0, 1, 9)]
+    graphs += [realize(2, 26, 300), realize(26, 2, 320)]
+    for g in graphs:
+        _check_roles(g)
+        assert len(set(_names(g))) == g.graph.n
+    assert realize(2, 4, 29).parts == ((5, 10, 2), (5, 1, 2))
 
 
 def test_vertex_lookup_covers_every_label_and_refuses_unknown_ones():
     ch = make_chain(6, 1, 2, 4)
-    for v, lab in enumerate(ch.labels):
-        assert ch.vertex(lab.role, lab.index, lab.copy) == v
-    with pytest.raises(KeyError) as info:
-        ch.vertex("a", 3, copy=5)
-    assert info.value.args == ("no vertex labelled RoleLabel(copy=5, role='a', index=3)",)
-    with pytest.raises(KeyError, match=r"no vertex labelled RoleLabel\(copy=1, role='j', index=3\)"):
-        ch.vertex("j", 3)
+    _check_roles(ch)
+    refused = [
+        (("d", 1, 1), "no vertex d1 in copy 1"),  # no such role
+        (("", 0, 1), "no vertex  in copy 1"),
+        (("ab", 1, 1), "no vertex ab1 in copy 1"),
+        (("a", 0, 1), "no vertex a in copy 1"),  # a, b and j count from 1
+        (("b", 0, 2), "no vertex b in copy 2"),
+        (("j", 0, 1), "no vertex j in copy 1"),
+        (("a", 7, 1), "no vertex a7 in copy 1"),  # past the count
+        (("b", 2, 1), "no vertex b2 in copy 1"),
+        (("j", 3, 1), "no vertex j3 in copy 1"),
+        (("a", -1, 1), "no vertex a-1 in copy 1"),
+        (("c", 1, 1), "no vertex c1 in copy 1"),  # c and i take no index
+        (("i", 2, 3), "no vertex i2 in copy 3"),
+        (("a", 3, 5), "no vertex a3 in copy 5"),  # copies run 1..4
+        (("a", 3, 0), "no vertex a3 in copy 0"),
+        (("c", 0, -1), "no vertex c in copy -1"),
+    ]
+    for args, message in refused:
+        with pytest.raises(KeyError) as info:
+            ch.vertex(*args)
+        assert info.value.args == (message,)
+    for v in (-1, -ch.graph.n, ch.graph.n, ch.graph.n + 5):
+        with pytest.raises(IndexError, match=f"no vertex {v} in a family graph of order 44"):
+            ch.label_name(v)
 
 
-def test_role_table_is_built_on_first_lookup():
-    # a family graph records its copies; the per-vertex roles wait for a lookup
-    for lookup in (lambda g: g.vertex("a", 1), lambda g: g.label_name(0)):
+def test_role_lookups_build_nothing_per_vertex():
+    # a family graph records its copies; a lookup adds only the first id of
+    # each copy, and its result comes from those by arithmetic
+    for lookup in (lambda g: g.vertex("a", 1, copy=30), lambda g: g.label_name(329)):
         ch = make_chain(6, 1, 2, 30)
-        assert "labels" not in ch.__dict__
+        assert set(ch.__dict__) == {"graph", "parts"}
         lookup(ch)
-        assert "labels" in ch.__dict__
+        assert set(ch.__dict__) == {"graph", "parts", "_starts"}
+        assert ch._starts == tuple(range(0, 331, 11))
         assert ch.parts == ((6, 1, 2),) * 30
+    assert (ch.vertex("a", 1, copy=30), ch.label_name(329)) == (319, "j2^30")
 
 
 def test_basis_blueprint():
@@ -112,7 +166,8 @@ def test_basis_blueprint():
 def test_chain_orders():
     chain, gadget = make_chain(7, 3, 4, 1), make_gadget(7, 3, 4)
     assert chain.graph == gadget.graph
-    assert (chain.labels, chain.copies) == (gadget.labels, gadget.copies)
+    assert (chain.parts, _names(chain)) == (gadget.parts, _names(gadget))
+    assert _names(chain) == "a1 a2 a3 a4 a5 a6 a7 b1 b2 b3 c i j1 j2 j3 j4".split()
     assert make_chain(7, 3, 4, 3).graph.n == chain_order(7, 3, 4, 3) == 40
     assert make_chain(5, 1, 2, 2).graph.n == 20
     assert chain_order(5, 1, 2, 2) == 20
@@ -230,7 +285,8 @@ def test_chain_builder_matches_glue_fold():
                     got = make_chain(n1, n2, n3, ell)
                     assert got.graph == ref.graph
                     assert got.parts == ref.parts
-                    assert got.labels == ref.labels
+                    assert _names(got) == _names(ref)
+                    _check_roles(got)
                     assert got.copies == ref.copies == ell
                     pendants = [ref.vertex("j", k) for k in range(1, n3)]
                     last = [ref.vertex("a", bp.alpha, copy=ell)]

@@ -512,6 +512,31 @@ def test_twin_classes_fold_exactly_the_masks_the_forced_set_misses(monkeypatch):
             assert handed == [sorted(sorted(kept), key=int.bit_count)]
 
 
+def test_twin_free_graphs_above_64_fold_every_pair_as_one_class(monkeypatch):
+    # no twin is forced, so one class holds every item: the split gets every
+    # pair's mask, and the paths and odd cycle keep their witnesses and caps
+    handed = []
+    split = solver._split_hitting_set
+
+    def record(masks, n, max_k):
+        handed.append(masks)
+        return split(masks, n, max_k)
+
+    monkeypatch.setattr(solver, "_split_hitting_set", record)
+    for g, witness in ((make_path(200), (0,)), (make_cycle(101), (0, 1))):
+        assert g.n > PACKED_MAX_ORDER and not solver._forced_twins(g.adj)
+        sigs, diam = g.signatures()
+        grounds = (sigs, _edge_signatures(sigs, g.edges, g.n))
+        for fast, ground in zip((metric_dimension, edge_metric_dimension), grounds):
+            handed.clear()
+            full = fast(g)
+            pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
+            assert handed == [sorted(sorted(pairwise), key=int.bit_count)]
+            assert full.witness == witness
+            assert fast(g, max_k=len(witness)) == full
+            assert fast(g, max_k=len(witness) - 1) is None
+
+
 def test_twin_rule_keeps_witnesses_and_caps(monkeypatch):
     # above TWINS_ABOVE_ORDER the solver folds only the pairs inside the
     # forced twin classes, at every order: up to 64 in place of the lattice

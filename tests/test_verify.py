@@ -19,7 +19,6 @@ from metricdim.verify import (
     SUITES,
     certify_chain,
     expected_chain_dims,
-    gadget_grid,
     ratio_witness,
     ratio_dim,
     run_suites,
@@ -36,14 +35,22 @@ def test_expected_dims_by_parity():
 
 
 def test_grid_sizes():
-    assert len(gadget_grid("small")) == 8
+    assert len(GRIDS["small"].gadgets) == 8
     # 6 cycle lengths x 3 tail lengths x 3 pendant counts
-    assert len(gadget_grid("full")) == 54
-    with pytest.raises(ValueError):
-        gadget_grid("huge")
-    # every suite reads its grid from the one table, theorem2 included
-    with pytest.raises(ValueError, match="grid"):
-        run_suites(["theorem2"], grid="huge")
+    assert len(GRIDS["full"].gadgets) == 54
+    # the grid is looked up once, before any suite runs, theorem2 included
+    for names in (None, ["theorem2"], []):
+        with pytest.raises(ValueError, match="grid must be one of small, full, got 'huge'"):
+            run_suites(names, grid="huge")
+
+
+def test_suites_get_the_grid_itself(monkeypatch):
+    seen = []
+    monkeypatch.setitem(SUITES, "probe", lambda grid, gadget, dims: seen.append(grid) or ())
+    for name in GRIDS:
+        (res,) = run_suites(["probe"], grid=name)
+        assert res.passed and not res.rows
+        assert seen.pop() is GRIDS[name]
 
 
 def test_all_suites_pass_on_small_grid():
@@ -145,7 +152,7 @@ def test_run_suites_builds_each_gadget_once(monkeypatch):
     for _ in range(2):
         built.clear()
         assert all(res.passed for res in run_suites(grid="small"))
-        assert sorted(built) == sorted(set(gadget_grid("small") + glued))
+        assert sorted(built) == sorted(set(GRIDS["small"].gadgets + glued))
 
 
 @pytest.mark.parametrize("n1", [5, 6])
