@@ -172,6 +172,7 @@ def _read_edge_list(path: str) -> Graph:
             top = max(top, u, v)
     if top < 0:
         raise GraphError(f"edge list {path} is empty")
+    _check_order(top + 1, f"edge list {path}")
     return Graph.from_edges(top + 1, edges)
 
 

@@ -263,21 +263,20 @@ def canonical_basis(
 def make_path(n: int) -> Graph:
     if n < 1:
         raise InvalidParams(f"path needs n >= 1, got {n}")
-    return Graph.from_edges(n, [(k, k + 1) for k in range(n - 1)])
+    full = (1 << n) - 1  # drops the last row's bit n
+    return Graph(n, [(1 << k >> 1 | 1 << k + 1) & full for k in range(n)], _validate=False)
 
 
 def make_cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParams(f"cycle needs n >= 3, got {n}")
-    return Graph.from_edges(n, [(k, (k + 1) % n) for k in range(n)])
+    return Graph(n, [1 << (k - 1) % n | 1 << (k + 1) % n for k in range(n)], _validate=False)
 
 
 def make_complete(n: int) -> Graph:
     if n < 1:
         raise InvalidParams(f"complete graph needs n >= 1, got {n}")
-    return Graph.from_edges(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n)]
-    )
+    return Graph(n, [(1 << n) - 1 ^ 1 << u for u in range(n)], _validate=False)
 
 
 def target_chain(dim_target: int, edim_target: int) -> tuple[int, int, int]:

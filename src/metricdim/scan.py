@@ -11,13 +11,14 @@ are sorted by line number at the end.
 
 ``verify_small_orders`` exhausts every labelled connected graph up to order
 seven without any external stream.  Both dimensions are isomorphism
-invariants, so one exact solve per relabelling orbit of the edge masks
-counts for its ``n!/|Aut|`` labelled graphs.  Read's orderly generation
-grows each orbit's representative from a smaller one by one edge, and
-reads canonicity and ``|Aut|`` off one big int of its images under all
-``n!`` permutations.  Order seven has 1,044 orbits over 2**21 masks; its
-census takes about 0.3 s.  The naive oracle re-solves a fixed sample of
-labelled graphs and every member of an orbit with ``edim < dim``.
+invariants, so one exact solve per relabelling orbit of the edge masks (pair
+j of ``combinations(range(n), 2)`` at bit j) counts for its ``n!/|Aut|``
+labelled graphs.  Read's orderly generation grows each orbit's
+representative, its largest mask, from a smaller one by one edge below its
+lowest, and reads canonicity and ``|Aut|`` off one big int of its images
+under all ``n!`` permutations.  Order seven has 1,044 orbits over 2**21
+masks; its census takes about 0.3 s.  The naive oracle re-solves a fixed
+sample of labelled graphs and every member of an orbit with ``edim < dim``.
 """
 
 from __future__ import annotations
@@ -365,16 +366,16 @@ def enumerate_labeled_connected(n: int) -> Iterator[Graph]:
 def _pair_columns(n: int) -> tuple[str, int, int, list[int]]:
     """Each vertex pair's images under all ``n!`` relabellings, built once per order.
 
-    An edge mask sets bit j for pair j of ``combinations(range(n), 2)``; its
-    string reverses those E bits.  Slot s of column j (16 bits up to order
-    six, else 32: the returned ``array`` type code) holds the string bit of
-    pair j's image under permutation s, so a mask's columns add, without
-    carries, to the strings of all its images, with bit E of each slot free.
-    Also returned: a column's byte length and the int with 1 in every slot.
+    An edge mask sets bit j for pair j of ``combinations(range(n), 2)``, as
+    ``_mask_rows`` reads it.  Slot s of column j (16 bits up to order six,
+    else 32: the returned ``array`` type code) holds the mask bit of pair
+    j's image under permutation s, so a mask's columns add, without carries,
+    to the masks of all its images, with bit E of each slot free.  Also
+    returned: a column's byte length and the int with 1 in every slot.
     """
     pairs = list(combinations(range(n), 2))
     code = "H" if len(pairs) < 16 else "I"
-    bit = {e: 1 << len(pairs) - 1 - j for j, (u, v) in enumerate(pairs) for e in [(u, v), (v, u)]}
+    bit = {e: 1 << j for j, (u, v) in enumerate(pairs) for e in [(u, v), (v, u)]}
     perms = list(permutations(range(n)))
     slots = [[1] * len(perms)] + [[bit[p[u], p[v]] for p in perms] for u, v in pairs]
     ones, *columns = [int.from_bytes(array(code, s).tobytes(), sys.byteorder) for s in slots]
@@ -384,26 +385,26 @@ def _pair_columns(n: int) -> tuple[str, int, int, list[int]]:
 def _orbit_representatives(n: int) -> Iterator[tuple[int, int, int]]:
     """``(rep, orbit_size, images)`` per relabelling orbit of the order-n edge masks.
 
-    Read's orderly generation: an orbit's largest string represents it, and
-    ``images`` packs its images' strings as ``_pair_columns`` does.  A
-    representative less its last edge is one, so growing each by pairs past
-    its last edge reaches every orbit once; their sizes must sum to ``2**E``
-    (else ``AssertionError``).  Guard bits over the slots show if an image
-    exceeds the child and count those equal: ``|Aut|``.
+    Read's orderly generation: an orbit's largest mask represents it, and
+    ``images`` packs its images' masks as ``_pair_columns`` does.  A
+    representative less its lowest edge is one, so growing each by pairs
+    below its lowest edge reaches every orbit once; their sizes must sum to
+    ``2**E`` (else ``AssertionError``).  Guard bits over the slots show if
+    an image exceeds the child and count those equal: ``|Aut|``.
     """
     _, _, ones, columns = _pair_columns(n)
     top, order = len(columns), math.factorial(n)
     guard = ones << top
 
-    def grow(rep: int, images: int, first: int) -> Iterator[tuple[int, int, int]]:
+    def grow(rep: int, images: int, below: int) -> Iterator[tuple[int, int, int]]:
         yield rep, order // ((images + guard - rep * ones) & guard).bit_count(), images
-        for j in range(first, top):
-            child, grown = rep | 1 << top - 1 - j, images | columns[j]
+        for j in range(below):
+            child, grown = rep | 1 << j, images | columns[j]
             if (guard + child * ones - grown) & guard == guard:
-                yield from grow(child, grown, j + 1)
+                yield from grow(child, grown, j)
 
     swept = 0
-    for orbit in grow(0, 0, 0):
+    for orbit in grow(0, 0, top):
         swept += orbit[1]
         yield orbit
     if swept != 1 << top:
@@ -427,7 +428,7 @@ def _census_order(n: int) -> tuple[dict[int, int], list[str]]:
     hist: dict[int, int] = {}
     offenders: list[tuple[int, str]] = []
     for rep, orbit_size, images in _orbit_representatives(n):
-        g = Graph(n, _mask_rows(rep, pairs[::-1], n), _validate=False)
+        g = Graph(n, _mask_rows(rep, pairs, n), _validate=False)
         try:
             dim = metric_dimension(g).dimension
         except DisconnectedGraph:
@@ -436,8 +437,7 @@ def _census_order(n: int) -> tuple[dict[int, int], list[str]]:
         hist[dim - edim] = hist.get(dim - edim, 0) + orbit_size
         members = sampled.get(rep, [])
         if edim < dim:
-            strings = set(array(code, images.to_bytes(size, sys.byteorder)))
-            members = [int(f"{s:0{len(pairs)}b}"[::-1], 2) for s in strings]
+            members = set(array(code, images.to_bytes(size, sys.byteorder)))
         for x in sorted(members):
             h = Graph(n, _mask_rows(x, pairs, n), _validate=False)
             naive = metric_dimension_naive(h).dimension, edge_metric_dimension_naive(h).dimension

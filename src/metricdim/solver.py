@@ -49,9 +49,10 @@ relabelled 0, 1, ... in ascending order, which keeps that order.  A
 component of at most ``LATTICE_MAX_ORDER`` landmarks goes to the subset
 lattice, a larger one to a depth-first search.  A bounded search stops as
 soon as the minima found so far, plus one landmark for each component left,
-pass ``max_k``.  A chain of gadgets splits into about one component per
-copy, so its exact dimension no longer grows with the product of the
-copies' searches.
+pass ``max_k``; it never runs out before a component, since the disjoint
+masks counted first are at least as many as the components.  A chain of
+gadgets splits into about one component per copy, so its exact dimension
+no longer grows with the product of the copies' searches.
 
 Above ``TWINS_ABOVE_ORDER`` (12) vertices, twin landmarks are forced before
 any search.  Vertices u and v are twins when N(u) - {v} = N(v) - {u}: equal
@@ -85,43 +86,43 @@ The depth-first search tries cardinalities k ascending from a greedy count
 of pairwise disjoint masks, each of which needs a landmark of its own; each
 k is a lexicographic search over landmarks, which at every node
 
-1. refutes when a remaining mask has no landmark at or above the next
-   candidate;
-2. tries next landmarks only up to the smallest top landmark among the
-   remaining masks, because the completion must hit that mask;
-3. refutes when more masks than landmarks left are pairwise disjoint above
+1. tries next landmarks only up to the smallest top landmark among the
+   remaining masks, because the completion must hit that mask, so every
+   mask a child holds has a landmark at or above its first candidate;
+2. refutes when more masks than landmarks left are pairwise disjoint above
    the next candidate (a greedy pick), because each needs its own landmark.
 
-None of these discards a subtree holding a resolving set of size k, so the
+Neither cut discards a subtree holding a resolving set of size k, so the
 first set found is the lexicographically least.  The search also skips a
-landmark that hits no remaining mask, which is sound only because no
-smaller k has a resolving set, being below that count or refuted: a set
-with such a landmark would still resolve without it.  The last landmark is
-not searched for: it must lie in every remaining mask, so the search ANDs
-those masks, smallest first, from the next candidate up, stops as soon as
-the AND is empty, and else takes its lowest landmark.
+landmark that hits no remaining mask, which is sound only because no smaller
+k has a resolving set, being below that count or refuted: a set with such a
+landmark would still resolve without it.  The last landmark is not searched
+for: it must lie in every remaining mask, so the search ANDs those masks,
+smallest first, from the next candidate up, stops as soon as the AND is
+empty, and else takes its lowest landmark.
 
-Up to ``PACKED_MAX_ORDER`` landmarks, so long as a mask fits a machine word
-of 16, 32 or 64 bits, every pair's mask comes from a few whole-buffer
-operations (``_packed_masks``): the signatures fill the slots of one buffer,
-one XOR of the repeated buffer against a shifted read of it lines up every
-pair, and one fold over the whole int and one AND leave each mask alone in
-its slot; the slot layout is cached per order and plane count.  Up to 16
-landmarks the pairs take one XOR, whose masks go to the lattice as they are.
-Above 16 the pairs are XORed in groups of at most ``PACK_BYTES`` bytes per
-operand, so memory stays bounded (the edges of K40 make 303,810 pairs and
-92,170 distinct masks), and the distinct masks go to the split as a set.
-Above 64 landmarks a mask no longer fits a machine word, and the pairs go
-through the twin-class fold, F empty and one class holding every item when
-the graph is twin-free.  Each pair then costs one XOR and fold over n times
-``diam.bit_length()`` bits, so setup grows with pairs times that width and
-dominates on large twin-free sparse graphs such as ``path:1000``; with
-twins forced, only the pairs inside a class are folded, at any order.
-Every builder's set is sorted by popcount, then value, so the search sees
-the same list from each.  A bounded search (``max_k``) first refutes by
-counting distance classes, before any mask is built.  The generator checks
-(``is_metric_generator`` and its edge twin) compare the signatures
-restricted to the landmark set in every plane.
+Every builder folds by shifts of n, 2n, 4n, ... (``_fold_shifts``).  Up to
+``PACKED_MAX_ORDER`` landmarks, so long as a mask fits a machine word of 16,
+32 or 64 bits, every pair's mask comes from a few whole-buffer operations
+(``_pair_block``): the signatures fill the slots of one buffer, one XOR of
+the repeated buffer against a shifted read of it lines up every pair, and
+one fold over the whole int and one AND leave each mask alone in its slot;
+the slot layout is cached per order and plane count.  Up to 16 landmarks the
+blocks take one XOR (``_packed_masks``), whose masks go to the lattice as
+they are.  Above 16 they are XORed in groups of at most ``PACK_BYTES`` bytes
+per operand (``_grouped_masks``), so memory stays bounded (the edges of K40
+make 303,810 pairs and 92,170 distinct masks), and the distinct masks go to
+the split as a set.  Above 64 landmarks a mask no longer fits a machine
+word, and the pairs go through the twin-class fold, F empty and one class
+holding every item when the graph is twin-free.  Each pair then costs one
+XOR and fold over n times ``diam.bit_length()`` bits, so setup grows with
+pairs times that width and dominates on large twin-free sparse graphs such
+as ``path:1000``; with twins forced, only the pairs inside a class are
+folded, at any order.  Every builder's set is sorted by popcount, then
+value, so the search sees the same list from each.  A bounded search
+(``max_k``) first refutes by counting distance classes, before any mask is
+built.  The generator checks (``is_metric_generator`` and its edge twin)
+compare the signatures restricted to the landmark set in every plane.
 
 A deliberately dumb reference implementation (materialise every distance
 vector per subset, no partition machinery) is kept alongside as an oracle
@@ -189,11 +190,7 @@ def _separator_masks(pairs: Iterable[tuple[int, int]], n: int, diam: int) -> set
     onto the lowest leaves landmark z at bit z.
     """
     full = (1 << n) - 1
-    shifts = []
-    shift = n
-    while shift < n * diam.bit_length():
-        shifts.append(shift)
-        shift <<= 1
+    shifts = _fold_shifts(n, diam.bit_length())
     masks: set[int] = set()
     add = masks.add
     for a, b in pairs:
@@ -204,24 +201,28 @@ def _separator_masks(pairs: Iterable[tuple[int, int]], n: int, diam: int) -> set
     return masks
 
 
+def _fold_shifts(n: int, planes: int) -> tuple[int, ...]:
+    """Shifts that OR-fold ``planes`` planes of n bits onto the lowest, at any n."""
+    return tuple(n << i for i in range(max(planes - 1, 0).bit_length()))
+
+
 @cache
 def _slot_layout(n: int, planes: int) -> tuple[str, str, int, tuple[int, ...], bytes, slice]:
     """Slot and mask word codes, slot width, fold shifts, lane mask, mask pick.
 
-    The fold ORs bit ``z + j*n`` onto bit z for every j below the plane
-    count rounded up to a power of two, so a slot holds that many planes
-    and the fold never reads the next slot.  The mask word is the smallest
-    of 16, 32 or 64 bits that holds n bits.  A slot is the smallest array
-    item of 16, 32 or 64 bits that fits (16 landmarks of four planes fill
-    64), or else as many mask words as it takes (64 landmarks of six
-    planes take eight); the slot code is empty then.  After the AND with
-    the lane mask a slot holds only its mask, so an array item reads back
-    as the mask itself; in a slot of several words, the pick slice reads
-    the word with the slot's low bits: the first in little-endian order,
-    the last in big-endian order.
+    A slot holds every plane that ``_fold_shifts`` reads, so the fold never
+    reads the next slot.  The mask word is the smallest of 16, 32 or 64
+    bits that holds n bits.  A slot is the smallest array item of 16, 32 or
+    64 bits that fits (16 landmarks of four planes fill 64), or else as
+    many mask words as it takes (64 landmarks of six planes take eight);
+    the slot code is empty then.  After the AND with the lane mask a slot
+    holds only its mask, so an array item reads back as the mask itself; in
+    a slot of several words, the pick slice reads the word with the slot's
+    low bits: the first in little-endian order, the last in big-endian
+    order.
     """
-    folds = max(planes - 1, 0).bit_length()
-    bits = n << folds
+    shifts = _fold_shifts(n, planes)
+    bits = n << len(shifts)
     word = next(c for c in "HIQ" if array(c).itemsize * 8 >= n)
     size = array(word).itemsize
     item = next((c for c in "HIQ" if array(c).itemsize * 8 >= bits), "")
@@ -229,64 +230,63 @@ def _slot_layout(n: int, planes: int) -> tuple[str, str, int, tuple[int, ...], b
     step = width // size
     pick = slice(0 if _ORDER == "little" else step - 1, None, step)
     lane = ((1 << n) - 1).to_bytes(width, _ORDER)
-    return item, word, width, tuple(n << i for i in range(folds)), lane, pick
+    return item, word, width, shifts, lane, pick
+
+
+def _pair_block(
+    buf: bytes, width: int, first: int, count: int, shifts: tuple[int, ...], lane: bytes
+) -> bytes:
+    """Blocks ``first`` to ``first + count - 1`` of the pair masks, each mask in its slot.
+
+    The signatures fill one ``width``-byte slot each of ``buf``, read as a
+    cycle of N slots.  Block k of the right operand reads the cycle from
+    slot k for N + 1 slots, so consecutive blocks follow each other in one
+    contiguous read of the repeated buffer; every block of the left operand
+    reads it from slot 0.  Block k lines up item i with item i + k (mod N),
+    and every pair is at most N // 2 apart around the cycle, so blocks 1 to
+    N // 2 hold every pair's mask, some twice.  One XOR, the fold over the
+    whole int and one AND with the lane mask in every slot leave each
+    pair's mask alone in its slot.
+    """
+    size = count * (len(buf) + width)
+    left = (buf + buf[:width]) * count
+    right = (buf * (count + 2))[first * width : first * width + size]
+    d = int.from_bytes(left, _ORDER) ^ int.from_bytes(right, _ORDER)
+    for shift in shifts:
+        d |= d >> shift
+    d &= int.from_bytes(lane * (size // width), _ORDER)
+    return d.to_bytes(size, _ORDER)
 
 
 def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
     """Every pair's separator mask, some twice, for at most 16 landmarks.
 
-    ``_separator_masks`` by a few whole-buffer operations.  The signatures
-    fill one slot each of a buffer read as a cycle of N slots.  Block k of
-    the right operand reads the cycle from slot k for N + 1 slots, so the
-    blocks for k = 1 .. N // 2 follow each other in one contiguous read of
-    the repeated buffer; every block of the left operand reads it from slot
-    0.  Block k lines up item i with item i + k (mod N), and every pair is
-    at most N // 2 apart around the cycle.  One XOR, the fold over the
-    whole int and one AND with the lane mask then leave each pair's mask
-    alone in its slot, one array item.  Sixteen landmarks take slots of at
-    most 8 bytes, so K16's 120 edges, the most items, need 58,080 bytes per
-    operand; ``_grouped_masks`` keeps larger orders in bounded memory.  Only
+    ``_separator_masks`` by one ``_pair_block`` of all blocks, each mask one
+    array item.  Sixteen landmarks take slots of at most 8 bytes, so K16's
+    120 edges, the most items, need 58,080 bytes per operand;
+    ``_grouped_masks`` keeps larger orders in bounded memory.  Only
     twin-free graphs come here: with twins forced, only the pairs inside a
     twin class are folded.
     """
     item, _, width, shifts, lane, _ = _slot_layout(n, diam.bit_length())
-    buf = array(item, sigs).tobytes()
-    turns = len(sigs) // 2
-    size = turns * (len(buf) + width)
-    left = (buf + buf[:width]) * turns
-    right = (buf * (turns + 2))[width : width + size]
-    d = int.from_bytes(left, _ORDER) ^ int.from_bytes(right, _ORDER)
-    for shift in shifts:
-        d |= d >> shift
-    d &= int.from_bytes(lane * (size // width), _ORDER)
-    return memoryview(d.to_bytes(size, _ORDER)).cast(item)
+    block = _pair_block(array(item, sigs).tobytes(), width, 1, len(sigs) // 2, shifts, lane)
+    return memoryview(block).cast(item)
 
 
 def _grouped_masks(sigs: Sequence[int], n: int, diam: int) -> set[int]:
     """``_packed_masks`` as a set, for at most 64 landmarks, in bounded memory.
 
     The blocks are XORed a group at a time, as many as fit ``PACK_BYTES``
-    bytes per operand and one at least.  Block k of the right operand
-    starts at slot k of the cycle, so a group from block k reads the
-    repeated buffer from slot k on.  Slots may span several mask words.
+    bytes per operand and one at least.  Slots may span several mask words.
     """
     _, word, width, shifts, lane, pick = _slot_layout(n, diam.bit_length())
     buf = b"".join([sig.to_bytes(width, _ORDER) for sig in sigs])
-    block = len(buf) + width
     turns = len(sigs) // 2
-    group = max(min(PACK_BYTES // block, turns), 1)
-    lanes = int.from_bytes(lane * (group * block // width), _ORDER)
+    group = max(min(PACK_BYTES // (len(buf) + width), turns), 1)
     masks: set[int] = set()
     for k in range(1, turns + 1, group):
-        count = min(group, turns + 1 - k)
-        size = count * block
-        left = (buf + buf[:width]) * count
-        right = (buf * (count + 2))[k * width : k * width + size]
-        d = int.from_bytes(left, _ORDER) ^ int.from_bytes(right, _ORDER)
-        for shift in shifts:
-            d |= d >> shift
-        d &= lanes
-        masks.update(memoryview(d.to_bytes(size, _ORDER)).cast(word)[pick])
+        block = _pair_block(buf, width, k, min(group, turns + 1 - k), shifts, lane)
+        masks.update(memoryview(block).cast(word)[pick])
     return masks
 
 
@@ -405,8 +405,6 @@ def _lex_least_hitting_set(
             # rises from a lower bound, so a spare landmark would mean a
             # smaller hitting set that an earlier k found.
             return tuple(prefix)
-        if r == 0 or rem & ~above[start]:
-            return None
         if r == 1:
             # The last landmark must lie in every mask left: AND them,
             # smallest first, and stop as soon as the AND is empty.
@@ -501,7 +499,10 @@ def _split_hitting_set(masks: list[int], n: int, max_k: int) -> tuple[int, ...] 
     whole: for sets of equal size, S comes before T exactly when the least
     landmark of their symmetric difference lies in S, and that landmark
     belongs to one group.  Smaller groups go first; each is capped so that
-    every later group can still take one landmark.
+    every later group can still take one landmark.  ``spare`` never falls
+    below 0: the disjoint count, checked first, picks no dropped superset
+    (the kept mask inside it comes first) and the first kept mask of every
+    group (each earlier pick lies in another group), so groups <= ``max_k``.
     """
     # Disjoint masks that outnumber max_k refute before the pairwise drop.
     if _disjoint_count(masks, max_k) > max_k:
@@ -510,8 +511,6 @@ def _split_hitting_set(masks: list[int], n: int, max_k: int) -> tuple[int, ...] 
     spare = max_k - len(groups)  # landmarks beyond one per group
     witness: list[int] = []
     for landmarks, group in groups:
-        if spare < 0:
-            return None
         size = len(landmarks)
         solve = _lattice_hitting_set if size <= LATTICE_MAX_ORDER else _lex_least_hitting_set
         found = solve(group, size, min(spare + 1, size))
@@ -612,18 +611,14 @@ def is_edge_metric_generator(g: Graph, landmarks: Iterable[int]) -> bool:
 def _generates(g: Graph, landmarks: Iterable[int], kind: str) -> bool:
     sigs, diam = g.signatures()
     s = set(landmarks)
-    _check_landmarks(g, s)
+    for z in s:
+        if not 0 <= z < g.n:
+            raise ValueError(f"landmark {z} out of range for order {g.n}")
     if kind == "edge":
         sigs = _edge_signatures(sigs, g.edges, g.n)
     # The landmark set, repeated in every plane.
     sel = sum(1 << z for z in s) * sum(1 << b * g.n for b in range(diam.bit_length()))
     return len({sig & sel for sig in sigs}) == len(sigs)
-
-
-def _check_landmarks(g: Graph, s: Iterable[int]) -> None:
-    for z in s:
-        if not 0 <= z < g.n:
-            raise ValueError(f"landmark {z} out of range for order {g.n}")
 
 
 def resolution_vector(

@@ -311,6 +311,80 @@ def test_family_order_at_the_graph6_limit():
                 cli._check_order(order, spec)
 
 
+def test_edge_list_beyond_graph6_exits_2_before_building(capsys, monkeypatch, tmp_path):
+    import metricdim.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli.Graph, "from_edges", refuse)
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n1 262143\n")
+    for command in ("family", "dim"):
+        code, out, err = run(capsys, command, "--edges", str(path))
+        assert code == 2
+        assert not out
+        assert err == (
+            f"error: edge list {path} has order 262144, but graph6 output needs order < 262144\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("0 1\n1 2 3\n", "is not a 'u v' pair"), ("# nothing\n\n", "is empty")],
+    ids=["malformed", "empty"],
+)
+def test_bad_edge_list_exits_1(capsys, tmp_path, text, message):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "dim", "--edges", str(path))
+    assert code == 1
+    assert not out
+    assert err.startswith("error: ") and message in err
+
+
+def test_g6_file_without_a_record_exits_1(capsys, tmp_path):
+    path = tmp_path / "header.g6"
+    path.write_text(">>graph6<<\n\n")
+    code, out, err = run(capsys, "both", "--g6-file", str(path))
+    assert code == 1
+    assert not out
+    assert err == f"error: no graph6 record found in {path}\n"
+
+
+def test_realize_records_format(capsys):
+    argv = ("realize", "--dim", "2", "--edim", "4", "--order", "23", "--format", "records")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    record, dim, edim = out.rstrip("\n").split("\t")
+    assert (decode_graph6(record).n, dim, edim) == (23, "2", "4")
+
+
+def test_verify_small_orders_fail_exits_1(capsys, monkeypatch):
+    # a solver and oracle that both read an edim of 3 or more as 2 lower
+    # the seven order-4 graphs with edim 3 offenders, K4 (C~) among them
+    import dataclasses
+    import importlib
+
+    scan_module = importlib.import_module("metricdim.scan")
+
+    def lowered(solve):
+        def wrapped(g):
+            res = solve(g)
+            return dataclasses.replace(res, dimension=res.dimension - 2 * (res.dimension >= 3))
+
+        return wrapped
+
+    for name in ("edge_metric_dimension", "edge_metric_dimension_naive"):
+        monkeypatch.setattr(scan_module, name, lowered(getattr(scan_module, name)))
+    code, out, _ = run(capsys, "verify", "--small-orders", "4")
+    assert code == 1
+    offenders = ["C}", "C|", "Cv", "Cz", "Cn", "C^", "C~"]  # by edge mask
+    assert out.splitlines()[2:] == ["FAIL: 7 graphs with edim < dim"] + [
+        f"  n=4: {record}" for record in offenders
+    ]
+
+
 def test_scan_io_failure_reports_the_error(capsys, monkeypatch):
     import sys
 

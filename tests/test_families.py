@@ -6,6 +6,7 @@ from metricdim import (
     BasisBlueprint,
     EqualDimensionsUnsupported,
     FamilyParams,
+    Graph,
     InvalidParams,
     InvalidTarget,
     OrderTooSmall,
@@ -157,6 +158,8 @@ def test_basis_blueprint():
         bp = BasisBlueprint.for_cycle(n1)
         assert bp.beta < n1
         assert bp.gamma <= bp.delta
+    with pytest.raises(InvalidParams, match="cycle length must be >= 5, got 4"):
+        BasisBlueprint.for_cycle(4)
         cyc = make_cycle(n1)
         dm = cyc.distance_matrix()
         assert dm[0][bp.alpha - 1] == dm[0][bp.beta - 1]
@@ -203,6 +206,8 @@ def test_canonical_basis_examples():
     h = make_gadget(6, 1, 2)
     ebe = canonical_basis(6, 1, 2, kind="edge")
     assert [h.label_name(v) for v in ebe] == ["a3", "j1"]
+    with pytest.raises(ValueError, match="kind must be 'vertex' or 'edge', got 'x'"):
+        canonical_basis(7, 3, 4, kind="x")
 
 
 def test_canonical_bases_generate_on_grid():
@@ -384,6 +389,28 @@ def test_standard_constructions():
         make_cycle(2)
     with pytest.raises(InvalidParams):
         make_path(0)
+
+
+def test_standard_rows_equal_their_edge_list_graphs():
+    # path, cycle and complete graph build their rows directly; each equals
+    # the graph of its edge list and passes the row checks
+    for n in range(1, 71):
+        graphs = [
+            (make_path(n), [(k, k + 1) for k in range(n - 1)]),
+            (make_complete(n), [(u, v) for u in range(n) for v in range(u + 1, n)]),
+        ]
+        if n >= 3:
+            graphs.append((make_cycle(n), [(k, (k + 1) % n) for k in range(n)]))
+        for g, edges in graphs:
+            assert g == Graph.from_edges(n, edges)
+            assert Graph(n, g.adj) == g
+    for build, low, text in [
+        (make_path, 0, "path needs n >= 1, got 0"),
+        (make_cycle, 2, "cycle needs n >= 3, got 2"),
+        (make_complete, 0, "complete graph needs n >= 1, got 0"),
+    ]:
+        with pytest.raises(InvalidParams, match=text):
+            build(low)
 
 
 def test_parse_family_spec():

@@ -229,6 +229,21 @@ def test_from_edges_errors():
         Graph.from_edges(2, [(0, 5)])
 
 
+def test_rows_are_checked():
+    for n, rows, text in [
+        (0, [], "graph order must be positive, got 0"),
+        (3, [2, 1], "expected 3 adjacency rows, got 2"),
+        (2, [2, 1 | 4], "adjacency row 1 has bits beyond vertex 1"),
+        (2, [1, 0], "self-loop at vertex 0"),
+        (3, [2, 0, 0], r"adjacency not symmetric at \(0,1\)"),
+    ]:
+        with pytest.raises(GraphError, match=text):
+            Graph(n, rows)
+    with pytest.raises(SelfLoop):
+        Graph(2, [1, 0])
+    assert Graph(3, [2, 5, 2]) == make_path(3)
+
+
 def test_bridge_distance_composition():
     rng = random.Random(3)
     for _ in range(8):

@@ -86,6 +86,8 @@ def test_predicate_parse_and_match():
     for bad in ("", "lte", "diff", "ratio", "diff:x"):
         with pytest.raises(ValueError):
             Predicate.parse(bad)
+    with pytest.raises(ValueError, match="unknown predicate kind 'bogus'"):
+        Predicate("bogus")
     for text in ("lt", "gt", "eq", "diff:-1", "diff:0", "diff:2", "ratio:3/2", "ratio:2"):
         assert str(Predicate.parse(text)) == text
     assert str(Predicate.parse("ratio:1.5")) == "ratio:3/2"
@@ -434,7 +436,7 @@ def test_verify_small_orders_basic():
         verify_small_orders(2)
 
 
-def _image_strings(images: int, n: int) -> set[int]:
+def _image_masks(images: int, n: int) -> set[int]:
     code, size, _, _ = _pair_columns(n)
     return set(array(code, images.to_bytes(size, sys.byteorder)))
 
@@ -446,7 +448,7 @@ def test_relabelling_orbit_sizes():
         columns = _pair_columns(n)[3]
 
         def orbit_size(edges) -> int:
-            orbit = _image_strings(sum(columns[pairs.index(e)] for e in edges), n)
+            orbit = _image_masks(sum(columns[pairs.index(e)] for e in edges), n)
             assert sizes[max(orbit)] == len(orbit)
             return len(orbit)
 
@@ -456,14 +458,14 @@ def test_relabelling_orbit_sizes():
         assert orbit_size([(0, v) for v in range(1, n)]) == n
 
 
-def _relabelled_strings(string: int, n: int) -> list[int]:
-    """The string of each relabelling of an order-n edge set, brute force.
+def _relabelled_masks(mask: int, n: int) -> list[int]:
+    """The mask of each relabelling of an order-n edge set, brute force.
 
-    Pair j of ``combinations(range(n), 2)`` is bit E-1-j of the string.
+    Pair j of ``combinations(range(n), 2)`` is bit j of the mask.
     """
     pairs = list(combinations(range(n), 2))
-    bit = {pair: 1 << len(pairs) - 1 - j for j, pair in enumerate(pairs)}
-    edges = [pair for pair in pairs if string & bit[pair]]
+    bit = {pair: 1 << j for j, pair in enumerate(pairs)}
+    edges = [pair for pair in pairs if mask & bit[pair]]
     return [
         sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
         for p in permutations(range(n))
@@ -481,21 +483,21 @@ def test_orbits_partition_edge_masks_into_isomorphism_classes():
         found = linked = 0
         for rep, size, images in _orbit_representatives(n):
             found += 1
-            edges = [pair for j, pair in enumerate(pairs) if rep >> len(pairs) - 1 - j & 1]
+            edges = [pair for j, pair in enumerate(pairs) if rep >> j & 1]
             reach = {0}
             for _ in range(n):
                 reach |= {w for u, v in edges if u in reach or v in reach for w in (u, v)}
             linked += len(reach) == n
             if n <= 5:
-                relabelled = set(_relabelled_strings(rep, n))
-                orbit = _image_strings(images, n)
+                relabelled = set(_relabelled_masks(rep, n))
+                orbit = _image_masks(images, n)
                 assert orbit == relabelled and rep == max(relabelled)
                 assert size == len(orbit)
         assert (found, linked) == (graphs[n], connected[n])
 
 
 def test_orderly_generation_yields_each_max_canonical_mask_once():
-    # the representatives are exactly the masks whose string no relabelling
+    # the representatives are exactly the masks that no relabelling
     # exceeds, each with orbit size n!/|Aut|, |Aut| counted by brute force
     for n in range(1, 8):
         orbits = [(rep, size) for rep, size, _ in _orbit_representatives(n)]
@@ -503,10 +505,10 @@ def test_orderly_generation_yields_each_max_canonical_mask_once():
         assert len({rep for rep, _ in orbits}) == len(orbits)
         if n <= 5:
             canonical = {}
-            for string in range(1 << n * (n - 1) // 2):
-                images = _relabelled_strings(string, n)
-                if string == max(images):
-                    canonical[string] = math.factorial(n) // images.count(string)
+            for mask in range(1 << n * (n - 1) // 2):
+                images = _relabelled_masks(mask, n)
+                if mask == max(images):
+                    canonical[mask] = math.factorial(n) // images.count(mask)
             assert dict(orbits) == canonical
 
 

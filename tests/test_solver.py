@@ -40,6 +40,7 @@ from metricdim.solver import (
     _disjoint_count,
     _drop_supersets,
     _edge_signatures,
+    _fold_shifts,
     _grouped_masks,
     _lattice_hitting_set,
     _lex_least_hitting_set,
@@ -416,6 +417,17 @@ def test_packed_masks_match_pairwise_masks(monkeypatch):
             for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
                 pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
                 assert _grouped_masks(ground, g.n, diam) == pairwise
+    # one fold rule at every order, the slot layouts' included: shifts n,
+    # 2n, 4n, ... below n times the plane count
+    for n in range(1, 131):
+        for count in range(13):
+            shifts, shift = [], n
+            while shift < n * count:
+                shifts.append(shift)
+                shift <<= 1
+            assert _fold_shifts(n, count) == tuple(shifts)
+            if n <= PACKED_MAX_ORDER:
+                assert solver._slot_layout(n, count)[3] == tuple(shifts)
 
 
 @pytest.mark.parametrize("k", [2, 3, 90, 120, 300])
