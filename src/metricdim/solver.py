@@ -49,10 +49,29 @@ relabelled 0, 1, ... in ascending order, which keeps that order.  A
 component of at most ``LATTICE_MAX_ORDER`` landmarks goes to the subset
 lattice, a larger one to a depth-first search.  A bounded search stops as
 soon as the minima found so far, plus one landmark for each component left,
-pass ``max_k``; it never runs out before a component, since the disjoint
-masks counted first are at least as many as the components.  A chain of
-gadgets splits into about one component per copy, so its exact dimension
-no longer grows with the product of the copies' searches.
+pass ``max_k``.  A chain of gadgets splits into about one component per
+copy, so its exact dimension no longer grows with the product of the
+copies' searches.
+
+A component of more than ``LATTICE_MAX_ORDER`` landmarks first drops its
+dominated landmarks (Weihe, *Covering trains by stations or the power of
+data reduction*, ALEX 1998).  Landmark a is dominated when a smaller
+landmark b hits every kept mask that a hits.  A basis holding a can swap a
+for b, which gives either a redundant landmark or a lexicographically
+smaller set, so the lexicographically least minimum basis holds no
+dominated landmark.  That basis still hits the masks with the dominated
+landmarks cleared, and every set that hits those also hits the originals,
+so the witness and every bounded result stay the same.  Clearing them can
+make masks supersets, which are dropped, and that can dominate more
+landmarks, so the rounds repeat until one drops nothing.  The result is
+split into components again, and each goes to the lattice or the
+depth-first search by its size.  Antipodal vertices of C8×C8 tell the same
+pairs apart, so its one component of 64 landmarks leaves 32, for both
+kinds.  The pieces can outnumber the disjoint masks counted first, so a
+bounded search may cap a component at 0 landmarks or below; it then
+returns None, which is right, since each component needs a landmark of its
+own.  Components within the lattice are not reduced: on the many small
+components of the gadgets the reduction costs more than it saves.
 
 Above ``TWINS_ABOVE_ORDER`` (12) vertices, twin landmarks are forced before
 any search.  Vertices u and v are twins when N(u) - {v} = N(v) - {u}: equal
@@ -318,6 +337,83 @@ def _drop_supersets(masks: list[int]) -> list[int]:
     return kept
 
 
+def _columns(masks: list[int], n: int) -> list[int]:
+    """``hits[z]``: the masks landmark z hits, bit i standing for ``masks[i]``.
+
+    Each mask's string of bits, one character per landmark and landmark 0
+    last, is read down the columns.
+    """
+    column = "".join([format(m, f"0{n}b") for m in reversed(masks)])
+    return [int(column[n - 1 - z :: n] or "0", 2) for z in range(n)]
+
+
+def _drop_dominated(masks: list[int], n: int) -> list[int]:
+    """Masks (sorted by popcount, no superset of another) without dominated landmarks.
+
+    Landmark a is dominated when a smaller landmark b hits every mask that
+    a hits; of equal columns the smallest label stays.  Such a b lies in
+    every mask a hits, so those masks are ANDed below a until at most one
+    landmark is left, and its column decides.  Landmarks are tested in
+    ascending order and b is never one dropped before, so every dominator
+    stays.  The dominated landmarks are cleared from the masks, the masks
+    that became supersets are dropped, and the rounds repeat until one
+    drops nothing.
+
+    The columns are built once.  A mask j becomes a superset of a cleared
+    mask i only by missing a landmark a of i whose column is strictly inside
+    its dominator's: j holds the dominator, which stays in i.  So only the
+    masks that lost such a landmark are tested, and only against the masks
+    that miss one, and a round that drops only equal columns ends the
+    reduction.  Only a landmark that lost a mask can become dominated in
+    the next round.  A landmark left in no mask stays out of every
+    component.
+    """
+    hits = _columns(masks, n)
+    live = (1 << len(masks)) - 1  # the masks kept, bit i standing for masks[i]
+    dropped = 0  # the landmarks dropped
+    check = (1 << n) - 1  # the landmarks that may have become dominated
+    while check:
+        strict = 0  # landmarks dropped with a column strictly inside their dominator's
+        for a in iter_bits(check):
+            col = hits[a] & live
+            below = ((1 << a) - 1) & ~dropped
+            rest = col
+            while rest and below & (below - 1):
+                low = rest & -rest
+                below &= masks[low.bit_length() - 1]
+                rest ^= low
+            if below:
+                dominator = hits[(below & -below).bit_length() - 1] & live
+                if not col & ~dominator:
+                    dropped |= 1 << a
+                    if col != dominator:
+                        strict |= 1 << a
+        shrunk = gone = check = 0
+        for a in iter_bits(strict):
+            shrunk |= hits[a]
+        for i in iter_bits(shrunk & live):
+            if live >> i & 1:
+                # The live masks that miss a strict landmark of mask i and
+                # hold every landmark it keeps.
+                supersets = live
+                for a in iter_bits(masks[i] & strict):
+                    supersets &= hits[a]
+                supersets = live & ~supersets
+                rest = masks[i] & ~dropped
+                while rest and supersets:
+                    low = rest & -rest
+                    supersets &= hits[low.bit_length() - 1]
+                    rest ^= low
+                gone |= supersets
+                live &= ~supersets
+        for i in iter_bits(gone):
+            check |= masks[i]
+        check &= ~dropped
+    if not dropped:
+        return masks
+    return sorted(sorted([masks[i] & ~dropped for i in iter_bits(live)]), key=int.bit_count)
+
+
 @cache
 def _tables(n: int) -> tuple[list[int], list[int]]:
     """Subset-lattice tables for ``n`` landmarks, built once per order.
@@ -390,10 +486,7 @@ def _lex_least_hitting_set(
     if least > max_k:
         return None
     # The search works on sets of masks: bit i stands for masks[i].
-    # hits[z]: the masks landmark z hits.  Each mask's string of bits, one
-    # character per landmark and landmark 0 last, is read down the columns.
-    column = "".join([format(m, f"0{n}b") for m in reversed(masks)])
-    hits = [int(column[n - 1 - z :: n] or "0", 2) for z in range(n)]
+    hits = _columns(masks, n)
     above = [0] * (n + 1)  # above[s]: the masks with a landmark >= s
     for z in range(n - 1, -1, -1):
         above[z] = above[z + 1] | hits[z]
@@ -498,16 +591,27 @@ def _split_hitting_set(masks: list[int], n: int, max_k: int) -> tuple[int, ...] 
     their lexicographically least sets is the lexicographically least
     whole: for sets of equal size, S comes before T exactly when the least
     landmark of their symmetric difference lies in S, and that landmark
-    belongs to one group.  Smaller groups go first; each is capped so that
-    every later group can still take one landmark.  ``spare`` never falls
-    below 0: the disjoint count, checked first, picks no dropped superset
-    (the kept mask inside it comes first) and the first kept mask of every
-    group (each earlier pick lies in another group), so groups <= ``max_k``.
+    belongs to one group.  A group of more than ``LATTICE_MAX_ORDER``
+    landmarks drops its dominated landmarks first (``_drop_dominated``) and
+    is split again.  Smaller groups go first; each is capped so that every
+    later group can still take one landmark.  The disjoint count, checked
+    first, is at least the number of groups before the reduction, but the
+    pieces of a reduced group can outnumber it, so ``spare`` can fall below
+    0.  The first group is then capped at 0 landmarks or below and returns
+    None, which is right: each group needs a landmark of its own.
     """
     # Disjoint masks that outnumber max_k refute before the pairwise drop.
     if _disjoint_count(masks, max_k) > max_k:
         return None
-    groups = sorted(_components(_drop_supersets(masks), n), key=lambda g: len(g[0]))
+    groups = []
+    for landmarks, group in _components(_drop_supersets(masks), n):
+        size = len(landmarks)
+        if size > LATTICE_MAX_ORDER:
+            pieces = _components(_drop_dominated(group, size), size)
+            groups += [([landmarks[j] for j in sub], part) for sub, part in pieces]
+        else:
+            groups.append((landmarks, group))
+    groups.sort(key=lambda g: len(g[0]))
     spare = max_k - len(groups)  # landmarks beyond one per group
     witness: list[int] = []
     for landmarks, group in groups:

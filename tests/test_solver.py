@@ -38,6 +38,7 @@ from metricdim.solver import (
     LATTICE_MAX_ORDER,
     _components,
     _disjoint_count,
+    _drop_dominated,
     _drop_supersets,
     _edge_signatures,
     _fold_shifts,
@@ -375,6 +376,132 @@ def test_component_split_matches_depth_first_search():
         "one component past the lattice",
         "cap refuted by the running sum",
     }
+
+
+def _set(*landmarks):
+    return sum(1 << z for z in landmarks)
+
+
+def test_dominated_landmarks_are_dropped():
+    # equal columns keep the smallest label: landmarks 1 and 2 hit the same
+    # masks, and 3 is dominated by no smaller landmark
+    masks = [_set(0, 3), _set(0, 1, 2), _set(1, 2, 3)]
+    assert _drop_dominated(masks, 4) == [_set(0, 1), _set(0, 3), _set(1, 3)]
+    # a strict-subset column is dropped: 3 hits only the mask of {0, 1, 3},
+    # which 0 also hits, and clearing it makes no superset
+    masks = [_set(0, 2), _set(1, 2), _set(0, 1, 3)]
+    assert _drop_dominated(masks, 4) == [_set(0, 1), _set(0, 2), _set(1, 2)]
+    # only a smaller landmark dominates: 0's column lies inside 1's, and
+    # every other column holds a mask that no smaller landmark hits
+    masks = [_set(1, 3), _set(2, 3), _set(0, 1, 2)]
+    assert _drop_dominated(masks, 4) == masks
+    # a second round: dropping 2 (dominated by 0) makes {0, 4} a superset of
+    # {0}; once it is dropped, 4 hits only {1, 4}, as 1 does
+    masks = [_set(0, 2), _set(0, 4), _set(1, 4)]
+    assert _drop_dominated(masks, 5) == [_set(0), _set(1)]
+
+
+def test_reduction_can_split_a_component_past_the_disjoint_count(monkeypatch):
+    # 17 landmarks in one component, joined by the mask {0, 1}: 2 hits only
+    # {0, 2}, 3-9 hit only a mask with 0 and 10-16 only a mask with 1, so
+    # all are dominated; {0, 1} is then a superset of {0} and the component
+    # splits in two, one more than the one disjoint mask counted first
+    masks = [_set(0, 1), _set(0, 2)]
+    masks += [_set(0, z) for z in range(3, 10)] + [_set(1, z) for z in range(10, 17)]
+    masks = sorted(sorted(masks), key=int.bit_count)
+    n = 17
+    kept = _drop_supersets(masks)
+    assert kept == masks and [len(c[0]) for c in _components(kept, n)] == [n]
+    assert n > LATTICE_MAX_ORDER
+    reduced = _drop_dominated(kept, n)
+    assert reduced == [_set(0), _set(1)]
+    assert len(_components(reduced, n)) == 2
+    want = next(
+        s
+        for k in range(n + 1)
+        for s in combinations(range(n), k)
+        if all(m & _set(*s) for m in masks)
+    )
+    d = len(want)
+    assert want == (0, 1) and _disjoint_count(masks, d - 1) == d - 1
+    # each piece goes to the lattice; at max_k = d - 1 the two pieces leave
+    # no spare landmark, so the first is capped at 0 and refutes
+    calls = []
+    lattice = solver._lattice_hitting_set
+
+    def record(group, size, max_k):
+        calls.append((size, max_k))
+        return lattice(group, size, max_k)
+
+    monkeypatch.setattr(solver, "_lattice_hitting_set", record)
+    assert _split_hitting_set(masks, n, d - 1) is None
+    assert calls == [(1, 0)]
+    calls.clear()
+    assert _split_hitting_set(masks, n, d) == want
+    assert calls == [(1, 1), (1, 1)]
+    assert _lex_least_hitting_set(kept, n, d - 1) is None
+
+
+def _reduction_graphs():
+    graphs = [
+        cartesian_product(make_cycle(a), make_cycle(b))
+        for a, b in ((8, 8), (6, 10), (7, 9), (5, 12))
+    ]
+    graphs.append(cartesian_product(make_path(8), make_path(8)))
+    rng = random.Random(2024)
+    for _ in range(39):
+        n = rng.randrange(46, 58)
+        graphs.append(random_connected_graph(rng, n, extra=rng.randrange(6, 24)))
+    return graphs
+
+
+def test_reduction_keeps_witnesses_and_caps(monkeypatch):
+    # the split drops dominated landmarks of every component past the
+    # lattice; on the tori and on sparse random graphs near order 50 its
+    # witnesses and capped results must be those of the depth-first search
+    # on the unreduced kept masks the solver hands it
+    handed = []
+    split = solver._split_hitting_set
+
+    def record(masks, n, max_k):
+        handed.append(masks)
+        return split(masks, n, max_k)
+
+    monkeypatch.setattr(solver, "_split_hitting_set", record)
+    reduced = 0
+    for g in _reduction_graphs():
+        assert g.n > solver.TWINS_ABOVE_ORDER
+        forced = tuple(iter_bits(solver._forced_twins(g.adj)))
+        for fast in (metric_dimension, edge_metric_dimension):
+            handed.clear()
+            full = fast(g)
+            [masks] = handed
+            kept = _drop_supersets(masks)
+            rest = _lex_least_hitting_set(kept, g.n, g.n)
+            assert full.witness == tuple(sorted(forced + rest))
+            d = len(rest)
+            for max_k in {d - 1, d, g.n}:
+                assert split(masks, g.n, max_k) == _lex_least_hitting_set(kept, g.n, max_k)
+            assert fast(g, max_k=full.dimension) == full
+            assert fast(g, max_k=full.dimension - 1) is None
+            for landmarks, group in _components(kept, g.n):
+                if len(landmarks) > LATTICE_MAX_ORDER:
+                    reduced += _drop_dominated(group, len(landmarks)) != group
+    assert reduced > 60
+
+
+def test_torus_components_halve():
+    # antipodal vertices of C8xC8 tell the same pairs apart, so the one
+    # component of 64 landmarks keeps 32 for both kinds and still goes to
+    # the depth-first search
+    g = cartesian_product(make_cycle(8), make_cycle(8))
+    sigs, diam = g.signatures()
+    for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
+        masks = sorted(sorted(_grouped_masks(ground, g.n, diam)), key=int.bit_count)
+        [(landmarks, group)] = _components(_drop_supersets(masks), g.n)
+        assert len(landmarks) == 64
+        [(kept, _)] = _components(_drop_dominated(group, 64), 64)
+        assert len(kept) == 32 > LATTICE_MAX_ORDER
 
 
 def test_packed_masks_match_pairwise_masks(monkeypatch):
