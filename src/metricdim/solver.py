@@ -61,9 +61,10 @@ for b, which gives either a redundant landmark or a lexicographically
 smaller set, so the lexicographically least minimum basis holds no
 dominated landmark.  That basis still hits the masks with the dominated
 landmarks cleared, and every set that hits those also hits the originals,
-so the witness and every bounded result stay the same.  Clearing them can
-make masks supersets, which are dropped, and that can dominate more
-landmarks, so the rounds repeat until one drops nothing.  The result is
+so the witness and every bounded result stay the same.  Each round clears
+the dominated landmarks; if a column (the masks a landmark hits) lay
+strictly inside its dominator's, the masks that became supersets are
+dropped, which can dominate more, and another round runs.  The result is
 split into components again, and each goes to the lattice or the
 depth-first search by its size.  Antipodal vertices of C8×C8 tell the same
 pairs apart, so its one component of 64 landmarks leaves 32, for both
@@ -355,63 +356,36 @@ def _drop_dominated(masks: list[int], n: int) -> list[int]:
     every mask a hits, so those masks are ANDed below a until at most one
     landmark is left, and its column decides.  Landmarks are tested in
     ascending order and b is never one dropped before, so every dominator
-    stays.  The dominated landmarks are cleared from the masks, the masks
-    that became supersets are dropped, and the rounds repeat until one
-    drops nothing.
-
-    The columns are built once.  A mask j becomes a superset of a cleared
-    mask i only by missing a landmark a of i whose column is strictly inside
-    its dominator's: j holds the dominator, which stays in i.  So only the
-    masks that lost such a landmark are tested, and only against the masks
-    that miss one, and a round that drops only equal columns ends the
-    reduction.  Only a landmark that lost a mask can become dominated in
-    the next round.  A landmark left in no mask stays out of every
-    component.
+    stays.  Each round clears the dominated landmarks.  Clearing one whose
+    column equals its dominator's changes no column left and makes no
+    superset: a mask that missed it misses the dominator too, which stays
+    in every mask that held it.  So only after a strict drop are the
+    supersets dropped and every landmark tested again.  A landmark left in
+    no mask stays out of every component.
     """
-    hits = _columns(masks, n)
-    live = (1 << len(masks)) - 1  # the masks kept, bit i standing for masks[i]
-    dropped = 0  # the landmarks dropped
-    check = (1 << n) - 1  # the landmarks that may have become dominated
-    while check:
-        strict = 0  # landmarks dropped with a column strictly inside their dominator's
-        for a in iter_bits(check):
-            col = hits[a] & live
+    while True:
+        hits = _columns(masks, n)
+        dropped = 0
+        strict = False  # a column strictly inside its dominator's
+        for a in range(1, n):
+            col = hits[a]
             below = ((1 << a) - 1) & ~dropped
             rest = col
             while rest and below & (below - 1):
                 low = rest & -rest
                 below &= masks[low.bit_length() - 1]
                 rest ^= low
-            if below:
-                dominator = hits[(below & -below).bit_length() - 1] & live
+            if col and below:
+                dominator = hits[(below & -below).bit_length() - 1]
                 if not col & ~dominator:
                     dropped |= 1 << a
-                    if col != dominator:
-                        strict |= 1 << a
-        shrunk = gone = check = 0
-        for a in iter_bits(strict):
-            shrunk |= hits[a]
-        for i in iter_bits(shrunk & live):
-            if live >> i & 1:
-                # The live masks that miss a strict landmark of mask i and
-                # hold every landmark it keeps.
-                supersets = live
-                for a in iter_bits(masks[i] & strict):
-                    supersets &= hits[a]
-                supersets = live & ~supersets
-                rest = masks[i] & ~dropped
-                while rest and supersets:
-                    low = rest & -rest
-                    supersets &= hits[low.bit_length() - 1]
-                    rest ^= low
-                gone |= supersets
-                live &= ~supersets
-        for i in iter_bits(gone):
-            check |= masks[i]
-        check &= ~dropped
-    if not dropped:
-        return masks
-    return sorted(sorted([masks[i] & ~dropped for i in iter_bits(live)]), key=int.bit_count)
+                    strict = strict or col != dominator
+        if not dropped:
+            return masks
+        masks = sorted(sorted([m & ~dropped for m in masks]), key=int.bit_count)
+        if not strict:
+            return masks
+        masks = _drop_supersets(masks)
 
 
 @cache

@@ -158,12 +158,11 @@ def test_basis_blueprint():
         bp = BasisBlueprint.for_cycle(n1)
         assert bp.beta < n1
         assert bp.gamma <= bp.delta
-    with pytest.raises(InvalidParams, match="cycle length must be >= 5, got 4"):
-        BasisBlueprint.for_cycle(4)
-        cyc = make_cycle(n1)
-        dm = cyc.distance_matrix()
+        dm = make_cycle(n1).distance_matrix()
         assert dm[0][bp.alpha - 1] == dm[0][bp.beta - 1]
         assert dm[0][bp.alpha - 1] == bp.gamma
+    with pytest.raises(InvalidParams, match="cycle length must be >= 5, got 4"):
+        BasisBlueprint.for_cycle(4)
 
 
 def test_chain_orders():

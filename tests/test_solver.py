@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 
 import pytest
@@ -502,6 +502,74 @@ def test_torus_components_halve():
         assert len(landmarks) == 64
         [(kept, _)] = _components(_drop_dominated(group, 64), 64)
         assert len(kept) == 32 > LATTICE_MAX_ORDER
+
+
+def _planted_masks(rng):
+    """Kept masks of 17-40 landmarks, with some columns planted equal to or
+    inside another landmark's: b joins every mask of a, or some of them, and
+    leaves the masks without a."""
+    n = rng.randrange(17, 41)
+    masks = [
+        rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        for _ in range(rng.randrange(n, 2 * n))
+    ]
+    for _ in range(rng.randrange(1, 5)):
+        a, b = rng.sample(range(n), 2)
+        equal = rng.random() < 0.5
+        masks = [
+            m | 1 << b if m >> a & 1 and (equal or rng.random() < 0.5) else m & ~(1 << b)
+            for m in masks
+        ]
+    return n, _drop_supersets(sorted(sorted({m for m in masks if m}), key=int.bit_count))
+
+
+def _naive_drop_dominated(masks, n, seen):
+    """The dominated-landmark fixpoint from all pairs of columns: each round
+    drops every landmark whose column lies inside a smaller landmark's, then
+    the supersets.  ``seen`` collects the kinds of round taken."""
+    for rounds in count(1):
+        cols = [0] * n
+        for i, m in enumerate(masks):
+            for z in iter_bits(m):
+                cols[z] |= 1 << i
+        dominator = {}
+        for a in range(1, n):
+            inside = [b for b in range(a) if not cols[a] & ~cols[b]]
+            if cols[a] and inside:
+                dominator[a] = inside[0]
+        if not dominator:
+            return masks
+        strict = any(cols[a] != cols[b] for a, b in dominator.items())
+        cleared = {m & ~_set(*dominator) for m in masks}
+        kept = _drop_supersets(sorted(sorted(cleared), key=int.bit_count))
+        if rounds == 2:
+            seen.add("a second round")
+        if not strict and rounds == 1:
+            seen.add("equal columns only")
+        if strict and len(kept) < len(masks):
+            seen.add("a strict drop, then a superset drop")
+        masks = kept
+
+
+def test_reduction_matches_a_naive_fixpoint():
+    # seeded mask sets with planted equal and nested columns: the reduction
+    # must give the all-pairs fixpoint, and on some of them the split must
+    # give the depth-first search's results on the unreduced kept masks
+    rng = random.Random(26)
+    seen = set()
+    for case in range(3000):
+        n, masks = _planted_masks(rng)
+        assert _drop_dominated(masks, n) == _naive_drop_dominated(masks, n, seen), (n, masks)
+        if case % 40 == 0:
+            d = len(_lex_least_hitting_set(masks, n, n))
+            for max_k in {d - 1, d, n}:
+                want = _lex_least_hitting_set(masks, n, max_k)
+                assert _split_hitting_set(masks, n, max_k) == want, (n, masks, max_k)
+    assert seen == {
+        "equal columns only",
+        "a strict drop, then a superset drop",
+        "a second round",
+    }
 
 
 def test_packed_masks_match_pairwise_masks(monkeypatch):
