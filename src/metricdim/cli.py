@@ -28,7 +28,6 @@ from .families import (
     family_order,
     minimum_realizable_order,
     parse_family_spec,
-    plain_graph,
     realize,
 )
 from .graph import Graph, GraphError
@@ -176,7 +175,7 @@ def _read_edge_list(path: str) -> Graph:
     return Graph.from_edges(top + 1, edges)
 
 
-def _load_graph(args) -> Graph | FamilyGraph:
+def _load_graph(args) -> Graph:
     if args.family is not None:
         _check_order(family_order(args.family), f"family {args.family}")
         return parse_family_spec(args.family)
@@ -190,7 +189,7 @@ def _load_graph(args) -> Graph | FamilyGraph:
     return _read_edge_list(args.edges)
 
 
-def _basis_names(g: Graph | FamilyGraph, witness: Sequence[int]) -> str:
+def _basis_names(g: Graph, witness: Sequence[int]) -> str:
     if isinstance(g, FamilyGraph):
         return "[" + ",".join(g.label_name(v) for v in witness) + "]"
     return "[" + ",".join(str(v) for v in witness) + "]"
@@ -198,33 +197,31 @@ def _basis_names(g: Graph | FamilyGraph, witness: Sequence[int]) -> str:
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args)
-    raw = plain_graph(g)
     if args.format == "records":
-        dim, edim = solved_dims(raw)
-        print(f"{encode_graph6(raw)}\t{dim}\t{edim}")
+        dim, edim = solved_dims(g)
+        print(f"{encode_graph6(g)}\t{dim}\t{edim}")
         return 0
     if args.which == "dim":
-        dim = metric_dimension(raw)
+        dim = metric_dimension(g)
         print(f"dim={dim.dimension} basis={_basis_names(g, dim.witness)}")
     elif args.which == "edim":
-        edim = edge_metric_dimension(raw)
+        edim = edge_metric_dimension(g)
         print(f"edim={edim.dimension} basis={_basis_names(g, edim.witness)}")
     else:
-        dim, edim = solved_dims(raw)
+        dim, edim = solved_dims(g)
         print(f"dim={dim} edim={edim}")
     return 0
 
 
 def _cmd_family(args) -> int:
     g = _load_graph(args)
-    raw = plain_graph(g)
-    record = encode_graph6(raw)
+    record = encode_graph6(g)
     if args.format == "records":
         print(record)
         return 0
-    print(f"order={raw.n} size={raw.m} g6={record}")
+    print(f"order={g.n} size={g.m} g6={record}")
     if isinstance(g, FamilyGraph):
-        names = " ".join(f"{v}={g.label_name(v)}" for v in range(raw.n))
+        names = " ".join(f"{v}={g.label_name(v)}" for v in range(g.n))
         print(f"labels: {names}")
     return 0
 
@@ -232,12 +229,12 @@ def _cmd_family(args) -> int:
 def _cmd_realize(args) -> int:
     _check_order(args.order, "the requested graph")
     fam = realize(args.dim, args.edim, args.order)
-    record = encode_graph6(fam.graph)
+    record = encode_graph6(fam)
     if args.format == "records":
         print(f"{record}\t{args.dim}\t{args.edim}")
         return 0
     print(f"g6={record}")
-    print(f"order={fam.graph.n} predicted dim={args.dim} edim={args.edim}")
+    print(f"order={fam.n} predicted dim={args.dim} edim={args.edim}")
     return 0
 
 
@@ -304,12 +301,12 @@ def _cmd_ratio(args) -> int:
     dim = ratio_dim(args.target)
     _check_order(minimum_realizable_order(dim, 2), "the ratio witness")
     w = ratio_witness(args.target)
-    print(f"g6={encode_graph6(w.graph)}")
+    print(f"g6={encode_graph6(w)}")
     print(
-        f"copies={w.copies} order={w.graph.n} "
+        f"copies={w.copies} order={w.n} "
         f"predicted dim={dim} edim=2 ratio={Fraction(dim, 2)}"
     )
-    solved = solved_within_limit(w.graph)
+    solved = solved_within_limit(w)
     if solved is not None:
         print(f"confirmed dim={solved[0]} edim={solved[1]}")
     return 0

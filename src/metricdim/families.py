@@ -11,9 +11,10 @@ of dimensions, and ``realize`` builds that chain at any large enough order.
 
 Vertex ids follow one rule, ``_roles``: inside a copy, the order
 ``a_1..a_n1, b_1..b_n2, c, i, j_1..j_n3``; copies are concatenated, so
-solver witnesses are reproducible.  A family graph records only the
-``(n1, n2, n3)`` of each copy and, on the first lookup, the first id of
-each; a role lookup is arithmetic on those, and nothing per vertex is built.
+solver witnesses are reproducible.  A family graph is a ``Graph`` that
+also records the ``(n1, n2, n3)`` of each copy and, on the first lookup,
+the first id of each; a role lookup is arithmetic on those, and nothing per
+vertex is built.
 
 Copy 1 of a chain starts at id 0 and every further copy is an ``(n1, 1, 2)``
 gadget of order ``n1 + 5``, so copy ``k >= 2`` starts at
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
 from math import prod
+from typing import Iterable
 
 from .graph import Graph, add_edge, cartesian_product, disjoint_union
 
@@ -106,12 +108,20 @@ class BasisBlueprint:
         )
 
 
-@dataclass(frozen=True)
-class FamilyGraph:
-    """A family-built graph and the ``(n1, n2, n3)`` of each copy, in id order."""
+class FamilyGraph(Graph):
+    """A family-built graph that also records the ``(n1, n2, n3)`` of each copy.
 
-    graph: Graph
-    parts: tuple[tuple[int, int, int], ...]
+    Its rows are taken unchecked, as ``make_chain`` and ``glue`` build them.
+    """
+
+    def __init__(self, n: int, adj: Iterable[int], parts: tuple[tuple[int, int, int], ...]):
+        super().__init__(n, adj, _validate=False)
+        self.parts = parts
+
+    @property
+    def graph(self) -> "FamilyGraph":
+        """This graph itself; it stays because ``perfbench/test_perfbench.py`` reads ``.graph``."""
+        return self
 
     @property
     def copies(self) -> int:
@@ -130,8 +140,8 @@ class FamilyGraph:
         return self._starts[copy - 1] + base + index
 
     def label_name(self, v: int) -> str:
-        if not 0 <= v < self.graph.n:
-            raise IndexError(f"no vertex {v} in a family graph of order {self.graph.n}")
+        if not 0 <= v < self.n:
+            raise IndexError(f"no vertex {v} in a family graph of order {self.n}")
         k = bisect_right(self._starts, v) - 1
         r = v - self._starts[k]
         name = next(
@@ -140,11 +150,6 @@ class FamilyGraph:
             if r - base in indices
         )
         return f"{name}^{k + 1}" if self.copies > 1 else name
-
-
-def plain_graph(g: Graph | FamilyGraph) -> Graph:
-    """The graph itself, with any copy record dropped."""
-    return g.graph if isinstance(g, FamilyGraph) else g
 
 
 def gadget_order(n1: int, n2: int, n3: int) -> int:
@@ -188,16 +193,15 @@ def _gadget_rows(n1: int, n2: int, n3: int) -> list[int]:
     return rows
 
 
-def glue(g1, v1: int, g2, v2: int):
+def glue(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     """Join two graphs by one bridge edge ``v1``--``v2``.
 
-    Accepts plain graphs or family graphs; two family graphs give a family
-    graph whose copies are those of ``g1`` followed by those of ``g2``.
+    Two family graphs give a family graph whose copies are those of ``g1``
+    followed by those of ``g2``.
     """
-    raw1, raw2 = plain_graph(g1), plain_graph(g2)
-    joined = add_edge(disjoint_union(raw1, raw2), v1, raw1.n + v2)
+    joined = add_edge(disjoint_union(g1, g2), v1, g1.n + v2)
     if isinstance(g1, FamilyGraph) and isinstance(g2, FamilyGraph):
-        return FamilyGraph(joined, g1.parts + g2.parts)
+        return FamilyGraph(joined.n, joined.adj, g1.parts + g2.parts)
     return joined
 
 
@@ -222,7 +226,7 @@ def make_chain(n1: int, n2: int, n3: int, ell: int = 1) -> FamilyGraph:
         rows[base + j + 1] |= 1 << u
         u = base + a + alpha
     parts = ((n1, n2, n3),) + ((n1, 1, 2),) * (ell - 1)
-    return FamilyGraph(Graph(len(rows), rows, _validate=False), parts)
+    return FamilyGraph(len(rows), rows, parts)
 
 
 def chain_order(n1: int, n2: int, n3: int, ell: int) -> int:
@@ -327,15 +331,14 @@ def realize(dim_target: int, edim_target: int, order: int) -> FamilyGraph:
     return make_chain(n1, 1 + order - n0, n3, ell)
 
 
-def parse_family_spec(spec: str):
+def parse_family_spec(spec: str) -> Graph:
     """Parse a family specification string into a graph.
 
     Formats: ``G:n1,n2,n3``, ``L:ell,n1,n2,n3``, ``cycle:n``, ``path:n``,
     ``complete:n`` and ``cp:<spec>x<spec>`` for Cartesian products (folded
     left to right; factors may not themselves be products).
     """
-    graphs = [build(*args) for build, _, args in _spec_factors(spec)]
-    return graphs[0] if len(graphs) == 1 else reduce(cartesian_product, map(plain_graph, graphs))
+    return reduce(cartesian_product, [build(*args) for build, _, args in _spec_factors(spec)])
 
 
 def family_order(spec: str) -> int:

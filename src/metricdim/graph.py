@@ -78,14 +78,7 @@ class Graph:
         """Build a graph from an edge list, rejecting loops and duplicates."""
         adj = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for order {n}")
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
-            if (adj[u] >> v) & 1:
-                raise DuplicateEdge(f"edge ({u},{v}) listed twice")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            _put_edge(adj, u, v)
         return cls(n, adj, _validate=False)
 
     def _check_rows(self) -> None:
@@ -249,17 +242,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    """New graph with the extra edge ``uv``; caches are not shared."""
+def _put_edge(adj: list[int], u: int, v: int) -> None:
+    """Set edge ``uv`` in the rows ``adj``, refusing it out of range, as a loop or twice."""
+    n = len(adj)
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"edge ({u},{v}) out of range for order {n}")
     if u == v:
         raise SelfLoop(f"self-loop at vertex {u}")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphError(f"edge ({u},{v}) out of range for order {g.n}")
-    if g.has_edge(u, v):
-        raise DuplicateEdge(f"edge ({u},{v}) already present")
-    adj = list(g.adj)
+    if (adj[u] >> v) & 1:
+        raise DuplicateEdge(f"edge ({u},{v}) listed twice")
     adj[u] |= 1 << v
     adj[v] |= 1 << u
+
+
+def add_edge(g: Graph, u: int, v: int) -> Graph:
+    """New graph with the extra edge ``uv``; caches are not shared."""
+    adj = list(g.adj)
+    _put_edge(adj, u, v)
     return Graph(g.n, adj, _validate=False)
 
 

@@ -453,7 +453,6 @@ def _census_order(n: int) -> tuple[dict[int, int], list[str]]:
 class SmallOrderReport:
     """Histogram of dim - edim per order plus any edim < dim offenders."""
 
-    max_order: int
     histograms: dict[int, dict[int, int]] = field(default_factory=dict)
     violations: list[tuple[int, str]] = field(default_factory=list)
     graphs_checked: dict[int, int] = field(default_factory=dict)
@@ -475,7 +474,7 @@ def verify_small_orders(max_n: int, *, jobs: int = 1) -> SmallOrderReport:
     """
     if not 3 <= max_n <= MAX_ENUM_ORDER:
         raise OrderTooLarge(f"verify_small_orders supports 3 <= max_n <= {MAX_ENUM_ORDER}")
-    report = SmallOrderReport(max_order=max_n)
+    report = SmallOrderReport()
     start = time.monotonic()
     for n in range(3, max_n + 1):
         hist, offenders = _census_order(n)

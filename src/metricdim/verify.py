@@ -100,16 +100,16 @@ def certify_chain(chain: FamilyGraph, dims=solved_dims) -> tuple[bool, str, tupl
     generate and by exhausting all subsets one landmark smaller, which
     bounds the dimension from both sides.
     """
-    (n1, n2, n3), ell, graph = chain.parts[0], chain.copies, chain.graph
+    (n1, n2, n3), ell = chain.parts[0], chain.copies
     expected = expected_chain_dims(n1, n3, ell)
-    solved = solved_within_limit(graph, dims)
+    solved = solved_within_limit(chain, dims)
     if solved is not None:
         return solved == expected, f"solved (dim, edim) = {solved}", expected
     dim, edim = expected
-    upper_dim = is_metric_generator(graph, canonical_basis(n1, n2, n3, ell, kind="vertex"))
-    upper_edim = is_edge_metric_generator(graph, canonical_basis(n1, n2, n3, ell, kind="edge"))
-    lower_dim = metric_dimension(graph, max_k=dim - 1) is None
-    lower_edim = edge_metric_dimension(graph, max_k=edim - 1) is None
+    upper_dim = is_metric_generator(chain, canonical_basis(n1, n2, n3, ell, kind="vertex"))
+    upper_edim = is_edge_metric_generator(chain, canonical_basis(n1, n2, n3, ell, kind="edge"))
+    lower_dim = metric_dimension(chain, max_k=dim - 1) is None
+    lower_edim = edge_metric_dimension(chain, max_k=edim - 1) is None
     ok = upper_dim and upper_edim and lower_dim and lower_edim
     detail = (
         f"basis sizes ({dim}, {edim}) generate: "
@@ -141,7 +141,7 @@ def ratio_witness(q) -> FamilyGraph:
 
 def suite_observation1(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in grid.gadgets:
-        dim, edim = dims(gadget(n1, n2, n3).graph)
+        dim, edim = dims(gadget(n1, n2, n3))
         yield (
             f"G({n1},{n2},{n3}): dim={dim} >= {n3} and edim={edim} >= {n3}",
             dim >= n3 and edim >= n3,
@@ -156,9 +156,7 @@ def suite_lemma2(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
             [g.vertex("j", k) for k in range(1, n3)]
             + [g.vertex("a", bp.alpha), g.vertex("a", bp.beta)]
         )
-        both = is_metric_generator(g.graph, extended) and is_edge_metric_generator(
-            g.graph, extended
-        )
+        both = is_metric_generator(g, extended) and is_edge_metric_generator(g, extended)
         yield (
             f"G({n1},{n2},{n3}): anchor set of size {len(extended)} generates both",
             both and len(extended) == n3 + 1,
@@ -169,22 +167,22 @@ def suite_lemma2(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
         yield (
             f"G({n1},{n2},{n3}): canonical bases generate at sizes {len(vb)}/{len(eb)}",
             sizes_ok
-            and is_metric_generator(g.graph, vb)
-            and is_edge_metric_generator(g.graph, eb),
+            and is_metric_generator(g, vb)
+            and is_edge_metric_generator(g, eb),
         )
 
 
 def suite_lemma3(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in grid.gadgets:
         expected = expected_chain_dims(n1, n3)[0]
-        dim, _ = dims(gadget(n1, n2, n3).graph)
+        dim, _ = dims(gadget(n1, n2, n3))
         yield f"G({n1},{n2},{n3}): dim={dim}, expected {expected}", dim == expected
 
 
 def suite_lemma4(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in grid.gadgets:
         expected = expected_chain_dims(n1, n3)[1]
-        _, edim = dims(gadget(n1, n2, n3).graph)
+        _, edim = dims(gadget(n1, n2, n3))
         yield f"G({n1},{n2},{n3}): edim={edim}, expected {expected}", edim == expected
 
 
@@ -193,11 +191,11 @@ def suite_lemma5(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
         for p2 in ((5, 1, 2), (6, 1, 2)):
             g1 = gadget(*p1)
             g2 = gadget(*p2)
-            d1, e1 = dims(g1.graph)
-            d2, e2 = dims(g2.graph)
+            d1, e1 = dims(g1)
+            d2, e2 = dims(g2)
             alpha = BasisBlueprint.for_cycle(p1[0]).alpha
             joined = glue(g1, g1.vertex("a", alpha), g2, g2.vertex("j", 1))
-            dim, edim = dims(joined.graph)
+            dim, edim = dims(joined)
             yield (
                 f"glue G{p1} + G{p2}: dim {dim} = {d1}+{d2}-2, "
                 f"edim {edim} = {e1}+{e2}-2",
@@ -216,10 +214,10 @@ def suite_theorem1(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
         base = minimum_realizable_order(r, t)
         for order in (base, base + 1, base + 5):
             fam = realize(r, t, order)
-            dim, edim = dims(fam.graph)
+            dim, edim = dims(fam)
             yield (
-                f"realize({r},{t},{order}): order {fam.graph.n}, dims ({dim},{edim})",
-                fam.graph.n == order and (dim, edim) == (r, t),
+                f"realize({r},{t},{order}): order {fam.n}, dims ({dim},{edim})",
+                fam.n == order and (dim, edim) == (r, t),
             )
 
 
@@ -231,14 +229,14 @@ def suite_theorem2(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
     ok, detail, _ = certify_chain(w, dims)
     n1, n2, n3 = w.parts[0]
     yield f"L^{w.copies}({n1},{n2},{n3}): {detail}", ok
-    solved = solved_within_limit(w.graph, dims)
+    solved = solved_within_limit(w, dims)
     if solved is not None:
         yield f"solver confirms {solved}", solved == predicted
 
 
 # Each suite is called as ``suite(grid, gadget, dims)`` and yields (label, ok)
 # rows; ``grid`` is the run's ``Grid``, ``gadget(n1, n2, n3)`` gives a
-# gadget's FamilyGraph and ``dims(g)`` the solved (dim, edim) of a plain
+# gadget, itself a graph, and ``dims(g)`` the solved (dim, edim) of any
 # graph ``g``.
 SUITES = {
     "observation1": suite_observation1,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import metricdim
-from metricdim import decode_graph6, encode_graph6, make_cycle, parse_family_spec
+from metricdim import decode_graph6, encode_graph6, make_cycle, make_gadget, parse_family_spec
 from metricdim.cli import FAMILY_SPEC_EXAMPLES, main
 
 
@@ -466,3 +466,30 @@ def test_out_of_memory_exits_1_with_an_error_line(capsys, monkeypatch):
     assert code == 1
     assert not out
     assert err == "error: out of memory\n"
+
+
+def test_family_records_prints_only_the_record(capsys):
+    code, out, err = run(capsys, "family", "--family", "G:5,1,2", "--format", "records")
+    assert code == 0 and not err
+    assert out == encode_graph6(make_gadget(5, 1, 2)) + "\n"
+
+
+def test_ratio_malformed_target_exits_1(capsys):
+    code, out, err = run(capsys, "ratio", "--target", "abc")
+    assert code == 1
+    assert not out
+    assert err.startswith("error: malformed ratio target 'abc': ")
+
+
+def test_verify_failing_suite_prints_fail_rows(capsys, monkeypatch):
+    # a solver one dimension too high fails every lemma 3 row
+    import metricdim.verify as verify
+
+    solved = verify.solved_dims
+    monkeypatch.setattr(verify, "solved_dims", lambda g: tuple(d + 1 for d in solved(g)))
+    code, out, _ = run(capsys, "verify", "--suite", "lemma3")
+    assert code == 1
+    head, *rows = out.splitlines()
+    assert head.startswith("lemma3: FAIL (")
+    assert len(rows) == len(verify.GRIDS["small"].gadgets)
+    assert all(row.startswith("  FAIL  G(") for row in rows)

@@ -29,7 +29,7 @@ from metricdim import (
     ratio_witness,
     realize,
 )
-from metricdim.families import expected_chain_dims, family_order, plain_graph, target_chain
+from metricdim.families import expected_chain_dims, family_order, target_chain
 from metricdim.verify import ratio_dim
 from conftest import relabel
 
@@ -143,9 +143,9 @@ def test_role_lookups_build_nothing_per_vertex():
     # each copy, and its result comes from those by arithmetic
     for lookup in (lambda g: g.vertex("a", 1, copy=30), lambda g: g.label_name(329)):
         ch = make_chain(6, 1, 2, 30)
-        assert set(ch.__dict__) == {"graph", "parts"}
+        assert set(ch.__dict__) == {"parts"}
         lookup(ch)
-        assert set(ch.__dict__) == {"graph", "parts", "_starts"}
+        assert set(ch.__dict__) == {"parts", "_starts"}
         assert ch._starts == tuple(range(0, 331, 11))
         assert ch.parts == ((6, 1, 2),) * 30
     assert (ch.vertex("a", 1, copy=30), ch.label_name(329)) == (319, "j2^30")
@@ -263,6 +263,16 @@ def test_glue_reproduces_chain():
         assert glued.label_name(v) == f"{role}^{copy}"
         letter, index = role[0], int(role[1:] or 0)
         assert glued.vertex(letter, index, copy) == v
+
+
+def test_a_family_graph_is_its_own_graph():
+    # the ``graph`` alias of a chain and of a glued pair is the graph itself
+    chain = make_chain(5, 1, 2, 3)
+    a, b = make_gadget(7, 3, 4), make_gadget(5, 1, 2)
+    glued = glue(a, a.vertex("a", 4), b, b.vertex("j", 1))
+    for fam in (chain, glued):
+        assert isinstance(fam, Graph)
+        assert fam.graph is fam
 
 
 def _glued_chain(n1, n2, n3, ell):
@@ -430,4 +440,4 @@ def test_parse_family_spec():
 def test_family_order_is_the_built_order():
     specs = ("G:7,3,4", "L:2,5,1,2", "L:30,6,1,2", "cycle:8", "path:1", "complete:5")
     for spec in specs + ("cp:cycle:4xpath:3", "cp:path:2xG:5,1,2xL:3,6,2,3"):
-        assert family_order(spec) == plain_graph(parse_family_spec(spec)).n
+        assert family_order(spec) == parse_family_spec(spec).n
