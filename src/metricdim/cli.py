@@ -127,7 +127,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="lt",
         help="lt | gt | eq | diff:k | ratio:q  (lt means edim < dim)",
     )
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sub.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes; the pool (concurrent.futures) is loaded only above 1",
+    )
     sub.add_argument("--checkpoint", metavar="PATH", help="checkpoint file for resumable scans")
     sub.add_argument("--strict", action="store_true", help="abort on the first malformed record")
     _add_format_flag(sub)

@@ -29,8 +29,6 @@ import sys
 import time
 from array import array
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -169,8 +167,7 @@ def _evaluate(g: Graph, pred: Predicate) -> tuple[int, int] | None:
     return dim, edim_res.dimension
 
 
-def _scan_batch(payload: tuple[list[tuple[int, str]], Predicate]):
-    batch, pred = payload
+def _scan_batch(batch: list[tuple[int, str]], pred: Predicate):
     decoded = connected = 0
     errors: list[tuple[int, str]] = []
     matches: list[ScanMatch] = []
@@ -188,14 +185,7 @@ def _scan_batch(payload: tuple[list[tuple[int, str]], Predicate]):
         connected += 1
         if dims is not None:
             matches.append(ScanMatch(lineno, line, *dims))
-    return len(batch), decoded, connected, errors, matches
-
-
-def _solve_here(fn, payload) -> Future:
-    """``fn(payload)`` solved in this process, as a finished future."""
-    done: Future = Future()
-    done.set_result(fn(payload))
-    return done
+    return batch[-1][0], len(batch), decoded, connected, errors, matches
 
 
 def _write_checkpoint(path: str, last_line: int, report: ScanReport) -> None:
@@ -275,7 +265,8 @@ def scan(
     per-line diagnostics unless ``strict``, which raises ``Graph6Error`` on
     the first.  ``jobs``, from 1 to the CPU count, decides only where a
     batch is solved: in this process, or in a pool of that many workers
-    with at most ``2 * jobs`` batches in flight.
+    with at most ``2 * jobs`` batches in flight.  The pool, and
+    ``concurrent.futures`` with it, is loaded only when ``jobs > 1``.
 
     A ``checkpoint`` file makes multi-hour scans resumable: progress is
     flushed every ``CHECKPOINT_EVERY`` records and at the end, and picked up
@@ -291,13 +282,11 @@ def scan(
         raise ValueError(f"jobs must be between 1 and {cpus}, got {jobs}")
     report = ScanReport(predicate=predicate)
     start = time.monotonic()
-    pending: deque[tuple[int, Future]] = deque()  # (last line, batch result)
     since_checkpoint = last_line = 0
 
-    def absorb() -> None:
+    def absorb(result) -> None:
         nonlocal since_checkpoint, last_line
-        last_line, fut = pending.popleft()
-        batch_total, decoded, connected, errors, matches = fut.result()
+        last_line, batch_total, decoded, connected, errors, matches = result
         report.total += batch_total
         report.decoded += decoded
         report.connected += connected
@@ -317,14 +306,20 @@ def scan(
     try:
         if checkpoint and os.path.exists(checkpoint):
             report.resumed_from = last_line = _load_checkpoint(checkpoint, report)
-        with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-            submit = pool.submit if pool else _solve_here
+        if jobs == 1:
             for batch in _batches(source, report):
-                pending.append((batch[-1][0], submit(_scan_batch, (batch, predicate))))
-                while len(pending) >= 2 * jobs:
-                    absorb()
-            while pending:
-                absorb()
+                absorb(_scan_batch(batch, predicate))
+        else:
+            from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
+            pending = deque()  # the futures of the batches in flight, oldest first
+            with ProcessPoolExecutor(jobs) as pool:
+                for batch in _batches(source, report):
+                    pending.append(pool.submit(_scan_batch, batch, predicate))
+                    while len(pending) >= 2 * jobs:
+                        absorb(pending.popleft().result())
+                for future in pending:
+                    absorb(future.result())
         if checkpoint:
             _write_checkpoint(checkpoint, last_line, report)
     except OSError as exc:

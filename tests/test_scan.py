@@ -6,15 +6,19 @@ import math
 import os
 import random
 import re
+import subprocess
 import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
+import metricdim
 from metricdim import (
+    Graph6Error,
     OrderTooLarge,
     Predicate,
     chain_order,
@@ -177,20 +181,72 @@ def test_scan_caps_retained_error_details():
 
 @needs_two_cpus
 def test_scan_deterministic_across_jobs(monkeypatch):
+    # a 2-worker scan gives the 1-worker report for every predicate kind, on
+    # a stream with a header, a malformed line and a disconnected record
     rng = random.Random(79)
     lines = [
         encode_graph6(random_connected_graph(rng, rng.randrange(4, 9), extra=2))
         for _ in range(60)
     ]
+    lines[:0] = [">>graph6<<", encode_graph6(make_gadget(6, 1, 2).graph)]
+    lines.insert(20, "??bad??")
+    lines.insert(40, encode_graph6(disjoint_union(make_path(2), make_path(3))))
     monkeypatch.setattr(SCAN, "BATCH_SIZE", 7)
-    serial = scan(lines, Predicate.parse("eq"))
-    parallel = scan(lines, Predicate.parse("eq"), jobs=2)
-    assert serial.matches == parallel.matches
-    assert (serial.total, serial.decoded, serial.connected) == (
-        parallel.total,
-        parallel.decoded,
-        parallel.connected,
+    fields = ("total", "decoded", "connected", "error_total", "errors", "matches")
+    for text in ("lt", "gt", "eq", "diff:1", "ratio:3/2"):
+        serial = scan(lines, Predicate.parse(text))
+        parallel = scan(lines, Predicate.parse(text), jobs=2)
+        assert [getattr(parallel, f) for f in fields] == [getattr(serial, f) for f in fields], text
+        assert (serial.total, serial.decoded, serial.connected) == (63, 62, 61)
+        assert serial.errors == [(21, serial.errors[0][1])]
+        if text in ("lt", "diff:1"):
+            assert serial.matches[0].line == 2  # the gadget, the one edim < dim graph
+    failures = []
+    for jobs in (1, 2):
+        with pytest.raises(Graph6Error) as exc:
+            scan(lines, Predicate.parse("lt"), jobs=jobs, strict=True)
+        failures.append(str(exc.value))
+    assert failures[0] == failures[1]
+    assert failures[0].startswith("line 21: ")
+
+
+def test_import_and_one_worker_runs_load_no_process_pool(tmp_path):
+    # the pool is imported inside scan() only when jobs > 1, so importing the
+    # package and every 1-worker run stay free of concurrent.futures and
+    # multiprocessing; with 2 CPUs the same child then runs a 2-worker scan
+    src = str(Path(metricdim.__file__).resolve().parent.parent)
+    code = (
+        "import os, sys\n"
+        "import metricdim\n"
+        "from metricdim import Predicate, cli, scan, verify_small_orders\n"
+        "from metricdim.verify import run_suites\n"
+        "records = ['>>graph6<<', 'A_', '??bad??', 'Bw', 'C~', 'CK']\n"
+        "serial = scan(records, Predicate.parse('lt'), checkpoint=sys.argv[1])\n"
+        "assert (serial.total, serial.decoded, serial.connected) == (5, 4, 3)\n"
+        "assert serial.error_total == 1 and serial.matches\n"
+        "verify_small_orders(4)\n"
+        "run_suites(['lemma3'])\n"
+        "assert cli.main(['both', '--g6', 'A_']) == 0\n"
+        "print('loaded:', *(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+        "if (os.cpu_count() or 1) >= 2:\n"
+        "    parallel = scan(records, Predicate.parse('lt'), jobs=2)\n"
+        "    fields = ('total', 'decoded', 'connected', 'error_total', 'errors', 'matches')\n"
+        "    assert [getattr(parallel, f) for f in fields] == [getattr(serial, f) for f in fields]\n"
+        "    print('pooled:', 'concurrent.futures' in sys.modules)\n"
     )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "scan.ckpt")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["dim=1 edim=0", "loaded:"]
+    assert (tmp_path / "scan.ckpt").read_text().startswith("predicate=lt\nlast_line_processed=6\n")
+    if (os.cpu_count() or 1) >= 2:
+        assert lines[2:] == ["pooled: True"]
 
 
 # Independent statement of each predicate, over exact integers only.
