@@ -9,8 +9,8 @@ v (bits ``[v*n, v*n + n)``) of one int holds the frontier of source v, and
 frontier holds u, with no carries.  Larger orders walk each source in turn.
 The limit is 64 because the solver packs each pair's landmark mask into one
 machine word up to that order; its subset lattice, which packs landmark
-sets, stops at ``solver.LATTICE_MAX_ORDER`` = 16.  The edge list is derived
-on first use; the edge count is a popcount sum.
+sets, stops at ``solver.LATTICE_MAX_ORDER`` = 16.  The solvers read edges
+off the rows; only the API and the naive oracle derive the edge list.
 """
 
 from __future__ import annotations
@@ -95,11 +95,9 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         """Every edge ``(u, v)`` with ``u < v``, by u then v; derived once."""
         if self._edges is None:
-            out: list[Edge] = []
-            for u, row in enumerate(self.adj):
-                for v in iter_bits(row >> (u + 1)):
-                    out.append((u, u + 1 + v))
-            self._edges = tuple(out)
+            self._edges = tuple(
+                (u, u + 1 + v) for u, row in enumerate(self.adj) for v in iter_bits(row >> u + 1)
+            )
         return self._edges
 
     @property
@@ -192,8 +190,10 @@ class Graph:
                 break
             reach |= frontier
             diam += 1
-            for b in iter_bits(diam):
-                planes[b] |= frontier
+            bits = diam
+            while bits:
+                planes[(bits & -bits).bit_length() - 1] |= frontier
+                bits &= bits - 1
         if reach != (1 << size) - 1:
             raise self._disconnected()
         del planes[diam.bit_length() :]

@@ -10,15 +10,15 @@ deterministic regardless of worker count: counts are additive and matches
 are sorted by line number at the end.
 
 ``verify_small_orders`` exhausts every labelled connected graph up to order
-seven without any external stream.  Both dimensions are isomorphism
-invariants, so one exact solve per relabelling orbit of the edge masks (pair
-j of ``combinations(range(n), 2)`` at bit j) counts for its ``n!/|Aut|``
-labelled graphs.  Read's orderly generation grows each orbit's
-representative, its largest mask, from a smaller one by one edge below its
-lowest, and reads canonicity and ``|Aut|`` off one big int of its images
-under all ``n!`` permutations.  Order seven has 1,044 orbits over 2**21
-masks; its census takes about 0.3 s.  The naive oracle re-solves a fixed
-sample of labelled graphs and every member of an orbit with ``edim < dim``.
+seven.  Both dimensions are isomorphism invariants, so one exact solve per
+relabelling orbit of the edge masks (pair j of ``combinations(range(n), 2)``
+at bit j) counts for its ``n!/|Aut|`` labelled graphs.  Read's orderly
+generation grows each orbit's representative, its largest mask, from a
+smaller one by one edge below its lowest, and reads canonicity and ``|Aut|``
+off one big int of its images under all ``n!`` permutations.  One with fewer
+than n - 1 edges cannot be connected and is skipped.  Order seven has 1,044
+orbits over 2**21 masks; its census takes 0.3 s.  The naive oracle re-solves
+a fixed sample of masks and every member of an orbit with ``edim < dim``.
 """
 
 from __future__ import annotations
@@ -423,6 +423,8 @@ def _census_order(n: int) -> tuple[dict[int, int], list[str]]:
     hist: dict[int, int] = {}
     offenders: list[tuple[int, str]] = []
     for rep, orbit_size, images in _orbit_representatives(n):
+        if rep.bit_count() < n - 1:
+            continue  # too few edges to connect n vertices
         g = Graph(n, _mask_rows(rep, pairs, n), _validate=False)
         try:
             dim = metric_dimension(g).dimension

@@ -13,8 +13,8 @@ distance to landmark z.  Up to ``PACKED_MAX_ORDER`` (64) vertices they come
 from one BFS walk from every source at once, and larger orders walk each
 source in turn; either way one pass per graph, cached, serves every solve
 and generator check.  An edge takes the landmark-wise minimum of its
-endpoints; the edge list is read only by an edge search that the
-distance-class bound below does not refute.  XOR-ing two items and
+endpoints, read off each adjacency row above its own vertex; only the
+naive oracle builds the edge list (``Graph.edges``).  XOR-ing two items and
 OR-folding the planes onto the lowest gives the pair's separator mask, an
 n-bit set of the landmarks that tell the pair apart, and S resolves the
 graph exactly when it hits every mask.
@@ -185,8 +185,8 @@ class ResolveResult:
 _INCREMENT = bytes(range(1, 256)) + b"\0"  # byte c to c + 1
 
 
-def _edge_signatures(sigs: Sequence[int], edges: Sequence[Edge], n: int) -> list[int]:
-    """Each edge's distances to all landmarks, from the vertex signatures.
+def _edge_signatures(sigs: Sequence[int], adj: Sequence[int], n: int) -> list[int]:
+    """Each edge's landmark distances, read off the rows in ``Graph.edges`` order.
 
     An edge holds the smaller of its two endpoint distances.  Those differ
     by at most one, and for ``k`` against ``k+1`` the XOR is a run of ones,
@@ -194,10 +194,13 @@ def _edge_signatures(sigs: Sequence[int], edges: Sequence[Edge], n: int) -> list
     the common bits plus that run without its top bit.
     """
     out = []
-    for u, v in edges:
-        a, b = sigs[u], sigs[v]
-        x = a ^ b
-        out.append(a & b | x & (x >> n))
+    for u, a in enumerate(sigs):
+        row = adj[u] >> u + 1  # bit i: vertex u + 1 + i
+        while row:
+            b = sigs[u + (row & -row).bit_length()]
+            x = a ^ b
+            out.append(a & b | x & (x >> n))
+            row &= row - 1
     return out
 
 
@@ -637,7 +640,7 @@ def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> Resolve
         if top < 0:
             return None
     if kind == "edge":
-        sigs = _edge_signatures(sigs, g.edges, n)
+        sigs = _edge_signatures(sigs, g.adj, n)
     if n <= LATTICE_MAX_ORDER and not forced:
         witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, top)
     else:
@@ -693,7 +696,7 @@ def _generates(g: Graph, landmarks: Iterable[int], kind: str) -> bool:
         if not 0 <= z < g.n:
             raise ValueError(f"landmark {z} out of range for order {g.n}")
     if kind == "edge":
-        sigs = _edge_signatures(sigs, g.edges, g.n)
+        sigs = _edge_signatures(sigs, g.adj, g.n)
     # The landmark set, repeated in every plane.
     sel = sum(1 << z for z in s) * sum(1 << b * g.n for b in range(diam.bit_length()))
     return len({sig & sel for sig in sigs}) == len(sigs)

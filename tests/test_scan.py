@@ -39,7 +39,8 @@ from metricdim import (
     scan,
     verify_small_orders,
 )
-from metricdim.scan import CheckpointMismatch, _orbit_representatives, _pair_columns
+from metricdim.graph import Graph
+from metricdim.scan import CheckpointMismatch, _census_order, _orbit_representatives, _pair_columns
 from metricdim.verify import expected_chain_dims, ratio_dim, solved_within_limit
 from conftest import (
     labelled_graphs,
@@ -409,7 +410,8 @@ def test_scan_refuses_a_checkpoint_of_another_predicate(tmp_path):
     with pytest.raises(CheckpointMismatch, match=re.escape(str(ckpt))):
         scan(lines, Predicate.parse("gt"), checkpoint=str(ckpt))
     # a checkpoint without a predicate line is refused too
-    ckpt.write_text("".join(l for l in ckpt.open() if not l.startswith("predicate=")))
+    kept = [l for l in ckpt.read_text().splitlines(keepends=True) if not l.startswith("predicate=")]
+    ckpt.write_text("".join(kept))
     with pytest.raises(CheckpointMismatch, match="no predicate"):
         scan(lines, Predicate.parse("eq"), checkpoint=str(ckpt))
 
@@ -587,6 +589,34 @@ def test_census_matches_naive_oracle():
         assert report.histograms[n] == dict(hist)
         assert report.graphs_checked[n] == sum(hist.values())
     assert report.violations == []
+
+
+def test_census_walks_no_orbit_too_sparse_to_connect(monkeypatch):
+    # fewer than n - 1 edges cannot connect n vertices, so such a
+    # representative gets no Graph and no lane walk: 173 walks for the 205
+    # representatives of orders 3 to 6
+    walks = Counter()
+    real = Graph._lane_signatures
+
+    def counted(self):
+        walks[self.n] += 1
+        return real(self)
+
+    monkeypatch.setattr(Graph, "_lane_signatures", counted)
+    results = {n: _census_order(n) for n in range(3, 7)}
+    assert sum(walks.values()) == 173
+    for n in range(3, 7):
+        reps = [rep for rep, _, _ in _orbit_representatives(n)]
+        assert walks[n] == sum(rep.bit_count() >= n - 1 for rep in reps)
+    assert sum(len(list(_orbit_representatives(n))) for n in range(3, 7)) == 205
+    # orders 3-5 as test_census_matches_naive_oracle finds them by the naive
+    # oracle, order 6 as c07 pins it
+    assert results == {
+        3: ({0: 4}, []),
+        4: ({-1: 6, 0: 32}, []),
+        5: ({-2: 15, -1: 305, 0: 408}, []),
+        6: ({-2: 4947, -1: 14945, 0: 6812}, []),
+    }
 
 
 def test_census_self_check_rejects_a_wrong_edim(monkeypatch):

@@ -316,7 +316,7 @@ def test_hitting_set_searches_match_naive_oracle():
         graphs.append(random_connected_graph(rng, n, extra=rng.randrange(0, n)))
     for g in graphs:
         sigs, diam = g.signatures()
-        grounds = (sigs, _edge_signatures(sigs, g.edges, g.n))
+        grounds = (sigs, _edge_signatures(sigs, g.adj, g.n))
         for ground, naive in zip(grounds, naive_results(g)):
             masks = sorted(_separator_masks(combinations(ground, 2), g.n, diam), key=int.bit_count)
             packed = _packed_masks(ground, g.n, diam)
@@ -355,7 +355,7 @@ def test_component_split_matches_depth_first_search():
     cases = set()
     for g in _split_oracle_graphs():
         sigs, diam = g.signatures()
-        for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
+        for ground in (sigs, _edge_signatures(sigs, g.adj, g.n)):
             masks = sorted(_separator_masks(combinations(ground, 2), g.n, diam), key=int.bit_count)
             kept = _drop_supersets(masks)
             sizes = [len(landmarks) for landmarks, _ in _components(kept, g.n)]
@@ -496,7 +496,7 @@ def test_torus_components_halve():
     # the depth-first search
     g = cartesian_product(make_cycle(8), make_cycle(8))
     sigs, diam = g.signatures()
-    for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
+    for ground in (sigs, _edge_signatures(sigs, g.adj, g.n)):
         masks = sorted(sorted(_grouped_masks(ground, g.n, diam)), key=int.bit_count)
         [(landmarks, group)] = _components(_drop_supersets(masks), g.n)
         assert len(landmarks) == 64
@@ -584,7 +584,7 @@ def test_packed_masks_match_pairwise_masks(monkeypatch):
     for g in graphs:
         sigs, diam = g.signatures()
         planes.add(diam.bit_length())
-        for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
+        for ground in (sigs, _edge_signatures(sigs, g.adj, g.n)):
             pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
             assert set(_packed_masks(ground, g.n, diam)) == pairwise
     assert planes == {0, 1, 2, 3, 4}
@@ -599,7 +599,7 @@ def test_packed_masks_match_pairwise_masks(monkeypatch):
     for g in graphs:
         sigs, diam = g.signatures()
         planes.add(diam.bit_length())
-        for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
+        for ground in (sigs, _edge_signatures(sigs, g.adj, g.n)):
             pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
             assert _grouped_masks(ground, g.n, diam) == pairwise
     assert planes == {1, 4, 5, 6}
@@ -609,7 +609,7 @@ def test_packed_masks_match_pairwise_masks(monkeypatch):
         monkeypatch.setattr(solver, "PACK_BYTES", budget)
         for g in (make_complete(12), make_cycle(12), make_complete(16), make_path(40)):
             sigs, diam = g.signatures()
-            for ground in (sigs, _edge_signatures(sigs, g.edges, g.n)):
+            for ground in (sigs, _edge_signatures(sigs, g.adj, g.n)):
                 pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
                 assert _grouped_masks(ground, g.n, diam) == pairwise
     # one fold rule at every order, the slot layouts' included: shifts n,
@@ -710,7 +710,7 @@ def test_twin_classes_fold_exactly_the_masks_the_forced_set_misses(monkeypatch):
         forced = solver._forced_twins(g.adj)
         assert forced
         sigs, diam = g.signatures()
-        grounds = (sigs, _edge_signatures(sigs, g.edges, g.n))
+        grounds = (sigs, _edge_signatures(sigs, g.adj, g.n))
         for fast, ground in zip((metric_dimension, edge_metric_dimension), grounds):
             handed.clear()
             fast(g)
@@ -733,7 +733,7 @@ def test_twin_free_graphs_above_64_fold_every_pair_as_one_class(monkeypatch):
     for g, witness in ((make_path(200), (0,)), (make_cycle(101), (0, 1))):
         assert g.n > PACKED_MAX_ORDER and not solver._forced_twins(g.adj)
         sigs, diam = g.signatures()
-        grounds = (sigs, _edge_signatures(sigs, g.edges, g.n))
+        grounds = (sigs, _edge_signatures(sigs, g.adj, g.n))
         for fast, ground in zip((metric_dimension, edge_metric_dimension), grounds):
             handed.clear()
             full = fast(g)
@@ -783,7 +783,7 @@ def test_edge_signatures_match_resolution_vectors():
     for g in graphs:
         sigs, diam = g.signatures()
         full = (1 << g.n) - 1
-        for e, sig in zip(g.edges, _edge_signatures(sigs, g.edges, g.n)):
+        for e, sig in zip(g.edges, _edge_signatures(sigs, g.adj, g.n)):
             planes = [sig >> b * g.n & full for b in range(diam.bit_length())]
             decoded = tuple(
                 sum((plane >> z & 1) << b for b, plane in enumerate(planes))
@@ -804,8 +804,55 @@ def test_refuted_edge_search_leaves_the_edge_list_underived():
     assert edge_metric_dimension(g, max_k=3) is None
     assert metric_dimension(g).dimension == 5
     assert g._edges is None
-    assert edge_metric_dimension(g) == naive_results(g)[1]
-    assert g._edges is not None
+    # the full search reads the adjacency rows too; only the oracle lists edges
+    result = edge_metric_dimension(g)
+    assert g._edges is None
+    assert result == naive_results(g)[1]
+
+
+def _random_connected_gnp(rng: random.Random, n: int, p: float) -> Graph:
+    while True:
+        g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        if g.is_connected():
+            return g
+
+
+def test_row_built_edge_items_match_the_distance_matrix():
+    # the edge items are read off the adjacency rows; edge by edge, in
+    # Graph.edges order, each must be the landmark-wise minimum of its two
+    # endpoint rows of the distance matrix, packed into planes as
+    # Graph.signatures packs them, on both sides of PACKED_MAX_ORDER
+    rng = random.Random(2918)
+    graphs = [make_path(2), make_cycle(3), make_cycle(64), make_cycle(65), make_path(70)]
+    graphs += [make_chain(6, 1, 2, 6).graph]  # order 66
+    for n in (2, 3, 5, 9, 16, 17, 33, 63, 64, 65, 70):
+        graphs.append(_random_connected_gnp(rng, n, min(1.0, 3.0 / n + rng.random() * 0.4)))
+        graphs.append(random_connected_graph(rng, n))
+    assert {g.n > PACKED_MAX_ORDER for g in graphs} == {False, True}
+    for g in graphs:
+        sigs, diam = g.signatures()
+        dm = g.distance_matrix()
+        items = _edge_signatures(sigs, g.adj, g.n)
+        assert len(items) == len(g.edges) == g.m
+        for (u, v), item in zip(g.edges, items):
+            want = 0
+            for z in range(g.n):
+                d = min(dm[u][z], dm[v][z])
+                for b in range(diam.bit_length()):
+                    want |= (d >> b & 1) << (b * g.n + z)
+            assert item == want, (g, u, v)
+    # no solve or generator check builds the edge list, on either side of
+    # the lattice limit and of PACKED_MAX_ORDER
+    graphs = [make_cycle(9), make_chain(5, 1, 2, 2).graph, make_path(70)]
+    graphs += [random_connected_graph(rng, n, extra=n // 3) for n in (8, 20)]
+    for g in graphs:
+        fresh = Graph(g.n, g.adj)
+        metric_dimension(fresh)
+        edim = edge_metric_dimension(fresh)
+        assert edge_metric_dimension(fresh, max_k=edim.dimension - 1) is None
+        assert is_edge_metric_generator(fresh, edim.witness)
+        assert fresh._edges is None
+        assert edim == edge_metric_dimension(g)
 
 
 def test_import_builds_no_cached_layout():
