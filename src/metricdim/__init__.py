@@ -27,9 +27,7 @@ from .solver import (
     resolution_vector,
 )
 from .families import (
-    BasisBlueprint,
     EqualDimensionsUnsupported,
-    FamilyParams,
     InvalidParams,
     InvalidTarget,
     OrderTooSmall,

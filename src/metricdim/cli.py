@@ -33,6 +33,7 @@ from .families import (
 from .graph import Graph, GraphError
 from .graph6 import MAX_ORDER, Graph6Error, decode_graph6, encode_graph6, record_lines
 from .scan import (
+    MAX_ENUM_ORDER,
     CheckpointMismatch,
     OrderTooLarge,
     Predicate,
@@ -149,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--small-orders",
         type=int,
         metavar="N",
-        help="instead of suites, exhaust all connected graphs with 3 <= n <= N (N <= 7)",
+        help="instead of suites, exhaust all connected graphs with 3 <= n <= N"
+        f" (N <= {MAX_ENUM_ORDER})",
     )
     sub.set_defaults(func=_cmd_verify)
 

@@ -27,7 +27,6 @@ bridges.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
 from math import prod
@@ -58,54 +57,6 @@ class OrderTooSmall(RealizeError):
     def __init__(self, message: str, minimum_order: int):
         super().__init__(message)
         self.minimum_order = minimum_order
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Gadget parameters: cycle length, tail length, pendant count, copies."""
-
-    n1: int
-    n2: int
-    n3: int
-    ell: int = 1
-
-    def validate(self) -> "FamilyParams":
-        if self.n1 < 5:
-            raise InvalidParams(f"cycle length n1 must be >= 5, got {self.n1}")
-        if self.n2 < 1:
-            raise InvalidParams(f"tail length n2 must be >= 1, got {self.n2}")
-        if self.n3 < 2:
-            raise InvalidParams(f"pendant count n3 must be >= 2, got {self.n3}")
-        if self.ell < 1:
-            raise InvalidParams(f"copy count ell must be >= 1, got {self.ell}")
-        return self
-
-
-@dataclass(frozen=True)
-class BasisBlueprint:
-    """Cycle anchor positions used by the canonical bases.
-
-    ``alpha`` and ``beta`` are the two cycle vertices sitting at equal
-    distance from ``a_1``, adjacent for odd cycles and two apart for even
-    ones; ``gamma`` and ``delta`` are that shared distance and the cycle
-    radius.
-    """
-
-    alpha: int
-    beta: int
-    gamma: int
-    delta: int
-
-    @classmethod
-    def for_cycle(cls, n1: int) -> "BasisBlueprint":
-        if n1 < 5:
-            raise InvalidParams(f"cycle length must be >= 5, got {n1}")
-        return cls(
-            alpha=(n1 + 1) // 2,
-            beta=-(-(n1 + 3) // 2),
-            gamma=(n1 - 1) // 2,
-            delta=n1 // 2,
-        )
 
 
 class FamilyGraph(Graph):
@@ -150,6 +101,29 @@ class FamilyGraph(Graph):
             if r - base in indices
         )
         return f"{name}^{k + 1}" if self.copies > 1 else name
+
+
+def _check_params(n1: int, n2: int, n3: int, ell: int) -> None:
+    """Refuse a cycle, tail, pendant count or copy count below its least value."""
+    for name, value, least in (
+        ("cycle length n1", n1, 5),
+        ("tail length n2", n2, 1),
+        ("pendant count n3", n3, 2),
+        ("copy count ell", ell, 1),
+    ):
+        if value < least:
+            raise InvalidParams(f"{name} must be >= {least}, got {value}")
+
+
+def anchors(n1: int) -> tuple[int, int]:
+    """Indices ``(alpha, beta)`` of the cycle anchors ``a_alpha`` and ``a_beta``.
+
+    Both sit at distance ``(n1 - 1) // 2`` from ``a_1``, adjacent on odd
+    cycles and two apart on even ones.
+    """
+    if n1 < 5:
+        raise InvalidParams(f"cycle length must be >= 5, got {n1}")
+    return (n1 + 1) // 2, (n1 + 4) // 2
 
 
 def gadget_order(n1: int, n2: int, n3: int) -> int:
@@ -213,8 +187,8 @@ def make_chain(n1: int, n2: int, n3: int, ell: int = 1) -> FamilyGraph:
     by the edge from ``a_alpha`` of copy ``k`` to ``j_1`` of copy ``k+1``.
     With one copy this is exactly ``make_gadget``.
     """
-    FamilyParams(n1, n2, n3, ell).validate()
-    alpha = BasisBlueprint.for_cycle(n1).alpha
+    _check_params(n1, n2, n3, ell)
+    alpha, _ = anchors(n1)
     rows, copy = _gadget_rows(n1, n2, n3), _gadget_rows(n1, 1, 2)
     (a, _), *_, (j, _) = _roles(n1, 1, 2).values()
     u = a + alpha  # a_alpha of copy 1: the cycle comes first in every copy
@@ -245,10 +219,10 @@ def canonical_basis(
     size ``n3 + ell``.  Odd cycles use the compact set for vertices and the
     extended one for edges; even cycles swap the two roles.
     """
-    FamilyParams(n1, n2, n3, ell).validate()
+    _check_params(n1, n2, n3, ell)
     if kind not in ("vertex", "edge"):
         raise ValueError(f"kind must be 'vertex' or 'edge', got {kind!r}")
-    bp = BasisBlueprint.for_cycle(n1)
+    alpha, beta = anchors(n1)
     (a, _), *_, (j, _) = _roles(n1, n2, n3).values()
 
     def anchor(t: int, copy: int) -> int:
@@ -257,10 +231,10 @@ def canonical_basis(
 
     basis = [j + t for t in range(1, n3)]  # j_1..j_{n3-1} of copy 1
     if (n1 % 2 == 1) == (kind == "vertex"):  # the compact set
-        basis.append(anchor(bp.alpha, ell))
+        basis.append(anchor(alpha, ell))
     else:
-        basis += [anchor(bp.beta, k) for k in range(1, ell)]
-        basis += [anchor(bp.alpha, ell), anchor(bp.beta, ell)]
+        basis += [anchor(beta, k) for k in range(1, ell)]
+        basis += [anchor(alpha, ell), anchor(beta, ell)]
     return tuple(sorted(basis))
 
 

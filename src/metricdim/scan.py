@@ -18,7 +18,8 @@ smaller one by one edge below its lowest, and reads canonicity and ``|Aut|``
 off one big int of its images under all ``n!`` permutations.  One with fewer
 than n - 1 edges cannot be connected and is skipped.  Order seven has 1,044
 orbits over 2**21 masks; its census takes 0.3 s.  The naive oracle re-solves
-a fixed sample of masks and every member of an orbit with ``edim < dim``.
+every member of an orbit with ``edim < dim`` and a fixed sample of masks:
+one connected graph at each of orders 3 to 5, three at 6 and 188 at 7.
 """
 
 from __future__ import annotations
@@ -412,12 +413,13 @@ def _census_order(n: int) -> tuple[dict[int, int], list[str]]:
     One exact solve per relabelling orbit; the orbit's size is its count.
     The naive oracle re-solves every sampled member and every member of an
     offending orbit, so a solver fault cannot pass unnoticed through the
-    orbits it shares.
+    orbits it shares.  The sample starts at the stride modulo the mask
+    count, so orders 3 to 5 sample a connected graph, not the empty mask 0.
     """
     pairs = list(combinations(range(n), 2))
     code, size, _, columns = _pair_columns(n)
     sampled: dict[int, list[int]] = {}  # sampled masks by their orbit's representative
-    for x in range(0, 1 << len(pairs), _SELF_CHECK_STRIDE):
+    for x in range(_SELF_CHECK_STRIDE % (1 << len(pairs)), 1 << len(pairs), _SELF_CHECK_STRIDE):
         images = sum(column for i, column in enumerate(columns) if x >> i & 1)
         sampled.setdefault(max(array(code, images.to_bytes(size, sys.byteorder))), []).append(x)
     hist: dict[int, int] = {}

@@ -20,8 +20,8 @@ from functools import cache
 from typing import Iterator, NamedTuple
 
 from .families import (
-    BasisBlueprint,
     FamilyGraph,
+    anchors,
     canonical_basis,
     expected_chain_dims,
     glue,
@@ -151,10 +151,9 @@ def suite_observation1(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
 def suite_lemma2(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
     for n1, n2, n3 in grid.gadgets:
         g = gadget(n1, n2, n3)
-        bp = BasisBlueprint.for_cycle(n1)
+        alpha, beta = anchors(n1)
         extended = sorted(
-            [g.vertex("j", k) for k in range(1, n3)]
-            + [g.vertex("a", bp.alpha), g.vertex("a", bp.beta)]
+            [g.vertex("j", k) for k in range(1, n3)] + [g.vertex("a", alpha), g.vertex("a", beta)]
         )
         both = is_metric_generator(g, extended) and is_edge_metric_generator(g, extended)
         yield (
@@ -193,7 +192,7 @@ def suite_lemma5(grid: Grid, gadget, dims) -> Iterator[tuple[str, bool]]:
             g2 = gadget(*p2)
             d1, e1 = dims(g1)
             d2, e2 = dims(g2)
-            alpha = BasisBlueprint.for_cycle(p1[0]).alpha
+            alpha, _ = anchors(p1[0])
             joined = glue(g1, g1.vertex("a", alpha), g2, g2.vertex("j", 1))
             dim, edim = dims(joined)
             yield (

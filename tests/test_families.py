@@ -3,9 +3,7 @@ from __future__ import annotations
 import pytest
 
 from metricdim import (
-    BasisBlueprint,
     EqualDimensionsUnsupported,
-    FamilyParams,
     Graph,
     InvalidParams,
     InvalidTarget,
@@ -29,16 +27,23 @@ from metricdim import (
     ratio_witness,
     realize,
 )
-from metricdim.families import expected_chain_dims, family_order, target_chain
+from metricdim.families import anchors, expected_chain_dims, family_order, target_chain
 from metricdim.verify import ratio_dim
 from conftest import relabel
 
 
 def test_family_params_validation():
-    FamilyParams(5, 1, 2).validate()
-    for bad in [(4, 1, 2), (5, 0, 2), (5, 1, 1), (5, 1, 2, 0)]:
-        with pytest.raises(InvalidParams):
-            FamilyParams(*bad).validate()
+    make_chain(5, 1, 2, 1)
+    canonical_basis(5, 1, 2, 1)
+    for bad, message in [
+        ((4, 1, 2, 1), "cycle length n1 must be >= 5, got 4"),
+        ((5, 0, 2, 1), "tail length n2 must be >= 1, got 0"),
+        ((5, 1, 1, 1), "pendant count n3 must be >= 2, got 1"),
+        ((5, 1, 2, 0), "copy count ell must be >= 1, got 0"),
+    ]:
+        for build in (make_chain, canonical_basis):
+            with pytest.raises(InvalidParams, match=f"^{message}$"):
+                build(*bad)
 
 
 def test_gadget_orders_and_sizes():
@@ -151,18 +156,19 @@ def test_role_lookups_build_nothing_per_vertex():
     assert (ch.vertex("a", 1, copy=30), ch.label_name(329)) == (319, "j2^30")
 
 
-def test_basis_blueprint():
-    bp = BasisBlueprint.for_cycle(7)
-    assert (bp.alpha, bp.beta, bp.gamma, bp.delta) == (4, 5, 3, 3)
+def test_cycle_anchors():
+    # a_alpha and a_beta sit at the same distance (n1 - 1) // 2 from a_1, at
+    # most the cycle's radius n1 // 2: adjacent on odd cycles, two apart on
+    # even ones
+    assert anchors(7) == (4, 5)
     for n1 in range(5, 13):
-        bp = BasisBlueprint.for_cycle(n1)
-        assert bp.beta < n1
-        assert bp.gamma <= bp.delta
+        alpha, beta = anchors(n1)
+        assert alpha < beta < n1
+        assert beta - alpha == 2 - n1 % 2
         dm = make_cycle(n1).distance_matrix()
-        assert dm[0][bp.alpha - 1] == dm[0][bp.beta - 1]
-        assert dm[0][bp.alpha - 1] == bp.gamma
+        assert dm[0][alpha - 1] == dm[0][beta - 1] == (n1 - 1) // 2 <= n1 // 2
     with pytest.raises(InvalidParams, match="cycle length must be >= 5, got 4"):
-        BasisBlueprint.for_cycle(4)
+        anchors(4)
 
 
 def test_chain_orders():
@@ -189,7 +195,7 @@ def test_order_formulas_on_grid():
 def test_chain_is_connected_and_bridged():
     ch = make_chain(5, 2, 3, 3)
     assert ch.graph.is_connected()
-    alpha = BasisBlueprint.for_cycle(5).alpha
+    alpha, _ = anchors(5)
     for k in (1, 2):
         assert ch.graph.has_edge(
             ch.vertex("a", alpha, copy=k), ch.vertex("j", 1, copy=k + 1)
@@ -242,7 +248,7 @@ def test_glue_paths():
 def test_glue_reproduces_chain():
     a = make_gadget(5, 1, 2)
     b = make_gadget(5, 1, 2)
-    alpha = BasisBlueprint.for_cycle(5).alpha
+    alpha, _ = anchors(5)
     glued = glue(a, a.vertex("a", alpha), b, b.vertex("j", 1))
     assert glued.graph == make_chain(5, 1, 2, 2).graph
     assert glued.copies == 2
@@ -277,7 +283,7 @@ def test_a_family_graph_is_its_own_graph():
 
 def _glued_chain(n1, n2, n3, ell):
     """The chain folded copy by copy through ``glue``: the reference build."""
-    alpha = BasisBlueprint.for_cycle(n1).alpha
+    alpha, _ = anchors(n1)
     chain = make_gadget(n1, n2, n3)
     for k in range(2, ell + 1):
         nxt = make_gadget(n1, 1, 2)
@@ -291,7 +297,7 @@ def test_chain_builder_matches_glue_fold():
     # the one-pass builder and the closed-form bases against role lookups on
     # a chain glued one copy at a time
     for n1 in (5, 6, 7, 8):
-        bp = BasisBlueprint.for_cycle(n1)
+        alpha, beta = anchors(n1)
         for n2 in (1, 2, 5):
             for n3 in (2, 3, 4):
                 for ell in (1, 2, 3, 7):
@@ -303,13 +309,13 @@ def test_chain_builder_matches_glue_fold():
                     _check_roles(got)
                     assert got.copies == ref.copies == ell
                     pendants = [ref.vertex("j", k) for k in range(1, n3)]
-                    last = [ref.vertex("a", bp.alpha, copy=ell)]
+                    last = [ref.vertex("a", alpha, copy=ell)]
                     compact = sorted(pendants + last)
                     extended = sorted(
                         pendants
-                        + [ref.vertex("a", bp.beta, copy=k) for k in range(1, ell)]
+                        + [ref.vertex("a", beta, copy=k) for k in range(1, ell)]
                         + last
-                        + [ref.vertex("a", bp.beta, copy=ell)]
+                        + [ref.vertex("a", beta, copy=ell)]
                     )
                     vertex, edge = (compact, extended) if n1 % 2 else (extended, compact)
                     assert canonical_basis(n1, n2, n3, ell, kind="vertex") == tuple(vertex)

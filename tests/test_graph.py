@@ -302,6 +302,14 @@ def test_graph_equality_and_caching():
     assert g.distance_matrix() is g.distance_matrix()
 
 
+def test_graph_compares_only_to_graphs_and_reprs_its_size():
+    g = make_cycle(6)
+    assert g.__eq__(g.adj) is NotImplemented
+    assert g != g.adj
+    assert repr(g) == "Graph(n=6, m=6)"
+    assert repr(make_chain(5, 1, 2, 2)) == "Graph(n=20, m=21)"
+
+
 def test_k1_is_valid_and_connected():
     k1 = make_path(1)
     assert k1.n == 1 and k1.m == 0

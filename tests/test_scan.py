@@ -664,7 +664,8 @@ def test_census_lists_every_labelled_offender_in_mask_order(monkeypatch):
 
 def test_census_self_check_re_solves_sampled_members(monkeypatch):
     # an edim raised by one leaves every orbit inoffensive, so only the
-    # sampled labelled graphs (masks 9973, 19946 and 29919 at order 6) catch it
+    # sampled labelled graphs catch it: one connected mask at each of the
+    # orders 3 to 5 (5, 53 and 757), three at order 6 and 188 at order 7
     scan_module = importlib.import_module("metricdim.scan")
     real = scan_module.edge_metric_dimension
 
@@ -673,9 +674,9 @@ def test_census_self_check_re_solves_sampled_members(monkeypatch):
         return dataclasses.replace(res, dimension=res.dimension + 1)
 
     monkeypatch.setattr(scan_module, "edge_metric_dimension", off_by_one)
-    verify_small_orders(5)  # its one sampled mask, 0, is disconnected
-    with pytest.raises(AssertionError, match="census solver disagrees"):
-        verify_small_orders(6)
+    for n in range(3, 8):
+        with pytest.raises(AssertionError, match="census solver disagrees"):
+            _census_order(n)
 
 
 def test_verify_small_orders_jobs_agree():

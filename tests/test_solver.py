@@ -31,7 +31,7 @@ from metricdim import (
     resolution_vector,
 )
 from metricdim.scan import enumerate_labeled_connected
-from metricdim.families import BasisBlueprint, glue, make_chain
+from metricdim.families import anchors, glue, make_chain
 from metricdim import solver
 from metricdim.graph import PACKED_MAX_ORDER, iter_bits
 from metricdim.solver import (
@@ -340,7 +340,7 @@ def _split_oracle_graphs():
     for first in GRIDS["full"].lemma5_firsts:
         for second in ((5, 1, 2), (6, 1, 2)):
             g1, g2 = make_gadget(*first), make_gadget(*second)
-            alpha = BasisBlueprint.for_cycle(first[0]).alpha
+            alpha, _ = anchors(first[0])
             graphs.append(glue(g1, g1.vertex("a", alpha), g2, g2.vertex("j", 1)).graph)
     graphs += [make_chain(n1, 1, 2, ell).graph for n1 in (5, 6, 7) for ell in range(1, 5)]
     graphs.append(cartesian_product(make_cycle(8), make_cycle(8)))
