@@ -32,7 +32,7 @@ from itertools import accumulate
 from math import prod
 from typing import Iterable
 
-from .graph import Graph, add_edge, cartesian_product, disjoint_union
+from .graph import Graph, GraphError, add_edge, cartesian_product, disjoint_union
 
 
 class InvalidParams(ValueError):
@@ -173,6 +173,9 @@ def glue(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     Two family graphs give a family graph whose copies are those of ``g1``
     followed by those of ``g2``.
     """
+    for v, g in ((v1, g1), (v2, g2)):
+        if not 0 <= v < g.n:
+            raise GraphError(f"bridge vertex {v} out of range for order {g.n}")
     joined = add_edge(disjoint_union(g1, g2), v1, g1.n + v2)
     if isinstance(g1, FamilyGraph) and isinstance(g2, FamilyGraph):
         return FamilyGraph(joined.n, joined.adj, g1.parts + g2.parts)

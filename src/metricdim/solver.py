@@ -706,6 +706,13 @@ def resolution_vector(
     g: Graph, item: int | Edge, landmarks: Sequence[int]
 ) -> tuple[int, ...]:
     """Ordered distances from one vertex (int) or edge (pair) to the landmarks."""
+    for z in landmarks:
+        if not 0 <= z < g.n:
+            raise ValueError(f"landmark {z} out of range for order {g.n}")
+    ends = item if isinstance(item, tuple) else (item,)
+    for v in ends:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for order {g.n}")
     dm = g.distance_matrix()
     if isinstance(item, tuple):
         u, v = item

@@ -187,22 +187,23 @@ def test_ratio_command(capsys):
 THEOREM2_LEMMA6_FULL = """\
 theorem2: PASS (Xs)
   PASS  ratio_witness(3) predicts (6, 2)
-  PASS  L^4(6,1,2): basis sizes (6, 2) generate: True/True; smaller refuted: True/True
+  PASS  L^4(6,1,2): solved (dim, edim) = (6, 2)
+  PASS  solver confirms (6, 2)
 lemma6: PASS (Xs)
   PASS  L^1(5,1,2) expects (2, 3): solved (dim, edim) = (2, 3)
   PASS  L^2(5,1,2) expects (2, 4): solved (dim, edim) = (2, 4)
-  PASS  L^3(5,1,2) expects (2, 5): basis sizes (2, 5) generate: True/True; smaller refuted: True/True
+  PASS  L^3(5,1,2) expects (2, 5): solved (dim, edim) = (2, 5)
   PASS  L^1(6,1,2) expects (3, 2): solved (dim, edim) = (3, 2)
   PASS  L^2(6,1,2) expects (4, 2): solved (dim, edim) = (4, 2)
-  PASS  L^3(6,1,2) expects (5, 2): basis sizes (5, 2) generate: True/True; smaller refuted: True/True
+  PASS  L^3(6,1,2) expects (5, 2): solved (dim, edim) = (5, 2)
   PASS  L^1(7,1,2) expects (2, 3): solved (dim, edim) = (2, 3)
   PASS  L^2(7,1,2) expects (2, 4): solved (dim, edim) = (2, 4)
-  PASS  L^3(7,1,2) expects (2, 5): basis sizes (2, 5) generate: True/True; smaller refuted: True/True
+  PASS  L^3(7,1,2) expects (2, 5): solved (dim, edim) = (2, 5)
 """
 
 
 def test_verify_rows_keep_their_text(capsys):
-    # solved rows and basis-plus-refutation rows, timings masked
+    # every chain row reads its solve, timings masked
     code, out, _ = run(capsys, "verify", "--suite", "theorem2,lemma6", "--grid", "full")
     assert code == 0
     assert re.sub(r"\(\d+\.\ds\)", "(Xs)", out) == THEOREM2_LEMMA6_FULL

@@ -5,6 +5,7 @@ import pytest
 from metricdim import (
     EqualDimensionsUnsupported,
     Graph,
+    GraphError,
     InvalidParams,
     InvalidTarget,
     OrderTooSmall,
@@ -28,7 +29,7 @@ from metricdim import (
     realize,
 )
 from metricdim.families import anchors, expected_chain_dims, family_order, target_chain
-from metricdim.verify import ratio_dim
+from metricdim.verify import ratio_dim, solved_dims
 from conftest import relabel
 
 
@@ -230,7 +231,7 @@ def test_canonical_bases_generate_on_grid():
 
 
 def test_canonical_bases_generate_on_chains():
-    for n1 in (5, 6):
+    for n1 in (5, 6, 7):
         for ell in (1, 2, 3):
             ch = make_chain(n1, 1, 2, ell).graph
             vb = canonical_basis(n1, 1, 2, ell, kind="vertex")
@@ -243,6 +244,15 @@ def test_canonical_bases_generate_on_chains():
 def test_glue_paths():
     p2 = make_path(2)
     assert glue(p2, 1, p2, 0) == make_path(4)
+
+
+def test_glue_refuses_a_bridge_vertex_outside_its_graph():
+    # a bridge end past either graph's order would land inside the other
+    # graph, or wrap around as a negative index
+    p3 = make_path(3)
+    for v1, v2, bad in ((0, -1, -1), (5, 0, 5), (0, 3, 3)):
+        with pytest.raises(GraphError, match=f"bridge vertex {bad} out of range for order 3"):
+            glue(p3, v1, p3, v2)
 
 
 def test_glue_reproduces_chain():
@@ -369,7 +379,7 @@ def test_target_chain_round_trips():
 
 def test_realize_large_order_keeps_prescribed_bases():
     # order 70 forces the long graph6 order form; the canonical bases still
-    # generate at the target sizes even where a full solve is impractical
+    # generate at the target sizes, which the solve confirms are minimum
     from metricdim import decode_graph6, encode_graph6
 
     fam = realize(2, 8, 70)
@@ -378,6 +388,7 @@ def test_realize_large_order_keeps_prescribed_bases():
     eb = canonical_basis(5, 11, 2, 6, kind="edge")
     assert len(vb) == 2 and is_metric_generator(fam.graph, vb)
     assert len(eb) == 8 and is_edge_metric_generator(fam.graph, eb)
+    assert solved_dims(fam) == (2, 8)
     record = encode_graph6(fam.graph)
     assert record.startswith("~")
     assert decode_graph6(record) == fam.graph

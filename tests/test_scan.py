@@ -41,7 +41,7 @@ from metricdim import (
 )
 from metricdim.graph import Graph
 from metricdim.scan import CheckpointMismatch, _census_order, _orbit_representatives, _pair_columns
-from metricdim.verify import expected_chain_dims, ratio_dim, solved_within_limit
+from metricdim.verify import expected_chain_dims, ratio_dim, solved_dims
 from conftest import (
     labelled_graphs,
     naive_results,
@@ -690,7 +690,7 @@ def test_ratio_witness_targets():
     w = ratio_witness(2)
     assert w.copies == 2
     assert (ratio_dim(2), 2) == (4, 2) == expected_chain_dims(6, 2, w.copies)
-    assert solved_within_limit(w.graph) == (4, 2)
+    assert solved_dims(w) == (4, 2)
     assert w.graph.n == chain_order(6, 1, 2, 2)
 
     w1 = ratio_witness(1)
@@ -700,7 +700,7 @@ def test_ratio_witness_targets():
     w3 = ratio_witness(3)
     assert w3.copies == 4
     assert (ratio_dim(3), 2) == (6, 2) == expected_chain_dims(6, 2, w3.copies)
-    assert solved_within_limit(w3.graph) is None  # order 44 stays outside the solve budget
+    assert solved_dims(w3) == (6, 2)
 
     with pytest.raises(ValueError):
         ratio_witness(Fraction(1, 2))

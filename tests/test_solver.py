@@ -130,6 +130,20 @@ def test_resolution_vector_rejects_non_edges():
         resolution_vector(make_path(3), (0, 2), [0])
 
 
+def test_resolution_vector_refuses_out_of_range_indices():
+    # negative ids must not read as Python's from-the-end indices
+    p4 = make_path(4)
+    for item, landmarks, what in (
+        (0, [-1], "landmark -1"),
+        (0, [4], "landmark 4"),
+        (-1, [0], "vertex -1"),
+        ((0, -3), [0], "vertex -3"),
+        ((3, 4), [0], "vertex 4"),
+    ):
+        with pytest.raises(ValueError, match=f"{what} out of range for order 4"):
+            resolution_vector(p4, item, landmarks)
+
+
 def test_disconnected_inputs_raise():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     for fn in (

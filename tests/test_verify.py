@@ -23,8 +23,9 @@ from metricdim.verify import (
     ratio_dim,
     run_suites,
     solved_dims,
-    solved_within_limit,
 )
+from metricdim.cli import main
+from metricdim.families import FamilyGraph
 
 
 def test_expected_dims_by_parity():
@@ -62,7 +63,7 @@ def test_all_suites_pass_on_small_grid():
 
 
 def test_lemma6_full_grid():
-    # includes the 7-cycle chains, certified by basis checks plus refutation
+    # every chain is solved outright, the order-30 to order-36 ones included
     (res,) = run_suites(["lemma6"], grid="full")
     assert res.passed, res.rows
     assert len(res.rows) == 9
@@ -71,22 +72,34 @@ def test_lemma6_full_grid():
 def test_certify_chain_detects_wrong_expectation():
     ok, _, expected = certify_chain(make_chain(5, 1, 2, 2))
     assert ok and expected == (2, 4)
+    # rows of one cycle parity labelled as copies of the other: the solve
+    # contradicts the dims the labels predict
+    for n1, ell, claimed, predicted, solved in (
+        (5, 2, (6, 1, 2), (4, 2), (2, 4)),
+        (6, 4, (5, 1, 2), (2, 6), (6, 2)),
+    ):
+        rows = make_chain(n1, 1, 2, ell)
+        mislabelled = FamilyGraph(rows.n, rows.adj, (claimed,) * ell)
+        assert certify_chain(mislabelled) == (False, f"solved (dim, edim) = {solved}", predicted)
+    # a dims off by one in either coordinate fails the right labels
+    for wrong in ((3, 4), (2, 3)):
+        ok, detail, _ = certify_chain(make_chain(5, 1, 2, 2), lambda g: wrong)
+        assert ok is False and detail == f"solved (dim, edim) = {wrong}"
 
 
-def test_one_full_solve_limit_serves_witness_and_certificate(monkeypatch):
-    # the witness's confirmation and certify_chain read the same limit: at
-    # 24 the order-44 chain of ratio 3 is not solved, raised to 44 both solve
-    # it outright
-    w = ratio_witness(3)
-    assert w.graph.n == 44
-    assert solved_within_limit(w.graph) is None
-    monkeypatch.setattr(verify, "FULL_SOLVE_ORDER_LIMIT", 44)
-    assert solved_within_limit(w.graph) == (6, 2)
+def test_certify_chain_solves_beyond_the_ratio_confirm_order(capsys):
+    # certify_chain solves the order-44 chain of ratio 3 outright, while
+    # ``ratio`` confirms only witnesses up to its own order bound
+    assert ratio_witness(3).n == 44
     assert certify_chain(make_chain(6, 1, 2, 4)) == (
         True,
         "solved (dim, edim) = (6, 2)",
         (6, 2),
     )
+    assert main(["ratio", "--target", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "predicted dim=6 edim=2" in out
+    assert "confirmed" not in out
 
 
 @pytest.mark.parametrize("q", [1, Fraction(3, 2), 2, Fraction(9, 4), 3, 16])
@@ -122,7 +135,7 @@ def test_theorem2_solves_its_chain_once(monkeypatch):
     assert calls == [22]
 
 
-@pytest.mark.parametrize("grid, solves", [("small", 17), ("full", 79)])
+@pytest.mark.parametrize("grid, solves", [("small", 17), ("full", 81)])
 def test_run_suites_solves_each_graph_once(monkeypatch, grid, solves):
     # every suite solves through one cache per call keyed by the graph, so
     # equal graphs built apart (a one-copy chain and its gadget, a glue and a
