@@ -256,6 +256,8 @@ def _cmd_scan(args) -> int:
     stream = nullcontext(sys.stdin.buffer) if args.g6_file is None else open(args.g6_file, "rb")
     with stream as fh:
         report = scan(fh, pred, jobs=args.jobs, strict=args.strict, checkpoint=args.checkpoint)
+    if not report.complete:
+        print(f"warning: scan incomplete (I/O error: {report.io_error})", file=sys.stderr)
     if args.format == "records":
         for m in report.matches:
             print(f"{m.record}\t{m.dim}\t{m.edim}")
@@ -265,8 +267,6 @@ def _cmd_scan(args) -> int:
             f"connected={report.connected} errors={report.error_total} "
             f"matches={len(report.matches)} wall={report.wall_time:.1f}s"
         )
-        if not report.complete:
-            print(f"warning: scan incomplete (input error: {report.io_error})", file=sys.stderr)
         for m in report.matches:
             print(f"  line {m.line}: {m.record}  dim={m.dim} edim={m.edim}")
         for lineno, msg in report.errors[:20]:

@@ -12,12 +12,13 @@ distances to all n landmarks as bit planes: bit ``b*n + z`` is bit b of the
 distance to landmark z.  Up to ``PACKED_MAX_ORDER`` (64) vertices they come
 from one BFS walk from every source at once, and larger orders walk each
 source in turn; either way one pass per graph, cached, serves every solve
-and generator check.  An edge takes the landmark-wise minimum of its
-endpoints, read off each adjacency row above its own vertex; only the
-naive oracle builds the edge list (``Graph.edges``).  XOR-ing two items and
-OR-folding the planes onto the lowest gives the pair's separator mask, an
-n-bit set of the landmarks that tell the pair apart, and S resolves the
-graph exactly when it hits every mask.
+and generator check.  ``Graph.edge_signatures`` gives each edge the
+landmark-wise minimum of its endpoints, read off each adjacency row above
+its own vertex and cached beside them; only the naive oracle builds the
+edge list (``Graph.edges``).  XOR-ing two items and OR-folding the planes
+onto the lowest gives the pair's separator mask, an n-bit set of the
+landmarks that tell the pair apart, and S resolves the graph exactly when
+it hits every mask.
 
 Up to ``LATTICE_MAX_ORDER`` (16) landmarks, every landmark set is one bit of
 a ``2**n``-bit int, and all cardinalities are decided at once (a zeta-style
@@ -34,8 +35,7 @@ order and cached; at order 16 they are 33 ints of 8 KiB.  Every landmark
 more doubles the tables and the ints each solve works on.  On random sparse
 graphs one solve takes about 0.4 ms at order 16, half the depth-first
 search's time, but about 6 ms at order 20, twice its time, with about 7 MiB
-more peak memory; hence the lattice limit of 16, which is separate from the
-packing limit of 64 below.
+more peak memory; hence the lattice limit of 16.
 
 Larger orders, and every order with twins forced (below), split the search
 first.  Distinct masks are kept, supersets of other masks dropped, and
@@ -121,28 +121,25 @@ for: it must lie in every remaining mask, so the search ANDs those masks,
 smallest first, from the next candidate up, stops as soon as the AND is
 empty, and else takes its lowest landmark.
 
-Every builder folds by shifts of n, 2n, 4n, ... (``_fold_shifts``).  Up to
-``PACKED_MAX_ORDER`` landmarks, so long as a mask fits a machine word of 16,
-32 or 64 bits, every pair's mask comes from a few whole-buffer operations
-(``_pair_block``): the signatures fill the slots of one buffer, one XOR of
-the repeated buffer against a shifted read of it lines up every pair, and
-one fold over the whole int and one AND leave each mask alone in its slot;
-the slot layout is cached per order and plane count.  Up to 16 landmarks the
-blocks take one XOR (``_packed_masks``), whose masks go to the lattice as
-they are.  Above 16 they are XORed in groups of at most ``PACK_BYTES`` bytes
-per operand (``_grouped_masks``), so memory stays bounded (the edges of K40
-make 303,810 pairs and 92,170 distinct masks), and the distinct masks go to
-the split as a set.  Above 64 landmarks a mask no longer fits a machine
-word, and the pairs go through the twin-class fold, F empty and one class
-holding every item when the graph is twin-free.  Each pair then costs one
-XOR and fold over n times ``diam.bit_length()`` bits, so setup grows with
-pairs times that width and dominates on large twin-free sparse graphs such
-as ``path:1000``; with twins forced, only the pairs inside a class are
-folded, at any order.  Every builder's set is sorted by popcount, then
-value, so the search sees the same list from each.  A bounded search
-(``max_k``) first refutes by counting distance classes, before any mask is
-built.  The generator checks (``is_metric_generator`` and its edge twin)
-compare the signatures restricted to the landmark set in every plane.
+There are two mask builders, one per search, and both fold by shifts of n,
+2n, 4n, ... (``_fold_shifts``).  The lattice's masks, for a twin-free graph
+of at most 16 vertices, come from a few whole-buffer operations
+(``_packed_masks``): the signatures fill the slots of one buffer, each slot
+one machine word, one XOR of the repeated buffer against a shifted read of
+it lines up every pair, and one fold over the whole int and one AND leave
+each mask alone in its slot; the slot layout is cached per order and plane
+count.  Every graph that goes to the split, at every order, gets its masks
+from the twin-class fold above, F empty and one class holding every item
+when the graph is twin-free.  Each pair then costs one XOR and fold over n
+times ``diam.bit_length()`` bits, so setup grows with pairs times that
+width and dominates on large twin-free sparse graphs such as
+``path:1000``; with twins forced, only the pairs inside a class are folded.
+No construction of the paper is twin-free, since every gadget hangs twin
+pendants on its hub.  The distinct masks go to the split sorted by
+popcount, then value.  A bounded search (``max_k``) first refutes by
+counting distance classes, before any mask is built.  The generator checks
+(``is_metric_generator`` and its edge twin) compare the signatures
+restricted to the landmark set in every plane.
 
 A deliberately dumb reference implementation (materialise every distance
 vector per subset, no partition machinery) is kept alongside as an oracle
@@ -159,11 +156,10 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .graph import PACKED_MAX_ORDER, Edge, Graph, iter_bits
+from .graph import Edge, Graph, iter_bits
 
 NAIVE_MAX_ORDER = 16
 LATTICE_MAX_ORDER = 16  # most landmarks the subset lattice takes at once
-PACK_BYTES = 1 << 16  # most bytes in one operand of a grouped pair XOR
 TWINS_ABOVE_ORDER = 12  # twin landmarks are forced only above this order
 
 _ORDER = sys.byteorder
@@ -183,25 +179,6 @@ class ResolveResult:
 
 
 _INCREMENT = bytes(range(1, 256)) + b"\0"  # byte c to c + 1
-
-
-def _edge_signatures(sigs: Sequence[int], adj: Sequence[int], n: int) -> list[int]:
-    """Each edge's landmark distances, read off the rows in ``Graph.edges`` order.
-
-    An edge holds the smaller of its two endpoint distances.  Those differ
-    by at most one, and for ``k`` against ``k+1`` the XOR is a run of ones,
-    one plane apart, whose top bit is set in ``k+1`` alone; the minimum is
-    the common bits plus that run without its top bit.
-    """
-    out = []
-    for u, a in enumerate(sigs):
-        row = adj[u] >> u + 1  # bit i: vertex u + 1 + i
-        while row:
-            b = sigs[u + (row & -row).bit_length()]
-            x = a ^ b
-            out.append(a & b | x & (x >> n))
-            row &= row - 1
-    return out
 
 
 def _separator_masks(pairs: Iterable[tuple[int, int]], n: int, diam: int) -> set[int]:
@@ -230,87 +207,49 @@ def _fold_shifts(n: int, planes: int) -> tuple[int, ...]:
 
 
 @cache
-def _slot_layout(n: int, planes: int) -> tuple[str, str, int, tuple[int, ...], bytes, slice]:
-    """Slot and mask word codes, slot width, fold shifts, lane mask, mask pick.
+def _slot_layout(n: int, planes: int) -> tuple[str, int, tuple[int, ...], bytes]:
+    """Array item code, slot width, fold shifts and lane mask, for at most 16 landmarks.
 
     A slot holds every plane that ``_fold_shifts`` reads, so the fold never
-    reads the next slot.  The mask word is the smallest of 16, 32 or 64
-    bits that holds n bits.  A slot is the smallest array item of 16, 32 or
-    64 bits that fits (16 landmarks of four planes fill 64), or else as
-    many mask words as it takes (64 landmarks of six planes take eight);
-    the slot code is empty then.  After the AND with the lane mask a slot
-    holds only its mask, so an array item reads back as the mask itself; in
-    a slot of several words, the pick slice reads the word with the slot's
-    low bits: the first in little-endian order, the last in big-endian
-    order.
+    reads the next slot.  It is the smallest array item of 16, 32 or 64 bits
+    that fits: 16 landmarks of four planes fill 64.  After the AND with the
+    lane mask a slot holds only its mask, so the item reads back as the mask
+    itself.
     """
     shifts = _fold_shifts(n, planes)
-    bits = n << len(shifts)
-    word = next(c for c in "HIQ" if array(c).itemsize * 8 >= n)
-    size = array(word).itemsize
-    item = next((c for c in "HIQ" if array(c).itemsize * 8 >= bits), "")
-    width = array(item).itemsize if item else -(-bits // (8 * size)) * size
-    step = width // size
-    pick = slice(0 if _ORDER == "little" else step - 1, None, step)
-    lane = ((1 << n) - 1).to_bytes(width, _ORDER)
-    return item, word, width, shifts, lane, pick
-
-
-def _pair_block(
-    buf: bytes, width: int, first: int, count: int, shifts: tuple[int, ...], lane: bytes
-) -> bytes:
-    """Blocks ``first`` to ``first + count - 1`` of the pair masks, each mask in its slot.
-
-    The signatures fill one ``width``-byte slot each of ``buf``, read as a
-    cycle of N slots.  Block k of the right operand reads the cycle from
-    slot k for N + 1 slots, so consecutive blocks follow each other in one
-    contiguous read of the repeated buffer; every block of the left operand
-    reads it from slot 0.  Block k lines up item i with item i + k (mod N),
-    and every pair is at most N // 2 apart around the cycle, so blocks 1 to
-    N // 2 hold every pair's mask, some twice.  One XOR, the fold over the
-    whole int and one AND with the lane mask in every slot leave each
-    pair's mask alone in its slot.
-    """
-    size = count * (len(buf) + width)
-    left = (buf + buf[:width]) * count
-    right = (buf * (count + 2))[first * width : first * width + size]
-    d = int.from_bytes(left, _ORDER) ^ int.from_bytes(right, _ORDER)
-    for shift in shifts:
-        d |= d >> shift
-    d &= int.from_bytes(lane * (size // width), _ORDER)
-    return d.to_bytes(size, _ORDER)
+    item = next(c for c in "HIQ" if array(c).itemsize * 8 >= n << len(shifts))
+    width = array(item).itemsize
+    return item, width, shifts, ((1 << n) - 1).to_bytes(width, _ORDER)
 
 
 def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
     """Every pair's separator mask, some twice, for at most 16 landmarks.
 
-    ``_separator_masks`` by one ``_pair_block`` of all blocks, each mask one
-    array item.  Sixteen landmarks take slots of at most 8 bytes, so K16's
-    120 edges, the most items, need 58,080 bytes per operand;
-    ``_grouped_masks`` keeps larger orders in bounded memory.  Only
+    ``_separator_masks`` by a few whole-buffer operations, each mask one
+    array item.  The signatures fill one slot each of a buffer, read as a
+    cycle of N slots.  Block k of the right operand reads the cycle from
+    slot k for N + 1 slots, so blocks 1 to N // 2 follow each other in one
+    contiguous read of the repeated buffer; every block of the left operand
+    reads it from slot 0.  Block k lines up item i with item i + k (mod N),
+    and every pair is at most N // 2 apart around the cycle, so those blocks
+    hold every pair's mask, some twice.  One XOR, the fold over the whole
+    int and one AND with the lane mask in every slot leave each pair's mask
+    alone in its slot.  Sixteen landmarks take slots of at most 8 bytes, so
+    K16's 120 edges, the most items, need 58,080 bytes per operand.  Only
     twin-free graphs come here: with twins forced, only the pairs inside a
     twin class are folded.
     """
-    item, _, width, shifts, lane, _ = _slot_layout(n, diam.bit_length())
-    block = _pair_block(array(item, sigs).tobytes(), width, 1, len(sigs) // 2, shifts, lane)
-    return memoryview(block).cast(item)
-
-
-def _grouped_masks(sigs: Sequence[int], n: int, diam: int) -> set[int]:
-    """``_packed_masks`` as a set, for at most 64 landmarks, in bounded memory.
-
-    The blocks are XORed a group at a time, as many as fit ``PACK_BYTES``
-    bytes per operand and one at least.  Slots may span several mask words.
-    """
-    _, word, width, shifts, lane, pick = _slot_layout(n, diam.bit_length())
-    buf = b"".join([sig.to_bytes(width, _ORDER) for sig in sigs])
+    item, width, shifts, lane = _slot_layout(n, diam.bit_length())
+    buf = array(item, sigs).tobytes()
     turns = len(sigs) // 2
-    group = max(min(PACK_BYTES // (len(buf) + width), turns), 1)
-    masks: set[int] = set()
-    for k in range(1, turns + 1, group):
-        block = _pair_block(buf, width, k, min(group, turns + 1 - k), shifts, lane)
-        masks.update(memoryview(block).cast(word)[pick])
-    return masks
+    size = turns * (len(buf) + width)
+    left = (buf + buf[:width]) * turns
+    right = (buf * (turns + 2))[width : width + size]
+    d = int.from_bytes(left, _ORDER) ^ int.from_bytes(right, _ORDER)
+    for shift in shifts:
+        d |= d >> shift
+    d &= int.from_bytes(lane * (size // width), _ORDER)
+    return memoryview(d.to_bytes(size, _ORDER)).cast(item)
 
 
 def _disjoint_count(masks: list[int], cap: int) -> int:
@@ -640,23 +579,20 @@ def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> Resolve
         if top < 0:
             return None
     if kind == "edge":
-        sigs = _edge_signatures(sigs, g.adj, n)
+        sigs = g.edge_signatures()
     if n <= LATTICE_MAX_ORDER and not forced:
         witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, top)
     else:
-        if n <= PACKED_MAX_ORDER and not forced:
-            masks = _grouped_masks(sigs, n, diam)
-        else:
-            # Two items agree on F, in every plane, exactly when their mask
-            # misses F: only the pairs inside one such class are folded.  A
-            # twin-free graph has F empty, and one class holds every item.
-            sel = forced * sum(1 << b * n for b in range(diam.bit_length()))
-            classes: dict[int, list[int]] = {}
-            for sig in sigs:
-                classes.setdefault(sig & sel, []).append(sig)
-            pairs = chain.from_iterable(combinations(c, 2) for c in classes.values())
-            masks = _separator_masks(pairs, n, diam)
-        # By popcount, then value: every builder gives the search one order.
+        # Two items agree on F, in every plane, exactly when their mask
+        # misses F: only the pairs inside one such class are folded.  A
+        # twin-free graph has F empty, and one class holds every item.
+        sel = forced * sum(1 << b * n for b in range(diam.bit_length()))
+        classes: dict[int, list[int]] = {}
+        for sig in sigs:
+            classes.setdefault(sig & sel, []).append(sig)
+        pairs = chain.from_iterable(combinations(c, 2) for c in classes.values())
+        masks = _separator_masks(pairs, n, diam)
+        # By popcount, then value, as the search expects.
         witness = _split_hitting_set(sorted(sorted(masks), key=int.bit_count), n, top)
     if witness is None:
         return None
@@ -696,7 +632,7 @@ def _generates(g: Graph, landmarks: Iterable[int], kind: str) -> bool:
         if not 0 <= z < g.n:
             raise ValueError(f"landmark {z} out of range for order {g.n}")
     if kind == "edge":
-        sigs = _edge_signatures(sigs, g.adj, g.n)
+        sigs = g.edge_signatures()
     # The landmark set, repeated in every plane.
     sel = sum(1 << z for z in s) * sum(1 << b * g.n for b in range(diam.bit_length()))
     return len({sig & sel for sig in sigs}) == len(sigs)

@@ -399,6 +399,21 @@ def test_scan_io_failure_reports_the_error(capsys, monkeypatch):
     assert "scan incomplete" in err and "disk gone" in err
 
 
+def test_scan_records_mode_warns_when_the_checkpoint_cannot_be_written(capsys, tmp_path):
+    # the match is still printed, alone on stdout; the failed checkpoint
+    # write marks the scan incomplete, which stderr says in either format
+    path = tmp_path / "stream.g6"
+    path.write_text("A_\nBw\n")
+    ckpt = str(tmp_path / "missing" / "scan.ckpt")
+    code, out, err = run(
+        capsys, "scan", "--g6-file", str(path), "--pred", "lt",
+        "--checkpoint", ckpt, "--format", "records",
+    )
+    assert code == 1
+    assert out == "A_\t1\t0\n"
+    assert "warning: scan incomplete (I/O error:" in err and "scan.ckpt.tmp" in err
+
+
 def test_scan_refuses_jobs_outside_the_cpu_count(capsys, monkeypatch, tmp_path):
     import metricdim.cli as cli
 

@@ -31,7 +31,7 @@ from metricdim import (
     resolution_vector,
 )
 from metricdim.scan import enumerate_labeled_connected
-from metricdim.families import anchors, glue, make_chain
+from metricdim.families import anchors, glue, make_chain, parse_family_spec
 from metricdim import solver
 from metricdim.graph import PACKED_MAX_ORDER, iter_bits
 from metricdim.solver import (
@@ -40,9 +40,7 @@ from metricdim.solver import (
     _disjoint_count,
     _drop_dominated,
     _drop_supersets,
-    _edge_signatures,
     _fold_shifts,
-    _grouped_masks,
     _lattice_hitting_set,
     _lex_least_hitting_set,
     _packed_masks,
@@ -330,7 +328,7 @@ def test_hitting_set_searches_match_naive_oracle():
         graphs.append(random_connected_graph(rng, n, extra=rng.randrange(0, n)))
     for g in graphs:
         sigs, diam = g.signatures()
-        grounds = (sigs, _edge_signatures(sigs, g.adj, g.n))
+        grounds = (sigs, g.edge_signatures())
         for ground, naive in zip(grounds, naive_results(g)):
             masks = sorted(_separator_masks(combinations(ground, 2), g.n, diam), key=int.bit_count)
             packed = _packed_masks(ground, g.n, diam)
@@ -369,7 +367,7 @@ def test_component_split_matches_depth_first_search():
     cases = set()
     for g in _split_oracle_graphs():
         sigs, diam = g.signatures()
-        for ground in (sigs, _edge_signatures(sigs, g.adj, g.n)):
+        for ground in (sigs, g.edge_signatures()):
             masks = sorted(_separator_masks(combinations(ground, 2), g.n, diam), key=int.bit_count)
             kept = _drop_supersets(masks)
             sizes = [len(landmarks) for landmarks, _ in _components(kept, g.n)]
@@ -510,8 +508,8 @@ def test_torus_components_halve():
     # the depth-first search
     g = cartesian_product(make_cycle(8), make_cycle(8))
     sigs, diam = g.signatures()
-    for ground in (sigs, _edge_signatures(sigs, g.adj, g.n)):
-        masks = sorted(sorted(_grouped_masks(ground, g.n, diam)), key=int.bit_count)
+    for ground in (sigs, g.edge_signatures()):
+        masks = sorted(_separator_masks(combinations(ground, 2), g.n, diam), key=int.bit_count)
         [(landmarks, group)] = _components(_drop_supersets(masks), g.n)
         assert len(landmarks) == 64
         [(kept, _)] = _components(_drop_dominated(group, 64), 64)
@@ -586,7 +584,7 @@ def test_reduction_matches_a_naive_fixpoint():
     }
 
 
-def test_packed_masks_match_pairwise_masks(monkeypatch):
+def test_packed_masks_match_pairwise_masks():
     # with the labelled graphs and the Random(97) stream above: paths and
     # cycles up to order 16 give one to four planes, and three planes need
     # slots of four or the fold reads the next slot; K1 and K2 have fewer
@@ -598,36 +596,13 @@ def test_packed_masks_match_pairwise_masks(monkeypatch):
     for g in graphs:
         sigs, diam = g.signatures()
         planes.add(diam.bit_length())
-        for ground in (sigs, _edge_signatures(sigs, g.adj, g.n)):
+        for ground in (sigs, g.edge_signatures()):
             pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
             assert set(_packed_masks(ground, g.n, diam)) == pairwise
     assert planes == {0, 1, 2, 3, 4}
-    # orders 17-64 take 32- and 64-bit mask words; paths and cycles give up
-    # to six planes, which need slots of several words; K40's 780 edges
-    # make 390 blocks of 781 eight-byte slots, several groups of PACK_BYTES
-    graphs = [make_path(n) for n in range(17, PACKED_MAX_ORDER + 1)]
-    graphs += [make_cycle(n) for n in range(17, PACKED_MAX_ORDER + 1)]
-    graphs += [make_complete(40)]
-    assert 390 * 781 * 8 > 4 * solver.PACK_BYTES
-    planes.clear()
-    for g in graphs:
-        sigs, diam = g.signatures()
-        planes.add(diam.bit_length())
-        for ground in (sigs, _edge_signatures(sigs, g.adj, g.n)):
-            pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
-            assert _grouped_masks(ground, g.n, diam) == pairwise
-    assert planes == {1, 4, 5, 6}
-    # small budgets force groups on small graphs: one block per group, then
-    # K12's 6 vertex blocks of 26 bytes in groups of three
-    for budget in (1, 100):
-        monkeypatch.setattr(solver, "PACK_BYTES", budget)
-        for g in (make_complete(12), make_cycle(12), make_complete(16), make_path(40)):
-            sigs, diam = g.signatures()
-            for ground in (sigs, _edge_signatures(sigs, g.adj, g.n)):
-                pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
-                assert _grouped_masks(ground, g.n, diam) == pairwise
     # one fold rule at every order, the slot layouts' included: shifts n,
-    # 2n, 4n, ... below n times the plane count
+    # 2n, 4n, ... below n times the plane count; the packed masks serve at
+    # most 16 landmarks, so at most four planes
     for n in range(1, 131):
         for count in range(13):
             shifts, shift = [], n
@@ -635,8 +610,8 @@ def test_packed_masks_match_pairwise_masks(monkeypatch):
                 shifts.append(shift)
                 shift <<= 1
             assert _fold_shifts(n, count) == tuple(shifts)
-            if n <= PACKED_MAX_ORDER:
-                assert solver._slot_layout(n, count)[3] == tuple(shifts)
+            if n <= LATTICE_MAX_ORDER and count <= 4:
+                assert solver._slot_layout(n, count)[2] == tuple(shifts)
 
 
 @pytest.mark.parametrize("k", [2, 3, 90, 120, 300])
@@ -724,7 +699,7 @@ def test_twin_classes_fold_exactly_the_masks_the_forced_set_misses(monkeypatch):
         forced = solver._forced_twins(g.adj)
         assert forced
         sigs, diam = g.signatures()
-        grounds = (sigs, _edge_signatures(sigs, g.adj, g.n))
+        grounds = (sigs, g.edge_signatures())
         for fast, ground in zip((metric_dimension, edge_metric_dimension), grounds):
             handed.clear()
             fast(g)
@@ -733,9 +708,10 @@ def test_twin_classes_fold_exactly_the_masks_the_forced_set_misses(monkeypatch):
             assert handed == [sorted(sorted(kept), key=int.bit_count)]
 
 
-def test_twin_free_graphs_above_64_fold_every_pair_as_one_class(monkeypatch):
+def test_twin_free_graphs_above_16_fold_every_pair_as_one_class(monkeypatch):
     # no twin is forced, so one class holds every item: the split gets every
-    # pair's mask, and the paths and odd cycle keep their witnesses and caps
+    # pair's mask, and the tori, grids, paths and cycles keep their
+    # witnesses of both kinds and their caps, on both sides of order 64
     handed = []
     split = solver._split_hitting_set
 
@@ -744,11 +720,26 @@ def test_twin_free_graphs_above_64_fold_every_pair_as_one_class(monkeypatch):
         return split(masks, n, max_k)
 
     monkeypatch.setattr(solver, "_split_hitting_set", record)
-    for g, witness in ((make_path(200), (0,)), (make_cycle(101), (0, 1))):
-        assert g.n > PACKED_MAX_ORDER and not solver._forced_twins(g.adj)
+    cases = [
+        ("cp:cycle:8xcycle:8", (0, 1, 4, 8), (0, 4, 18)),
+        ("cp:cycle:6xcycle:10", (0, 1, 5, 10), (0, 1, 5, 10)),
+        ("cp:cycle:7xcycle:9", (0, 1, 27), (0, 1, 5, 9)),
+        ("cp:cycle:5xcycle:12", (0, 1, 24), (0, 1, 6, 12)),
+        ("cp:path:8xpath:8", (0, 7), (0, 7)),
+        ("cp:path:9xpath:7", (0, 6), (0, 6)),
+        ("path:17", (0,), (0,)),
+        ("cycle:33", (0, 1), (0, 1)),
+        ("path:64", (0,), (0,)),
+        ("path:200", (0,), (0,)),
+        ("cycle:101", (0, 1), (0, 1)),
+    ]
+    for spec, *witnesses in cases:
+        g = parse_family_spec(spec)
+        assert g.n > LATTICE_MAX_ORDER and not solver._forced_twins(g.adj)
         sigs, diam = g.signatures()
-        grounds = (sigs, _edge_signatures(sigs, g.adj, g.n))
-        for fast, ground in zip((metric_dimension, edge_metric_dimension), grounds):
+        grounds = (sigs, g.edge_signatures())
+        kinds = zip((metric_dimension, edge_metric_dimension), grounds, witnesses)
+        for fast, ground, witness in kinds:
             handed.clear()
             full = fast(g)
             pairwise = _separator_masks(combinations(ground, 2), g.n, diam)
@@ -795,9 +786,9 @@ def test_edge_signatures_match_resolution_vectors():
     graphs = [make_path(2), make_cycle(5), make_path(300), make_cycle(300)]
     graphs += [random_connected_graph(rng, rng.randrange(2, 14), extra=rng.randrange(0, 9)) for _ in range(20)]
     for g in graphs:
-        sigs, diam = g.signatures()
+        _, diam = g.signatures()
         full = (1 << g.n) - 1
-        for e, sig in zip(g.edges, _edge_signatures(sigs, g.adj, g.n)):
+        for e, sig in zip(g.edges, g.edge_signatures()):
             planes = [sig >> b * g.n & full for b in range(diam.bit_length())]
             decoded = tuple(
                 sum((plane >> z & 1) << b for b, plane in enumerate(planes))
@@ -844,9 +835,12 @@ def test_row_built_edge_items_match_the_distance_matrix():
         graphs.append(random_connected_graph(rng, n))
     assert {g.n > PACKED_MAX_ORDER for g in graphs} == {False, True}
     for g in graphs:
-        sigs, diam = g.signatures()
+        _, diam = g.signatures()
         dm = g.distance_matrix()
-        items = _edge_signatures(sigs, g.adj, g.n)
+        items = g.edge_signatures()
+        # computed once, and with no edge list built
+        assert g.edge_signatures() is items
+        assert g._edges is None
         assert len(items) == len(g.edges) == g.m
         for (u, v), item in zip(g.edges, items):
             want = 0
