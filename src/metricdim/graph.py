@@ -2,26 +2,31 @@
 
 ``Graph.signatures`` gives each vertex its distances to all vertices as bit
 planes and also decides connectivity.  Up to ``PACKED_MAX_ORDER`` vertices
-it is one all-sources lane walk, close to the bit-parallel multi-root BFS
-of pruned landmark labelling (Akiba, Iwata and Yoshida, SIGMOD 2013): lane
-v (bits ``[v*n, v*n + n)``) of one int holds the frontier of source v, and
-``(frontier >> u & ones) * adj[u]`` copies row u into every lane whose
-frontier holds u, with no carries.  Larger orders walk each source in turn.
+it is one all-sources lane walk, close to the bit-parallel multi-root BFS of
+pruned landmark labelling (Akiba, Iwata and Yoshida, SIGMOD 2013): lane v of
+one int holds the frontier of source v, and ``(frontier >> u & ones) *
+adj[u]`` copies row u into every lane whose frontier holds u, with no
+carries.  A lane is one 64-bit word while all its planes fit (n·⌈log2 n⌉
+≤ 64, so n ≤ 16), else n bits.  Larger orders walk each source in turn.
 ``PACKED_MAX_ORDER`` (64) is the lane walk's own limit: the walk beats the
 per-source walk on G(n, 1/2) up to order 64 and on paths up to about order
-48 (on 2 vCPUs, 243 against 845 µs on G(64, 1/2), but 3,551 against 2,812
-µs on ``path:64``).  ``Graph.edge_signatures`` reads the edges' distances
-off the rows; only the API and the naive oracle derive the edge list.
+48 (on 2 vCPUs, 78 against 649 µs on G(64, 1/2), but 1,571 against 1,369 µs
+on ``path:64``).  ``Graph.edge_signatures`` reads the edges' distances off
+the rows; only the API and the naive oracle derive the edge list.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import cache
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 DistanceMatrix = tuple[tuple[int, ...], ...]
 
 PACKED_MAX_ORDER = 64
+_ORDER = sys.byteorder
 
 
 class GraphError(Exception):
@@ -46,6 +51,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@cache
+def _lanes(n: int) -> tuple[int, int, int, int]:
+    """Lane width; bit 0 of every lane, every lane full, bit v of lane v (a geometric series)."""
+    word = array("Q").itemsize * 8  # a word lane takes every plane
+    width = word if n * (n - 1).bit_length() <= word else n
+    ones = ((1 << n * width) - 1) // ((1 << width) - 1)
+    return width, ones, ones * ((1 << n) - 1), ((1 << n * width + n) - 1) // ((1 << width + 1) - 1)
 
 
 class Graph:
@@ -158,7 +172,8 @@ class Graph:
         Bit ``b*n + z`` of vertex v's signature is bit b of d(v, z): plane b
         (bits ``[b*n, b*n + n)``) is the set of vertices whose distance from
         v has bit b set.  Level d of v's BFS is ORed into plane b for each
-        set bit b of d.  Computed once and cached.
+        set bit b of d.  Up to order 16 (n·⌈log2 n⌉ ≤ 64) the walk's lanes are
+        64-bit words, one signature each, and n bits wide above.  Cached.
 
         Raises DisconnectedGraph if any pair is unreachable.
         """
@@ -195,38 +210,45 @@ class Graph:
     def _lane_signatures(self) -> tuple[tuple[int, ...], int]:
         """``signatures`` by one walk from every source at once.
 
-        Plane b of the walk holds plane b of every source, lane by lane, and
-        each signature is sliced out of its lane at the end.
+        Plane b of the walk holds plane b of every source, lane by lane.  In
+        word lanes plane b moved to bit ``b*n`` is the signature, so one
+        array read gives them all; n-bit lanes are sliced plane by plane.
+        The walk starts at level 1, row v in lane v, and stops at full reach.
         """
         n, adj = self.n, self.adj
-        full = (1 << n) - 1
-        size = n * n
-        ones = ((1 << size) - 1) // full  # bit 0 of every lane
-        # Level 0: bit v of lane v, a geometric series of ratio 2**(n+1).
-        frontier = reach = ((1 << size + n) - 1) // ((1 << n + 1) - 1)
+        width, ones, full, reach = _lanes(n)
+        if width > n:
+            frontier = int.from_bytes(array("Q", adj).tobytes(), _ORDER)
+        else:
+            frontier = sum(map(int.__lshift__, adj, range(0, n * n, n)))
+        reach |= frontier
         planes = [0] * (n - 1).bit_length()
         diam = 0
-        while True:
-            nxt = 0
-            for u in range(n):
-                nxt |= (frontier >> u & ones) * adj[u]
-            frontier = nxt & ~reach
-            if not frontier:
-                break
-            reach |= frontier
+        while frontier:
             diam += 1
             bits = diam
             while bits:
                 planes[(bits & -bits).bit_length() - 1] |= frontier
                 bits &= bits - 1
-        if reach != (1 << size) - 1:
+            if reach == full:
+                break
+            nxt = 0
+            for u in range(n):
+                nxt |= (frontier >> u & ones) * adj[u]
+            frontier = nxt & ~reach
+            reach |= frontier
+        if reach != full:
             raise self._disconnected()
         del planes[diam.bit_length() :]
+        if width > n:
+            word = sum(plane << b * n for b, plane in enumerate(planes))
+            return tuple(array("Q", word.to_bytes(n * width // 8, _ORDER))), diam
+        lane_mask = (1 << n) - 1
         sigs = []
-        for lane in range(0, size, n):
+        for lane in range(0, n * n, n):
             sig = 0
             for plane in reversed(planes):
-                sig = sig << n | plane >> lane & full
+                sig = sig << n | plane >> lane & lane_mask
             sigs.append(sig)
         return tuple(sigs), diam
 

@@ -10,15 +10,15 @@ The search is a minimum hitting set (Khuller, Raghavachari and Rosenfeld,
 *Landmarks in graphs*, 1996).  ``Graph.signatures`` gives each vertex its
 distances to all n landmarks as bit planes: bit ``b*n + z`` is bit b of the
 distance to landmark z.  Up to ``PACKED_MAX_ORDER`` (64) vertices they come
-from one BFS walk from every source at once, and larger orders walk each
-source in turn; either way one pass per graph, cached, serves every solve
-and generator check.  ``Graph.edge_signatures`` gives each edge the
-landmark-wise minimum of its endpoints, read off each adjacency row above
-its own vertex and cached beside them; only the naive oracle builds the
-edge list (``Graph.edges``).  XOR-ing two items and OR-folding the planes
-onto the lowest gives the pair's separator mask, an n-bit set of the
-landmarks that tell the pair apart, and S resolves the graph exactly when
-it hits every mask.
+from one BFS walk from every source at once, in 64-bit word lanes while
+n·⌈log2 n⌉ ≤ 64 (n ≤ 16) and n-bit lanes above; larger orders walk each
+source in turn.  One pass per graph, cached, serves every solve and check.
+``Graph.edge_signatures`` gives each edge the landmark-wise minimum of its
+endpoints, read off each adjacency row above its own vertex and cached
+beside them; only the naive oracle builds the edge list (``Graph.edges``).
+XOR-ing two items and OR-folding the planes onto the lowest gives the pair's
+separator mask, an n-bit set of the landmarks that tell the pair apart, and
+S resolves the graph exactly when it hits every mask.
 
 Up to ``LATTICE_MAX_ORDER`` (16) landmarks, every landmark set is one bit of
 a ``2**n``-bit int, and all cardinalities are decided at once (a zeta-style
@@ -148,7 +148,6 @@ for cross-validation; it is capped at small orders.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache
@@ -156,13 +155,11 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .graph import Edge, Graph, iter_bits
+from .graph import _ORDER, Edge, Graph, iter_bits
 
 NAIVE_MAX_ORDER = 16
 LATTICE_MAX_ORDER = 16  # most landmarks the subset lattice takes at once
 TWINS_ABOVE_ORDER = 12  # twin landmarks are forced only above this order
-
-_ORDER = sys.byteorder
 
 
 class InstanceTooLarge(ValueError):

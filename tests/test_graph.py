@@ -129,6 +129,7 @@ def _check_walks(g: Graph) -> None:
     else:
         _assert_signatures_decode(g)
         assert walks == [g.signatures()] * 2
+        assert all(type(sig) is int for sig in walks[0][0])
 
 
 def test_lane_walk_matches_queue_bfs_and_per_source_walk():
@@ -152,6 +153,20 @@ def test_lane_walk_matches_queue_bfs_and_per_source_walk():
     assert make_complete(64).signatures()[1] == 1
     assert make_path(64).signatures()[1] == 63
     assert make_path(65).signatures()[1] == 64
+    # both sides of the word lanes (order 16, n * ceil(log2 n) <= 64):
+    # P16's diameter of 15 fills all 64 bits of a word with 4 planes
+    star = Graph.from_edges(16, [(0, v) for v in range(1, 16)])
+    two_parts = disjoint_union(make_cycle(9), make_path(7))
+    graphs = [make_path(16), make_path(17), make_cycle(16), make_complete(16), star, two_parts]
+    graphs += [random_connected_graph(rng, n) for n in range(9, 18) for _ in range(20)]
+    planes = set()
+    for g in graphs:
+        _check_walks(g)
+        if g.n <= 16 and g is not two_parts:
+            planes.add(g.signatures()[1].bit_length())
+    assert planes == {1, 2, 3, 4}
+    assert make_path(16).signatures()[1] == 15
+    assert make_path(16).signatures()[0][0].bit_length() == 64
 
 
 def test_edges_are_derived_on_first_use_in_row_order():
