@@ -1,13 +1,13 @@
 """High-throughput predicate scans over graph6 streams and small-order censuses.
 
 ``scan`` takes the records of a line-oriented graph6 stream from
-``graph6.record_lines`` and records the connected graphs matching a
-dim/edim predicate.  Each graph is evaluated dim first: the vertex
-dimension is solved exactly, and the edge search then stops at the top of
-the predicate's ``edim_window`` for that ``dim``, so the exact ``edim`` is
-computed in full only where a match is possible.  Reports are
-deterministic regardless of worker count: counts are additive and matches
-are sorted by line number at the end.
+``graph6.record_lines`` and records the connected graphs matching a dim/edim
+predicate.  Each graph is evaluated dim first, by the solver's witness-free
+``_dimension``, as the census is: the vertex dimension is solved exactly,
+and the edge search then stops at the top of the predicate's ``edim_window``
+for that ``dim``, so the exact ``edim`` is computed in full only where a
+match is possible.  Reports are deterministic regardless of worker count:
+counts are additive and matches are sorted by line number at the end.
 
 ``verify_small_orders`` exhausts every labelled connected graph up to order
 seven.  Both dimensions are isomorphism invariants, so one exact solve per
@@ -38,12 +38,7 @@ from typing import Iterable, Iterator
 
 from .graph import DisconnectedGraph, Graph
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, record_lines
-from .solver import (
-    edge_metric_dimension,
-    edge_metric_dimension_naive,
-    metric_dimension,
-    metric_dimension_naive,
-)
+from .solver import _dimension, edge_metric_dimension_naive, metric_dimension_naive
 
 MAX_ENUM_ORDER = 7
 MAX_ERROR_DETAILS = 1000  # diagnostics kept verbatim; the rest only counted
@@ -158,14 +153,14 @@ def _evaluate(g: Graph, pred: Predicate) -> tuple[int, int] | None:
     uncapped: it stops at ``dim`` or below on a non-match and runs on to
     the exact ``edim`` that every match reports.
     """
-    dim = metric_dimension(g).dimension
+    dim = _dimension(g, "vertex")
     lo, hi = pred.edim_window(dim)
     if hi is not None and hi < lo:
         return None
-    edim_res = edge_metric_dimension(g, max_k=hi)
-    if edim_res is None or edim_res.dimension < lo:
+    edim = _dimension(g, "edge", max_k=hi)
+    if edim is None or edim < lo:
         return None
-    return dim, edim_res.dimension
+    return dim, edim
 
 
 def _scan_batch(batch: list[tuple[int, str]], pred: Predicate):
@@ -429,10 +424,10 @@ def _census_order(n: int) -> tuple[dict[int, int], list[str]]:
             continue  # too few edges to connect n vertices
         g = Graph(n, _mask_rows(rep, pairs, n), _validate=False)
         try:
-            dim = metric_dimension(g).dimension
+            dim = _dimension(g, "vertex")
         except DisconnectedGraph:
             continue
-        edim = edge_metric_dimension(g).dimension
+        edim = _dimension(g, "edge")
         hist[dim - edim] = hist.get(dim - edim, 0) + orbit_size
         members = sampled.get(rep, [])
         if edim < dim:

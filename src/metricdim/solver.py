@@ -30,12 +30,15 @@ closed downwards with n shifts, ``bad |= (bad & hi[i]) >> 2**i``, where
 resolving set.  The smallest k with a resolving set among the k-sets,
 ``pop[k]``, is the dimension, and the lexicographically least of those sets
 is found greedily: for i ascending, keep the sets containing landmark i
-whenever there are any.  ``hi`` and ``pop`` are built on first use for each
-order and cached; at order 16 they are 33 ints of 8 KiB.  Every landmark
-more doubles the tables and the ints each solve works on.  On random sparse
-graphs one solve takes about 0.4 ms at order 16, half the depth-first
-search's time, but about 6 ms at order 20, twice its time, with about 7 MiB
-more peak memory; hence the lattice limit of 16.
+whenever there are any.  ``_dimension``, the solve of the scans, the census
+and the suites, which read no basis, stops at k: no greedy pass, witness or
+``ResolveResult``; on the split it adds |F| to the split's size.  ``hi`` and
+``pop`` are built on first use for each order and cached; at order 16 they
+are 33 ints of 8 KiB.  Every landmark more doubles the tables and the ints
+each solve works on.  On random sparse graphs one solve takes about 0.4 ms
+at order 16, half the depth-first search's time, but about 6 ms at order
+20, twice its time, with about 7 MiB more peak memory; hence the lattice
+limit of 16.
 
 Larger orders, and every order with twins forced (below), split the search
 first.  Distinct masks are kept, supersets of other masks dropped, and
@@ -128,14 +131,14 @@ of at most 16 vertices, come from a few whole-buffer operations
 one machine word, one XOR of the repeated buffer against a shifted read of
 it lines up every pair, and one fold over the whole int and one AND leave
 each mask alone in its slot; the slot layout is cached per order and plane
-count.  Every graph that goes to the split, at every order, gets its masks
-from the twin-class fold above, F empty and one class holding every item
-when the graph is twin-free.  Each pair then costs one XOR and fold over n
-times ``diam.bit_length()`` bits, so setup grows with pairs times that
-width and dominates on large twin-free sparse graphs such as
-``path:1000``; with twins forced, only the pairs inside a class are folded.
-No construction of the paper is twin-free, since every gadget hangs twin
-pendants on its hub.  The distinct masks go to the split sorted by
+count, the lane mask per slot count.  Every graph that goes to the split, at
+every order, gets its masks from the twin-class fold above, F empty and one
+class holding every item when the graph is twin-free.  Each pair then costs
+one XOR and fold over n times ``diam.bit_length()`` bits, so setup grows
+with pairs times that width and dominates on large twin-free sparse graphs
+such as ``path:1000``; with twins forced, only the pairs inside a class are
+folded.  No construction of the paper is twin-free, since every gadget hangs
+twin pendants on its hub.  The distinct masks go to the split sorted by
 popcount, then value.  A bounded search (``max_k``) first refutes by
 counting distance classes, before any mask is built.  The generator checks
 (``is_metric_generator`` and its edge twin) compare the signatures
@@ -245,8 +248,14 @@ def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
     d = int.from_bytes(left, _ORDER) ^ int.from_bytes(right, _ORDER)
     for shift in shifts:
         d |= d >> shift
-    d &= int.from_bytes(lane * (size // width), _ORDER)
+    d &= _lane_mask(lane, size // width)
     return memoryview(d.to_bytes(size, _ORDER)).cast(item)
+
+
+@cache
+def _lane_mask(lane: bytes, slots: int) -> int:
+    """``lane`` repeated in each of ``slots`` slots, read as one int."""
+    return int.from_bytes(lane * slots, _ORDER)
 
 
 def _disjoint_count(masks: list[int], cap: int) -> int:
@@ -362,6 +371,17 @@ def _lattice_hitting_set(masks: Iterable[int], n: int, max_k: int) -> tuple[int,
     at most 16 vertices whole, and the split's components of at most 16
     landmarks.
     """
+    c = _resolving_sets(masks, n, max_k)
+    if not c:
+        return None
+    for h in _tables(n)[0]:
+        if c & h:
+            c &= h
+    return tuple(iter_bits(c.bit_length() - 1))
+
+
+def _resolving_sets(masks: Iterable[int], n: int, max_k: int) -> int:
+    """The smallest sets of at most ``max_k`` landmarks hitting every mask, set s at bit s; or 0."""
     # Character s of the string stands for bit full ^ s of the int, the
     # complement of mask s.
     marks = bytearray(b"0" * (1 << n))
@@ -374,11 +394,8 @@ def _lattice_hitting_set(masks: Iterable[int], n: int, max_k: int) -> tuple[int,
     for k in range(max_k + 1):
         c = pop[k] & ~bad
         if c:
-            for h in hi:
-                if c & h:
-                    c &= h
-            return tuple(iter_bits(c.bit_length() - 1))
-    return None
+            return c
+    return 0
 
 
 def _lex_least_hitting_set(
@@ -557,7 +574,12 @@ def _forced_twins(adj: Sequence[int]) -> int:
     return forced
 
 
-def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> ResolveResult | None:
+def _instance(g: Graph, kind: str, max_k: int | None):
+    """The forced twins F, the masks, the cap on landmarks beyond F, and ``whole``.
+
+    ``whole`` is true when the lattice takes the masks of the whole graph, and
+    false when the split takes them sorted.  None when refuted before any mask.
+    """
     sigs, diam = g.signatures()
     n = g.n
     ground_size = n if kind == "vertex" else g.m
@@ -578,24 +600,42 @@ def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> Resolve
     if kind == "edge":
         sigs = g.edge_signatures()
     if n <= LATTICE_MAX_ORDER and not forced:
-        witness = _lattice_hitting_set(_packed_masks(sigs, n, diam), n, top)
-    else:
-        # Two items agree on F, in every plane, exactly when their mask
-        # misses F: only the pairs inside one such class are folded.  A
-        # twin-free graph has F empty, and one class holds every item.
-        sel = forced * sum(1 << b * n for b in range(diam.bit_length()))
-        classes: dict[int, list[int]] = {}
-        for sig in sigs:
-            classes.setdefault(sig & sel, []).append(sig)
-        pairs = chain.from_iterable(combinations(c, 2) for c in classes.values())
-        masks = _separator_masks(pairs, n, diam)
-        # By popcount, then value, as the search expects.
-        witness = _split_hitting_set(sorted(sorted(masks), key=int.bit_count), n, top)
+        return 0, _packed_masks(sigs, n, diam), top, True
+    # Two items agree on F, in every plane, exactly when their mask misses
+    # F: only the pairs inside one such class are folded.  A twin-free graph
+    # has F empty, and one class holds every item.
+    sel = forced * sum(1 << b * n for b in range(diam.bit_length()))
+    classes: dict[int, list[int]] = {}
+    for sig in sigs:
+        classes.setdefault(sig & sel, []).append(sig)
+    pairs = chain.from_iterable(combinations(c, 2) for c in classes.values())
+    masks = _separator_masks(pairs, n, diam)
+    # By popcount, then value, as the search expects.
+    return forced, sorted(sorted(masks), key=int.bit_count), top, False
+
+
+def _minimum_generator(g: Graph, kind: str, max_k: int | None = None) -> ResolveResult | None:
+    if (instance := _instance(g, kind, max_k)) is None:
+        return None
+    forced, masks, top, whole = instance
+    witness = (_lattice_hitting_set if whole else _split_hitting_set)(masks, g.n, top)
     if witness is None:
         return None
     if forced:
         witness = tuple(sorted([*iter_bits(forced), *witness]))
     return ResolveResult(kind, len(witness), witness)
+
+
+def _dimension(g: Graph, kind: str, max_k: int | None = None) -> int | None:
+    """``_minimum_generator``'s dimension alone, or None; no witness is built."""
+    if (instance := _instance(g, kind, max_k)) is None:
+        return None
+    forced, masks, top, whole = instance
+    if whole:  # every resolving set found has the dimension's size
+        sets = _resolving_sets(masks, g.n, top)
+        return (sets.bit_length() - 1).bit_count() if sets else None
+    witness = _split_hitting_set(masks, g.n, top)
+    return None if witness is None else forced.bit_count() + len(witness)
 
 
 def metric_dimension(g: Graph, *, max_k: int | None = None) -> ResolveResult | None:

@@ -368,16 +368,18 @@ def test_verify_small_orders_fail_exits_1(capsys, monkeypatch):
     import importlib
 
     scan_module = importlib.import_module("metricdim.scan")
+    solve, naive = scan_module._dimension, scan_module.edge_metric_dimension_naive
 
-    def lowered(solve):
-        def wrapped(g):
-            res = solve(g)
-            return dataclasses.replace(res, dimension=res.dimension - 2 * (res.dimension >= 3))
+    def lowered(g, kind, max_k=None):
+        dim = solve(g, kind, max_k)
+        return dim if kind == "vertex" else dim - 2 * (dim >= 3)
 
-        return wrapped
+    def lowered_naive(g):
+        res = naive(g)
+        return dataclasses.replace(res, dimension=res.dimension - 2 * (res.dimension >= 3))
 
-    for name in ("edge_metric_dimension", "edge_metric_dimension_naive"):
-        monkeypatch.setattr(scan_module, name, lowered(getattr(scan_module, name)))
+    monkeypatch.setattr(scan_module, "_dimension", lowered)
+    monkeypatch.setattr(scan_module, "edge_metric_dimension_naive", lowered_naive)
     code, out, _ = run(capsys, "verify", "--small-orders", "4")
     assert code == 1
     offenders = ["C}", "C|", "Cv", "Cz", "Cn", "C^", "C~"]  # by edge mask

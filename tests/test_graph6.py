@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 
+from metricdim import graph6
 from metricdim import (
     Graph,
     Graph6Error,
@@ -153,6 +155,66 @@ def test_round_trip_records_of_many_blocks():
         record = encode_graph6(g)
         assert decode_graph6(record) == g
         assert encode_graph6(decode_graph6(record)) == record
+
+
+def _outcome(record):
+    """The rows a record decodes to, or its error's class and message."""
+    try:
+        g = decode_graph6(record)
+    except Graph6Error as exc:
+        return type(exc), str(exc)
+    return g.n, g.adj
+
+
+def _differential_records(n, rng):
+    """Records of order n, valid and broken, that reach every table entry."""
+    nbits = n * (n - 1) // 2
+    nbytes, pad = (nbits + 5) // 6, -nbits % 6
+    head = chr(n + 63)
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    graphs = [Graph(n, [0] * n), make_complete(n)]
+    graphs += [Graph.from_edges(n, pairs[-1:])]  # only the last vector bit
+    graphs += [
+        Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+        for p in (0.1, 0.5, 0.9)
+        for _ in range(4)
+    ]
+    records = [encode_graph6(g) for g in graphs]
+    # every byte value at every position, the last byte's padding cleared
+    for c in range(64):
+        body = [c] * nbytes
+        if body:
+            body[-1] &= -1 << pad
+        records.append(head + "".join(chr(x + 63) for x in body))
+    broken = []
+    for record in records[:6]:
+        broken += [record[:-1], record + "?", record[:-1] + "\x05", record + "\x7f"]
+        last = ord(record[-1]) - 63 if nbytes else 0
+        broken += [record[:-1] + chr((last | 1 << k) + 63) for k in range(pad)]
+    return records + broken
+
+
+def test_byte_tables_decode_as_the_split_decoder(monkeypatch):
+    # orders 1-16 decode by the byte tables, 17 (the first order of n-bit
+    # lanes) by the split; forcing the split at every order must give the
+    # same rows, or the same error class and message, on every record
+    rng = random.Random(20)
+    records = [r for n in range(1, 18) for r in _differential_records(n, rng)]
+    with monkeypatch.context() as split:
+        split.setattr(graph6, "PACKED_MAX_ORDER", 0)
+        want = [_outcome(r) for r in records]
+    graph6._byte_tables.cache_clear()
+    got = [_outcome(r) for r in records]
+    assert got == want
+    errors = Counter(w[0] for w in want if isinstance(w[0], type))
+    assert set(errors) == {
+        MalformedHeader, NonPrintableByte, TruncatedBitVector, TrailingData, PaddingBitsSet
+    }
+    # six records of each order with each of its padding bits set
+    assert errors[PaddingBitsSet] == 6 * sum(-(n * (n - 1) // 2) % 6 for n in range(1, 18))
+    # one build per order, and none for the split's order 17
+    info = graph6._byte_tables.cache_info()
+    assert (info.misses, info.currsize) == (16, 16)
 
 
 def test_long_form_body_errors():

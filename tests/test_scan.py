@@ -619,16 +619,20 @@ def test_census_walks_no_orbit_too_sparse_to_connect(monkeypatch):
     }
 
 
+def _edge_solve_shifted(shift):
+    """The census's witness-free solve with every edim passed through ``shift``."""
+    solve = SCAN._dimension
+
+    def shifted(g, kind, max_k=None):
+        dim = solve(g, kind, max_k)
+        return dim if kind == "vertex" else shift(dim)
+
+    return shifted
+
+
 def test_census_self_check_rejects_a_wrong_edim(monkeypatch):
     # an edim below dim sends the whole orbit to the naive oracle
-    scan_module = importlib.import_module("metricdim.scan")
-    real = scan_module.edge_metric_dimension
-
-    def off_by_two(g):
-        res = real(g)
-        return dataclasses.replace(res, dimension=res.dimension - 2)
-
-    monkeypatch.setattr(scan_module, "edge_metric_dimension", off_by_two)
+    monkeypatch.setattr(SCAN, "_dimension", _edge_solve_shifted(lambda edim: edim - 2))
     with pytest.raises(AssertionError, match="census solver disagrees"):
         verify_small_orders(4)
 
@@ -637,21 +641,15 @@ def test_census_lists_every_labelled_offender_in_mask_order(monkeypatch):
     # a solver and oracle that both read an edim of 3 or more as 2 lower make
     # offending orbits; the census lists each of their labelled members, in
     # the edge-mask order of enumerate_labeled_connected
-    scan_module = importlib.import_module("metricdim.scan")
+    def lowered(edim):
+        return edim if edim < 3 else edim - 2
 
-    def lowered(solve):
-        def wrapped(g):
-            res = solve(g)
-            if res.dimension < 3:
-                return res
-            return dataclasses.replace(res, dimension=res.dimension - 2)
+    def lowered_naive(g):
+        res = edge_metric_dimension_naive(g)
+        return dataclasses.replace(res, dimension=lowered(res.dimension))
 
-        return wrapped
-
-    monkeypatch.setattr(scan_module, "edge_metric_dimension", lowered(edge_metric_dimension))
-    monkeypatch.setattr(
-        scan_module, "edge_metric_dimension_naive", lowered(edge_metric_dimension_naive)
-    )
+    monkeypatch.setattr(SCAN, "_dimension", _edge_solve_shifted(lowered))
+    monkeypatch.setattr(SCAN, "edge_metric_dimension_naive", lowered_naive)
     expected = []
     for n in range(3, 6):
         for g in enumerate_labeled_connected(n):
@@ -666,14 +664,7 @@ def test_census_self_check_re_solves_sampled_members(monkeypatch):
     # an edim raised by one leaves every orbit inoffensive, so only the
     # sampled labelled graphs catch it: one connected mask at each of the
     # orders 3 to 5 (5, 53 and 757), three at order 6 and 188 at order 7
-    scan_module = importlib.import_module("metricdim.scan")
-    real = scan_module.edge_metric_dimension
-
-    def off_by_one(g):
-        res = real(g)
-        return dataclasses.replace(res, dimension=res.dimension + 1)
-
-    monkeypatch.setattr(scan_module, "edge_metric_dimension", off_by_one)
+    monkeypatch.setattr(SCAN, "_dimension", _edge_solve_shifted(lambda edim: edim + 1))
     for n in range(3, 8):
         with pytest.raises(AssertionError, match="census solver disagrees"):
             _census_order(n)

@@ -37,6 +37,7 @@ from metricdim.graph import PACKED_MAX_ORDER, iter_bits
 from metricdim.solver import (
     LATTICE_MAX_ORDER,
     _components,
+    _dimension,
     _disjoint_count,
     _drop_dominated,
     _drop_supersets,
@@ -781,6 +782,31 @@ def test_twin_rule_keeps_witnesses_and_caps(monkeypatch):
     assert solve_all() == with_rule
 
 
+def test_witness_free_solve_matches_the_witnessed_one():
+    # the scans, the census and the suites read only the dimension: their
+    # solve must give every dimension, and every None under a cap, of the
+    # witnessed one, on the lattice path (twin-free, order <= 16) and on
+    # the split path (twins forced from order 13, or order 17 and above)
+    rng = random.Random(1709)
+    graphs = [g for n in range(1, 7) for g in enumerate_labeled_connected(n)]
+    graphs += [
+        random_connected_graph(rng, n, extra=rng.randrange(2 * n))
+        for n in range(7, 17)
+        for _ in range(8)
+    ]
+    gadgets = [(5, n2, n3) for n2 in range(1, 4) for n3 in range(5, 12)]
+    graphs += [make_gadget(*p).graph for p in gadgets]
+    graphs.append(parse_family_spec("path:17"))
+    assert {g.n for g in graphs if solver._forced_twins(g.adj)} >= set(range(13, 21))
+    for g in graphs:
+        for kind, fast in (("vertex", metric_dimension), ("edge", edge_metric_dimension)):
+            d = fast(g).dimension
+            assert _dimension(g, kind) == d
+            for cap in {0, d - 1, d, g.n}:
+                res = fast(g, max_k=cap)
+                assert _dimension(g, kind, cap) == (None if res is None else res.dimension)
+
+
 def test_edge_signatures_match_resolution_vectors():
     rng = random.Random(67)
     graphs = [make_path(2), make_cycle(5), make_path(300), make_cycle(300)]
@@ -864,15 +890,18 @@ def test_row_built_edge_items_match_the_distance_matrix():
 
 
 def test_import_builds_no_cached_layout():
-    # the subset-lattice tables and the slot layouts are built on first use,
-    # so importing the package (and the CLI) costs nothing per order
+    # the subset-lattice tables, the slot layouts, the lane masks and the
+    # graph6 byte tables are built on first use, so importing the package
+    # (and the CLI) costs nothing per order
     src = str(Path(metricdim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import metricdim.cli\n"
-        "from metricdim import solver\n"
+        "from metricdim import graph6, solver\n"
         "print(solver._tables.cache_info().currsize,"
-        " solver._slot_layout.cache_info().currsize)\n"
+        " solver._slot_layout.cache_info().currsize,"
+        " solver._lane_mask.cache_info().currsize,"
+        " graph6._byte_tables.cache_info().currsize)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -882,4 +911,4 @@ def test_import_builds_no_cached_layout():
         check=True,
         timeout=60,
     ).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0", "0", "0", "0"]
