@@ -40,14 +40,13 @@ from .scan import (
     scan,
     verify_small_orders,
 )
-from .solver import edge_metric_dimension, metric_dimension
+from .solver import edge_metric_dimension, metric_dimension, solved_dims
 from .verify import (
     GRIDS,
     SUITES,
     ratio_dim,
     ratio_witness,
     run_suites,
-    solved_dims,
 )
 
 FAMILY_SPEC_EXAMPLES = (

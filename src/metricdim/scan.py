@@ -2,12 +2,12 @@
 
 ``scan`` takes the records of a line-oriented graph6 stream from
 ``graph6.record_lines`` and records the connected graphs matching a dim/edim
-predicate.  Each graph is evaluated dim first, by the solver's witness-free
-``_dimension``, as the census is: the vertex dimension is solved exactly,
-and the edge search then stops at the top of the predicate's ``edim_window``
-for that ``dim``, so the exact ``edim`` is computed in full only where a
-match is possible.  Reports are deterministic regardless of worker count:
-counts are additive and matches are sorted by line number at the end.
+predicate.  Each graph is evaluated by the solver's ``solved_dims``, given
+the predicate's ``edim_window`` (the census passes none): the vertex
+dimension is solved exactly, and the edge search then stops at the top of
+the window for that ``dim``, so the exact ``edim`` is computed in full only
+where a match is possible.  Reports are deterministic regardless of worker
+count: counts are additive and matches are sorted by line number at the end.
 
 ``verify_small_orders`` exhausts every labelled connected graph up to order
 seven.  Both dimensions are isomorphism invariants, so one exact solve per
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 from .graph import DisconnectedGraph, Graph
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, record_lines
-from .solver import _dimension, edge_metric_dimension_naive, metric_dimension_naive
+from .solver import edge_metric_dimension_naive, metric_dimension_naive, solved_dims
 
 MAX_ENUM_ORDER = 7
 MAX_ERROR_DETAILS = 1000  # diagnostics kept verbatim; the rest only counted
@@ -141,28 +141,6 @@ class ScanReport:
     resumed_from: int = 0
 
 
-def _evaluate(g: Graph, pred: Predicate) -> tuple[int, int] | None:
-    """Exact ``(dim, edim)`` of a graph matching the predicate, else None.
-
-    The vertex dimension is solved exactly first; it is the cheaper of the
-    two.  One edge search follows, capped at the top of
-    ``pred.edim_window(dim)`` and skipped when the window is empty.  Levels
-    ascend, so a generator found within the cap gives the exact ``edim``,
-    which matches if it reaches the window's bottom, and finding none
-    proves that no accepted ``edim`` exists.  For ``gt`` the search is
-    uncapped: it stops at ``dim`` or below on a non-match and runs on to
-    the exact ``edim`` that every match reports.
-    """
-    dim = _dimension(g, "vertex")
-    lo, hi = pred.edim_window(dim)
-    if hi is not None and hi < lo:
-        return None
-    edim = _dimension(g, "edge", max_k=hi)
-    if edim is None or edim < lo:
-        return None
-    return dim, edim
-
-
 def _scan_batch(batch: list[tuple[int, str]], pred: Predicate):
     decoded = connected = 0
     errors: list[tuple[int, str]] = []
@@ -175,7 +153,7 @@ def _scan_batch(batch: list[tuple[int, str]], pred: Predicate):
             continue
         decoded += 1
         try:
-            dims = _evaluate(g, pred)
+            dims = solved_dims(g, pred.edim_window)
         except DisconnectedGraph:  # from the first solve's one BFS pass
             continue
         connected += 1
@@ -424,10 +402,9 @@ def _census_order(n: int) -> tuple[dict[int, int], list[str]]:
             continue  # too few edges to connect n vertices
         g = Graph(n, _mask_rows(rep, pairs, n), _validate=False)
         try:
-            dim = _dimension(g, "vertex")
+            dim, edim = solved_dims(g)
         except DisconnectedGraph:
             continue
-        edim = _dimension(g, "edge")
         hist[dim - edim] = hist.get(dim - edim, 0) + orbit_size
         members = sampled.get(rep, [])
         if edim < dim:

@@ -30,9 +30,10 @@ closed downwards with n shifts, ``bad |= (bad & hi[i]) >> 2**i``, where
 resolving set.  The smallest k with a resolving set among the k-sets,
 ``pop[k]``, is the dimension, and the lexicographically least of those sets
 is found greedily: for i ascending, keep the sets containing landmark i
-whenever there are any.  ``_dimension``, the solve of the scans, the census
-and the suites, which read no basis, stops at k: no greedy pass, witness or
-``ResolveResult``; on the split it adds |F| to the split's size.  ``hi`` and
+whenever there are any.  ``_dimension`` stops at k: no greedy pass, witness
+or ``ResolveResult``; on the split it adds |F| to the split's size.  It
+serves ``solved_dims``, the (dim, edim) of the scans, the census, the suites
+and the CLI, whose edge solve an ``edim_window`` may cap.  ``hi`` and
 ``pop`` are built on first use for each order and cached; at order 16 they
 are 33 ints of 8 KiB.  Every landmark more doubles the tables and the ints
 each solve works on.  On random sparse graphs one solve takes about 0.4 ms
@@ -636,6 +637,31 @@ def _dimension(g: Graph, kind: str, max_k: int | None = None) -> int | None:
         return (sets.bit_length() - 1).bit_count() if sets else None
     witness = _split_hitting_set(masks, g.n, top)
     return None if witness is None else forced.bit_count() + len(witness)
+
+
+def solved_dims(g: Graph, window=None) -> tuple[int, int] | None:
+    """Exact ``(dim, edim)`` of a connected graph, by witness-free solves.
+
+    A ``window``, a predicate's ``edim_window``, makes it None unless
+    ``edim`` lies in ``window(dim)``.  The vertex dimension is solved
+    exactly first; it is the cheaper of the two.  One edge search follows,
+    capped at the window's top ``hi`` and skipped when ``hi < lo``.  Levels
+    ascend, so a generator found within the cap gives the exact ``edim``,
+    which matches if it reaches the window's bottom, and finding none
+    proves that no accepted ``edim`` exists.  With ``hi`` None (``gt``), or
+    with no window, the search is uncapped and runs on to the exact
+    ``edim``; on a ``gt`` non-match that is ``dim`` or below.
+    """
+    dim = _dimension(g, "vertex")
+    if window is None:
+        return dim, _dimension(g, "edge")
+    lo, hi = window(dim)
+    if hi is not None and hi < lo:
+        return None
+    edim = _dimension(g, "edge", max_k=hi)
+    if edim is None or edim < lo:
+        return None
+    return dim, edim
 
 
 def metric_dimension(g: Graph, *, max_k: int | None = None) -> ResolveResult | None:

@@ -27,8 +27,7 @@ from .families import (
     minimum_realizable_order,
     realize,
 )
-from .graph import Graph
-from .solver import _dimension, is_edge_metric_generator, is_metric_generator
+from .solver import is_edge_metric_generator, is_metric_generator, solved_dims
 
 @dataclass
 class SuiteResult:
@@ -69,11 +68,6 @@ GRIDS = {
         theorem2_target=3,
     ),
 }
-
-
-def solved_dims(g: Graph) -> tuple[int, int]:
-    """Exact (dim, edim) of a connected graph, by two full witness-free solves."""
-    return _dimension(g, "vertex"), _dimension(g, "edge")
 
 
 def certify_chain(chain: FamilyGraph, dims=solved_dims) -> tuple[bool, str, tuple[int, int]]:

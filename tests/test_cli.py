@@ -368,7 +368,8 @@ def test_verify_small_orders_fail_exits_1(capsys, monkeypatch):
     import importlib
 
     scan_module = importlib.import_module("metricdim.scan")
-    solve, naive = scan_module._dimension, scan_module.edge_metric_dimension_naive
+    solver_module = importlib.import_module("metricdim.solver")
+    solve, naive = solver_module._dimension, scan_module.edge_metric_dimension_naive
 
     def lowered(g, kind, max_k=None):
         dim = solve(g, kind, max_k)
@@ -378,7 +379,7 @@ def test_verify_small_orders_fail_exits_1(capsys, monkeypatch):
         res = naive(g)
         return dataclasses.replace(res, dimension=res.dimension - 2 * (res.dimension >= 3))
 
-    monkeypatch.setattr(scan_module, "_dimension", lowered)
+    monkeypatch.setattr(solver_module, "_dimension", lowered)
     monkeypatch.setattr(scan_module, "edge_metric_dimension_naive", lowered_naive)
     code, out, _ = run(capsys, "verify", "--small-orders", "4")
     assert code == 1

@@ -52,6 +52,7 @@ from conftest import (
 
 
 SCAN = importlib.import_module("metricdim.scan")
+SOLVER = importlib.import_module("metricdim.solver")
 needs_two_cpus = pytest.mark.skipif(
     (os.cpu_count() or 1) < 2, reason="scan refuses jobs=2 with fewer than 2 CPUs"
 )
@@ -293,6 +294,18 @@ def test_scan_predicates_match_naive_oracle():
             rng.shuffle(perm)
             graphs.append(relabel(gadget, perm))
     rng.shuffle(graphs)
+    # twin-forced graphs of orders 13 to 16 send every capped edge search to
+    # the split instead of the whole-graph lattice
+    for params in ((5, 1, 6), (6, 1, 5), (6, 2, 5), (7, 1, 5), (8, 1, 5), (5, 2, 7)):
+        gadget = make_gadget(*params).graph
+        perm = list(range(gadget.n))
+        rng.shuffle(perm)
+        graphs.append(relabel(gadget, perm))
+    for n in (13, 14, 15, 16, 16):
+        g = random_connected_graph(rng, n - 1, extra=rng.randrange(0, n))
+        v = rng.randrange(n - 1)  # vertex n - 1 is planted as its twin, adjacent or not
+        twin = [(u, n - 1) for u in g.neighbors(v)] + [(v, n - 1)] * rng.randrange(2)
+        graphs.append(Graph.from_edges(n, [*g.edges, *twin]))
     lines = [encode_graph6(g) for g in graphs]
     dims = [
         (metric_dimension_naive(g).dimension, edge_metric_dimension_naive(g).dimension)
@@ -307,6 +320,42 @@ def test_scan_predicates_match_naive_oracle():
         ]
         assert [(m.line, m.dim, m.edim) for m in report.matches] == expected, text
         assert report.connected == len(graphs)
+
+
+def test_solved_dims_caps_the_edge_search_at_the_window_top(monkeypatch):
+    # the oracle test cannot see the caps: an edge search capped one above
+    # the window, run on an empty window or never capped finds the same
+    # matches, only slower
+    calls = []
+    solve = SOLVER._dimension
+
+    def recorded(g, kind, max_k=None):
+        calls.append((kind, max_k))
+        return solve(g, kind, max_k)
+
+    monkeypatch.setattr(SOLVER, "_dimension", recorded)
+    graphs = [Graph(1, [0]), make_path(4), make_cycle(6), make_complete(5)]
+    graphs += [make_gadget(*p).graph for p in ((6, 1, 2), (5, 1, 2), (6, 1, 5))]
+    capped = skipped = 0
+    for text in [*_PREDICATE_ORACLES, "diff:5"]:
+        pred = Predicate.parse(text)
+        for g in graphs:
+            dim = metric_dimension(g).dimension
+            lo, hi = pred.edim_window(dim)
+            edge = [] if hi is not None and hi < lo else [("edge", hi)]
+            calls.clear()
+            scan([encode_graph6(g)], pred)
+            assert calls == [("vertex", None), *edge], (text, encode_graph6(g))
+            capped += edge != [] and hi is not None
+            skipped += edge == []
+    assert capped > 50 and skipped > 10
+    for g in graphs:  # no window: one uncapped solve per kind
+        calls.clear()
+        solved_dims(g)
+        assert calls == [("vertex", None), ("edge", None)]
+    calls.clear()
+    _census_order(4)
+    assert set(calls) == {("vertex", None), ("edge", None)}
 
 
 def test_scan_checkpoint_resume(tmp_path, monkeypatch):
@@ -620,8 +669,8 @@ def test_census_walks_no_orbit_too_sparse_to_connect(monkeypatch):
 
 
 def _edge_solve_shifted(shift):
-    """The census's witness-free solve with every edim passed through ``shift``."""
-    solve = SCAN._dimension
+    """The solver's witness-free solve with every edim passed through ``shift``."""
+    solve = SOLVER._dimension
 
     def shifted(g, kind, max_k=None):
         dim = solve(g, kind, max_k)
@@ -632,7 +681,7 @@ def _edge_solve_shifted(shift):
 
 def test_census_self_check_rejects_a_wrong_edim(monkeypatch):
     # an edim below dim sends the whole orbit to the naive oracle
-    monkeypatch.setattr(SCAN, "_dimension", _edge_solve_shifted(lambda edim: edim - 2))
+    monkeypatch.setattr(SOLVER, "_dimension", _edge_solve_shifted(lambda edim: edim - 2))
     with pytest.raises(AssertionError, match="census solver disagrees"):
         verify_small_orders(4)
 
@@ -648,7 +697,7 @@ def test_census_lists_every_labelled_offender_in_mask_order(monkeypatch):
         res = edge_metric_dimension_naive(g)
         return dataclasses.replace(res, dimension=lowered(res.dimension))
 
-    monkeypatch.setattr(SCAN, "_dimension", _edge_solve_shifted(lowered))
+    monkeypatch.setattr(SOLVER, "_dimension", _edge_solve_shifted(lowered))
     monkeypatch.setattr(SCAN, "edge_metric_dimension_naive", lowered_naive)
     expected = []
     for n in range(3, 6):
@@ -664,7 +713,7 @@ def test_census_self_check_re_solves_sampled_members(monkeypatch):
     # an edim raised by one leaves every orbit inoffensive, so only the
     # sampled labelled graphs catch it: one connected mask at each of the
     # orders 3 to 5 (5, 53 and 757), three at order 6 and 188 at order 7
-    monkeypatch.setattr(SCAN, "_dimension", _edge_solve_shifted(lambda edim: edim + 1))
+    monkeypatch.setattr(SOLVER, "_dimension", _edge_solve_shifted(lambda edim: edim + 1))
     for n in range(3, 8):
         with pytest.raises(AssertionError, match="census solver disagrees"):
             _census_order(n)
