@@ -28,12 +28,13 @@ import math
 import os
 import sys
 import time
+import zlib
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterable, Iterator
 
 from .graph import DisconnectedGraph, Graph
@@ -115,7 +116,7 @@ class Predicate:
 
 
 class CheckpointMismatch(ValueError):
-    """A checkpoint file was written for another predicate."""
+    """A checkpoint file was written for another predicate or input."""
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,7 @@ class ScanReport:
     complete: bool = True
     io_error: str | None = None  # why the scan stopped early, if it did
     resumed_from: int = 0
+    first_record: tuple[int, int] | None = None  # its line number and zlib.crc32
 
 
 def _scan_batch(batch: list[tuple[int, str]], pred: Predicate):
@@ -171,6 +173,8 @@ def _write_checkpoint(path: str, last_line: int, report: ScanReport) -> None:
         fh.write(f"decoded={report.decoded}\n")
         fh.write(f"connected={report.connected}\n")
         fh.write(f"errors={report.error_total}\n")
+        if report.first_record is not None:
+            fh.write("first_record={}\t{}\n".format(*report.first_record))
         for m in sorted(report.matches, key=lambda m: m.line):
             fh.write(f"match={m.line}\t{m.record}\t{m.dim}\t{m.edim}\n")
     os.replace(tmp, path)
@@ -190,6 +194,8 @@ def _load_checkpoint(path: str, report: ScanReport) -> int:
                 setattr(report, key, int(value))
             elif key == "errors":
                 report.error_total = int(value)
+            elif key == "first_record":
+                report.first_record = tuple(map(int, value.split("\t")))
             elif key == "match":
                 ln, rec, dim, edim = value.split("\t")
                 report.matches.append(ScanMatch(int(ln), rec, int(dim), int(edim)))
@@ -202,16 +208,27 @@ def _load_checkpoint(path: str, report: ScanReport) -> int:
 
 
 def _batches(
-    source: Iterable[str | bytes], report: ScanReport
+    source: Iterable[str | bytes], report: ScanReport, checkpoint: str | None
 ) -> Iterator[list[tuple[int, str]]]:
     """Records past ``report.resumed_from``, ``BATCH_SIZE`` to a batch.
 
-    An input error ends the batches, after the one it cut short, and marks
-    the report incomplete.
+    The first record is checked against a resumed checkpoint's first.  An
+    input error ends the batches, after the one it cut short, and marks the
+    report incomplete.
     """
     batch: list[tuple[int, str]] = []
     try:
-        for item in record_lines(source):
+        records = record_lines(source)
+        if (first := next(records, None)) is not None:
+            seen = first[0], zlib.crc32(first[1].encode("utf-8", "surrogatepass"))
+            if report.first_record not in (None, seen):
+                raise CheckpointMismatch(
+                    f"checkpoint {checkpoint} was written for another input: its first "
+                    f"record (line, crc32) is {report.first_record}, this input's is {seen}"
+                )
+            report.first_record = seen
+            records = chain([first], records)
+        for item in records:
             if item[0] > report.resumed_from:
                 batch.append(item)
                 if len(batch) >= BATCH_SIZE:
@@ -244,11 +261,14 @@ def scan(
 
     A ``checkpoint`` file makes multi-hour scans resumable: progress is
     flushed every ``CHECKPOINT_EVERY`` records and at the end, and picked up
-    when the file already exists.  A checkpoint written for another
-    predicate raises ``CheckpointMismatch``.  No ``OSError`` escapes: the
-    report comes back with ``complete`` false and the reason in
-    ``io_error``.  When the input fails, every record read before the
-    failure is solved and checkpointed first.
+    when the file already exists.  It records the predicate and the first
+    record's line number and ``zlib.crc32``; a checkpoint written for
+    another predicate, or whose first record is not this stream's, raises
+    ``CheckpointMismatch``.  One without the record, or a stream with no
+    record, resumes unchecked.  No ``OSError`` escapes: the report comes
+    back with ``complete`` false and the reason in ``io_error``.  When the
+    input fails, every record read before the failure is solved and
+    checkpointed first.
     """
     # A pool starts all its workers at once, so jobs stays within the CPU count.
     cpus = os.cpu_count() or 1
@@ -281,14 +301,14 @@ def scan(
         if checkpoint and os.path.exists(checkpoint):
             report.resumed_from = last_line = _load_checkpoint(checkpoint, report)
         if jobs == 1:
-            for batch in _batches(source, report):
+            for batch in _batches(source, report, checkpoint):
                 absorb(_scan_batch(batch, predicate))
         else:
             from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
             pending = deque()  # the futures of the batches in flight, oldest first
             with ProcessPoolExecutor(jobs) as pool:
-                for batch in _batches(source, report):
+                for batch in _batches(source, report, checkpoint):
                     pending.append(pool.submit(_scan_batch, batch, predicate))
                     while len(pending) >= 2 * jobs:
                         absorb(pending.popleft().result())

@@ -141,9 +141,13 @@ such as ``path:1000``; with twins forced, only the pairs inside a class are
 folded.  No construction of the paper is twin-free, since every gadget hangs
 twin pendants on its hub.  The distinct masks go to the split sorted by
 popcount, then value.  A bounded search (``max_k``) first refutes by
-counting distance classes, before any mask is built.  The generator checks
-(``is_metric_generator`` and its edge twin) compare the signatures
-restricted to the landmark set in every plane.
+counting distance classes, before any mask is built.  A capped edge search
+on the whole lattice (``max_k`` at least 1) then refutes, before any edge
+item is built, when no ``max_k`` landmarks hit the vertex masks of every
+pair u, v with a common neighbour w: landmarks that give u and v equal
+distances give uw and vw equal ones, since d(uw, z) = min(d(u, z), d(w, z)).
+The generator checks (``is_metric_generator`` and its edge twin) compare
+the signatures restricted to the landmark set in every plane.
 
 A deliberately dumb reference implementation (materialise every distance
 vector per subset, no partition machinery) is kept alongside as an oracle
@@ -223,7 +227,9 @@ def _slot_layout(n: int, planes: int) -> tuple[str, int, tuple[int, ...], bytes]
     return item, width, shifts, ((1 << n) - 1).to_bytes(width, _ORDER)
 
 
-def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
+def _packed_masks(
+    sigs: Sequence[int], n: int, diam: int, rows: Sequence[int] | None = None
+) -> memoryview:
     """Every pair's separator mask, some twice, for at most 16 landmarks.
 
     ``_separator_masks`` by a few whole-buffer operations, each mask one
@@ -239,6 +245,13 @@ def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
     K16's 120 edges, the most items, need 58,080 bytes per operand.  Only
     twin-free graphs come here: with twins forced, only the pairs inside a
     twin class are folded.
+
+    With the vertices' adjacency ``rows``, only the pairs with a common
+    neighbour keep their masks.  The rows are lined up in the same slots
+    and ANDed, and each slot is folded onto its bit 0 by shifts 1, 2, 4 and
+    8: bit 0 reads bits 0 to 15 of its own slot, which has at least 16 (all
+    taken by K16's rows), and no other.  Every slot whose rows share no bit
+    gets the full landmark set, which any non-empty set hits.
     """
     item, width, shifts, lane = _slot_layout(n, diam.bit_length())
     buf = array(item, sigs).tobytes()
@@ -250,6 +263,15 @@ def _packed_masks(sigs: Sequence[int], n: int, diam: int) -> memoryview:
     for shift in shifts:
         d |= d >> shift
     d &= _lane_mask(lane, size // width)
+    if rows is not None:
+        buf = array(item, rows).tobytes()
+        left = (buf + buf[:width]) * turns
+        right = (buf * (turns + 2))[width : width + size]
+        common = int.from_bytes(left, _ORDER) & int.from_bytes(right, _ORDER)
+        for shift in (1, 2, 4, 8):
+            common |= common >> shift
+        ones = _lane_mask((1).to_bytes(width, _ORDER), size // width)
+        d |= (common & ones ^ ones) * ((1 << n) - 1)
     return memoryview(d.to_bytes(size, _ORDER)).cast(item)
 
 
@@ -598,9 +620,15 @@ def _instance(g: Graph, kind: str, max_k: int | None):
         top -= forced.bit_count()
         if top < 0:
             return None
+    whole = n <= LATTICE_MAX_ORDER and not forced
     if kind == "edge":
+        # Every edge generator resolves the vertex pairs with a common
+        # neighbour.  Not at cap 0: K2 has no such pair, and edim 0.
+        if whole and max_k is not None and top > 0:
+            if not _resolving_sets(_packed_masks(sigs, n, diam, g.adj), n, top):
+                return None
         sigs = g.edge_signatures()
-    if n <= LATTICE_MAX_ORDER and not forced:
+    if whole:
         return 0, _packed_masks(sigs, n, diam), top, True
     # Two items agree on F, in every plane, exactly when their mask misses
     # F: only the pairs inside one such class are folded.  A twin-free graph

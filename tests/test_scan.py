@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import zlib
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -463,6 +464,29 @@ def test_scan_refuses_a_checkpoint_of_another_predicate(tmp_path):
     ckpt.write_text("".join(kept))
     with pytest.raises(CheckpointMismatch, match="no predicate"):
         scan(lines, Predicate.parse("eq"), checkpoint=str(ckpt))
+
+
+def test_scan_refuses_a_checkpoint_of_another_input(tmp_path):
+    lines = _sample_stream()
+    lt = Predicate.parse("lt")
+    ckpt = tmp_path / "scan.ckpt"
+    partial = scan(lines[:3], lt, checkpoint=str(ckpt))
+    key = f"first_record=1\t{zlib.crc32(lines[0].encode())}\n"
+    assert key in ckpt.read_text()
+    # another first record, or the same one on another line, is refused
+    for other in (lines[1:], ["", *lines]):
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(ckpt))):
+            scan(other, lt, checkpoint=str(ckpt))
+    # a source with no record resumes, and keeps the key
+    empty = scan(iter(()), lt, checkpoint=str(ckpt))
+    assert (empty.resumed_from, empty.total, empty.matches) == (3, 3, partial.matches)
+    assert key in ckpt.read_text()
+    # so does a checkpoint without the key, which the resume then writes
+    kept = [l for l in ckpt.read_text().splitlines(keepends=True) if l != key]
+    ckpt.write_text("".join(kept))
+    resumed = scan(lines, lt, checkpoint=str(ckpt))
+    assert _summary(resumed) == _summary(scan(lines, lt))
+    assert key in ckpt.read_text()
 
 
 def test_scan_refuses_jobs_below_one():

@@ -14,6 +14,7 @@ from metricdim import (
     DisconnectedGraph,
     Graph,
     InstanceTooLarge,
+    Predicate,
     cartesian_product,
     decode_graph6,
     edge_metric_dimension,
@@ -29,6 +30,7 @@ from metricdim import (
     metric_dimension_naive,
     realize,
     resolution_vector,
+    scan,
 )
 from metricdim.scan import enumerate_labeled_connected
 from metricdim.families import anchors, glue, make_chain, parse_family_spec
@@ -254,10 +256,30 @@ def test_capped_and_resumed_search():
             assert edge_metric_dimension(g, max_k=efull.dimension - 1) is None
 
 
-def test_bounded_search_refutes_exactly_above_the_bound():
-    # max_k refutes by the diameter count before any class is built; it must
-    # answer None exactly when the naive dimension exceeds the bound, for
-    # dense small graphs and for long paths and cycles alike
+# Each passes the distance-class count at its cap, yet has a vertex pair
+# with a common neighbour that no set of cap landmarks resolves.
+_COMMON_NEIGHBOUR_REFUTED = {"FJAtw": 2, "Fb~~w": 3, "Esa?": 2, "Cs": 1}
+
+
+def _assert_caps_refute_exactly_above(g, dim, edim):
+    for k in range(g.n + 1):
+        res = metric_dimension(g, max_k=k)
+        assert (res is None) == (dim > k)
+        assert res is None or res.dimension == dim
+        eres = edge_metric_dimension(g, max_k=k)
+        assert (eres is None) == (edim > k)
+        assert eres is None or eres.dimension == edim
+
+
+def test_bounded_search_refutes_exactly_above_the_bound(monkeypatch):
+    # max_k refutes by the diameter count before any class is built, and a
+    # capped edge search on the whole lattice then by the vertex masks of
+    # the pairs with a common neighbour; it must answer None exactly when
+    # the naive dimension exceeds the bound, for dense small graphs and for
+    # long paths and cycles alike, and for graphs that pass the count: the
+    # records refuted by common neighbours, complete graphs (one plane, so
+    # K16's rows fill their 16-bit slots), stars and twin-free G(n, 1/2)
+    # graphs above the twin order limit
     rng = random.Random(59)
     graphs = [g for n in range(1, 7) for g in enumerate_labeled_connected(n)]
     for n in range(8, 13):
@@ -266,15 +288,30 @@ def test_bounded_search_refutes_exactly_above_the_bound():
             random_connected_graph(rng, n, extra=rng.randrange(0, 3 * n))
             for _ in range(6)
         ]
+    graphs += [decode_graph6(record) for record in _COMMON_NEIGHBOUR_REFUTED]
+    for n in range(13, 17):
+        g = _random_connected_gnp(rng, n, 0.5)
+        while solver._forced_twins(g.adj):
+            g = _random_connected_gnp(rng, n, 0.5)
+        graphs.append(g)
     for g in graphs:
-        dim, edim = (res.dimension for res in naive_results(g))
-        for k in range(g.n + 1):
-            res = metric_dimension(g, max_k=k)
-            assert (res is None) == (dim > k)
-            assert res is None or res.dimension == dim
-            eres = edge_metric_dimension(g, max_k=k)
-            assert (eres is None) == (edim > k)
-            assert eres is None or eres.dimension == edim
+        _assert_caps_refute_exactly_above(g, *(res.dimension for res in naive_results(g)))
+    # K_n has dim = edim = n - 1, and the star K1,k has dim = edim = k - 1
+    # (a tree); the naive oracle, which takes seconds on these above order
+    # 12, confirms both forms up to there.  Above it their twins are forced,
+    # so they are checked again with the rule off, on the whole lattice.
+    dense = [(make_complete(n), n - 1) for n in range(3, 17)]
+    dense += [
+        (Graph.from_edges(k + 1, [(0, leaf) for leaf in range(1, k + 1)]), k - 1)
+        for k in range(3, 16)
+    ]
+    for g, d in dense:
+        if g.n <= solver.TWINS_ABOVE_ORDER:
+            assert tuple(res.dimension for res in naive_results(g)) == (d, d)
+    for limit in (solver.TWINS_ABOVE_ORDER, LATTICE_MAX_ORDER):
+        monkeypatch.setattr(solver, "TWINS_ABOVE_ORDER", limit)
+        for g, d in dense:
+            _assert_caps_refute_exactly_above(Graph(g.n, g.adj), d, d)
     # a bound far beyond the order is no bound, and must stay cheap
     assert metric_dimension(make_path(12), max_k=10**18).dimension == 1
     assert edge_metric_dimension(make_cycle(12), max_k=10**18).dimension == 2
@@ -839,6 +876,36 @@ def test_refuted_edge_search_leaves_the_edge_list_underived():
     result = edge_metric_dimension(g)
     assert g._edges is None
     assert result == naive_results(g)[1]
+
+
+def test_capped_edge_search_refutes_by_common_neighbour_pairs(monkeypatch):
+    # landmarks that give u and v equal distances give uw and vw equal ones
+    # for every common neighbour w, so these records are refuted before
+    # their edge items are built; FJAtw has order 7, dim 3, edim 4 and
+    # diameter 3, and Fb~~w has dim 4 and edim 6
+    for record, cap in _COMMON_NEIGHBOUR_REFUTED.items():
+        g = decode_graph6(record)
+        _, diam = g.signatures()
+        assert g.m <= (diam + 1) ** cap
+        assert naive_results(g)[1].dimension > cap
+        assert edge_metric_dimension(g, max_k=cap) is None
+        assert g._edge_sigs is None
+    # K16's rows fill their 16-bit slots, so a slot is tested non-zero by
+    # folding, not by a carry out of it; with its twins left to the
+    # search, 14 landmarks pass the count, but no 14 hit the mask {u, v}
+    # of every vertex pair
+    monkeypatch.setattr(solver, "TWINS_ABOVE_ORDER", LATTICE_MAX_ORDER)
+    k16 = make_complete(16)
+    assert edge_metric_dimension(k16, max_k=14) is None
+    assert k16._edge_sigs is None
+    monkeypatch.undo()
+    # nor does an lt scan build them: its caps are dim - 1
+    def unbuilt(g):
+        raise AssertionError("edge items built")
+
+    monkeypatch.setattr(Graph, "edge_signatures", unbuilt)
+    report = scan(list(_COMMON_NEIGHBOUR_REFUTED), Predicate.parse("lt"))
+    assert (report.connected, report.matches) == (4, [])
 
 
 def _random_connected_gnp(rng: random.Random, n: int, p: float) -> Graph:
