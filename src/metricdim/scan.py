@@ -2,12 +2,13 @@
 
 ``scan`` takes the records of a line-oriented graph6 stream from
 ``graph6.record_lines`` and records the connected graphs matching a dim/edim
-predicate.  Each graph is evaluated by the solver's ``solved_dims``, given
-the predicate's ``edim_window`` (the census passes none): the vertex
-dimension is solved exactly, and the edge search then stops at the top of
-the window for that ``dim``, so the exact ``edim`` is computed in full only
-where a match is possible.  Reports are deterministic regardless of worker
-count: counts are additive and matches are sorted by line number at the end.
+predicate.  Each batch goes to the solver's ``solved_dims_of`` with the
+predicate's ``edim_window`` (the census passes none to ``solved_dims``):
+vertex dimensions are solved exactly, 64 graphs of one order 3..12 at a time
+in lanes that nothing crosses (``solver.py``), and each edge search stops at
+the window's top for that ``dim``, so the exact ``edim`` is computed in full
+only where a match is possible.  Reports are deterministic regardless of
+worker count: counts are additive and matches are sorted by line at the end.
 
 ``verify_small_orders`` exhausts every labelled connected graph up to order
 seven.  Both dimensions are isomorphism invariants, so one exact solve per
@@ -39,7 +40,7 @@ from typing import Iterable, Iterator
 
 from .graph import DisconnectedGraph, Graph
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, record_lines
-from .solver import edge_metric_dimension_naive, metric_dimension_naive, solved_dims
+from .solver import edge_metric_dimension_naive, metric_dimension_naive, solved_dims, solved_dims_of
 
 MAX_ENUM_ORDER = 7
 MAX_ERROR_DETAILS = 1000  # diagnostics kept verbatim; the rest only counted
@@ -116,7 +117,7 @@ class Predicate:
 
 
 class CheckpointMismatch(ValueError):
-    """A checkpoint file was written for another predicate or input."""
+    """A checkpoint file was written for another predicate or input, or does not parse."""
 
 
 @dataclass(frozen=True)
@@ -144,24 +145,22 @@ class ScanReport:
 
 
 def _scan_batch(batch: list[tuple[int, str]], pred: Predicate):
-    decoded = connected = 0
     errors: list[tuple[int, str]] = []
-    matches: list[ScanMatch] = []
-    for lineno, line in batch:
-        try:
-            g = decode_graph6(line)
-        except Graph6Error as exc:
-            errors.append((lineno, str(exc)))
-            continue
-        decoded += 1
-        try:
-            dims = solved_dims(g, pred.edim_window)
-        except DisconnectedGraph:  # from the first solve's one BFS pass
-            continue
-        connected += 1
-        if dims is not None:
-            matches.append(ScanMatch(lineno, line, *dims))
-    return batch[-1][0], len(batch), decoded, connected, errors, matches
+    records: list[tuple[int, str]] = []  # the decoded ones
+
+    def graphs() -> Iterator[Graph]:  # each kept only until it is solved
+        for lineno, line in batch:
+            try:
+                g = decode_graph6(line)
+            except Graph6Error as exc:
+                errors.append((lineno, str(exc)))
+                continue
+            records.append((lineno, line))
+            yield g
+
+    solved = solved_dims_of(graphs(), pred.edim_window)  # the connected graphs only
+    matches = [ScanMatch(*records[i], *dims) for i, dims in sorted(solved.items()) if dims]
+    return batch[-1][0], len(batch), len(records), len(solved), errors, matches
 
 
 def _write_checkpoint(path: str, last_line: int, report: ScanReport) -> None:
@@ -186,19 +185,24 @@ def _load_checkpoint(path: str, report: ScanReport) -> int:
     with open(path, encoding="ascii") as fh:
         for line in fh:
             key, _, value = line.rstrip("\n").partition("=")
-            if key == "predicate":
-                predicate = value
-            elif key == "last_line_processed":
-                last = int(value)
-            elif key in ("total", "decoded", "connected"):
-                setattr(report, key, int(value))
-            elif key == "errors":
-                report.error_total = int(value)
-            elif key == "first_record":
-                report.first_record = tuple(map(int, value.split("\t")))
-            elif key == "match":
-                ln, rec, dim, edim = value.split("\t")
-                report.matches.append(ScanMatch(int(ln), rec, int(dim), int(edim)))
+            try:  # a bad number or a wrong field count raises ValueError
+                if key == "predicate":
+                    predicate = value
+                elif key == "last_line_processed":
+                    last = int(value)
+                elif key in ("total", "decoded", "connected"):
+                    setattr(report, key, int(value))
+                elif key == "errors":
+                    report.error_total = int(value)
+                elif key == "first_record":
+                    ln, crc = value.split("\t")
+                    report.first_record = int(ln), int(crc)
+                elif key == "match":
+                    ln, rec, dim, edim = value.split("\t")
+                    report.matches.append(ScanMatch(int(ln), rec, int(dim), int(edim)))
+            except ValueError:
+                msg = f"checkpoint {path} has a malformed {key}= line: {value!r}"
+                raise CheckpointMismatch(msg) from None
     if predicate != str(report.predicate):
         found = "no predicate" if predicate is None else f"predicate {predicate}"
         raise CheckpointMismatch(

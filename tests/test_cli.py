@@ -466,6 +466,19 @@ def test_scan_checkpoint_of_another_input_exits_2(capsys, tmp_path):
     assert "error:" in err and ckpt in err and "another input" in err
 
 
+def test_scan_malformed_checkpoint_exits_2(capsys, tmp_path):
+    path = tmp_path / "stream.g6"
+    path.write_text("A_\nBw\n")
+    ckpt = tmp_path / "scan.ckpt"
+    code, _, _ = run(capsys, "scan", "--g6-file", str(path), "--pred", "lt", "--checkpoint", str(ckpt))
+    assert code == 0
+    ckpt.write_text(ckpt.read_text().replace("total=2", "total=two"))
+    code, out, err = run(capsys, "scan", "--g6-file", str(path), "--pred", "lt", "--checkpoint", str(ckpt))
+    assert code == 2
+    assert not out
+    assert "error:" in err and str(ckpt) in err and "total=" in err and "'two'" in err
+
+
 def test_verify_small_orders_beyond_the_limit_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--small-orders", "9")
     assert code == 2

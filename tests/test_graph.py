@@ -20,7 +20,7 @@ from metricdim import (
     make_gadget,
     make_path,
 )
-from metricdim.graph import PACKED_MAX_ORDER
+from metricdim.graph import PACKED_MAX_ORDER, batch_signatures
 from conftest import labelled_graphs, random_connected_graph, reference_distances, relabel
 
 
@@ -167,6 +167,40 @@ def test_lane_walk_matches_queue_bfs_and_per_source_walk():
     assert planes == {1, 2, 3, 4}
     assert make_path(16).signatures()[1] == 15
     assert make_path(16).signatures()[0][0].bit_length() == 64
+
+
+def test_batch_walk_matches_the_per_graph_walk():
+    # sparse and dense, connected and disconnected graphs of every order to
+    # 16, walked together at widths 1, 2, 63, 64 and 65, full or not: each
+    # connected graph gets the signatures and diameter of its own walk, each
+    # disconnected one none, and a flag that says which
+    rng = random.Random(41)
+    connected = disconnected = 0
+    for n in range(1, 17):
+        for width in (1, 2, 63, 64, 65):
+            count = width if rng.random() < 0.5 else rng.randrange(1, width + 1)
+            batch = []
+            for _ in range(count):
+                density = rng.choice([0.1, 0.3, 0.5, 0.9])
+                pairs = combinations(range(n), 2)
+                batch.append(Graph.from_edges(n, [p for p in pairs if rng.random() < density]))
+            if n > 1:  # a path: the largest diameter of its order
+                batch[rng.randrange(count)] = make_path(n)
+            flags = batch_signatures(batch, width)
+            assert len(flags) == count
+            for g, flag in zip(batch, flags):
+                alone = Graph(n, g.adj)
+                try:
+                    want = alone.signatures()
+                except DisconnectedGraph:
+                    assert not flag and g._sigs is None
+                    with pytest.raises(DisconnectedGraph):
+                        g.signatures()
+                    disconnected += 1
+                else:
+                    assert flag and g._sigs == want, (n, width, g.adj)
+                    connected += 1
+    assert connected > 500 and disconnected > 500
 
 
 def test_edges_are_derived_on_first_use_in_row_order():

@@ -19,6 +19,7 @@ import pytest
 
 import metricdim
 from metricdim import (
+    DisconnectedGraph,
     Graph6Error,
     OrderTooLarge,
     Predicate,
@@ -326,15 +327,22 @@ def test_scan_predicates_match_naive_oracle():
 def test_solved_dims_caps_the_edge_search_at_the_window_top(monkeypatch):
     # the oracle test cannot see the caps: an edge search capped one above
     # the window, run on an empty window or never capped finds the same
-    # matches, only slower
+    # matches, only slower.  A scan solves the vertex dimension of a graph
+    # alone by _dimension, and of enough graphs of one order 3 to 12 by
+    # _batch_dimensions; each graph is recorded once for either.
     calls = []
-    solve = SOLVER._dimension
+    solve, batch = SOLVER._dimension, SOLVER._batch_dimensions
 
     def recorded(g, kind, max_k=None):
         calls.append((kind, max_k))
         return solve(g, kind, max_k)
 
+    def batched(graphs, width):
+        calls.extend([("vertex", None)] * len(graphs))
+        return batch(graphs, width)
+
     monkeypatch.setattr(SOLVER, "_dimension", recorded)
+    monkeypatch.setattr(SOLVER, "_batch_dimensions", batched)
     graphs = [Graph(1, [0]), make_path(4), make_cycle(6), make_complete(5)]
     graphs += [make_gadget(*p).graph for p in ((6, 1, 2), (5, 1, 2), (6, 1, 5))]
     capped = skipped = 0
@@ -347,6 +355,11 @@ def test_solved_dims_caps_the_edge_search_at_the_window_top(monkeypatch):
             calls.clear()
             scan([encode_graph6(g)], pred)
             assert calls == [("vertex", None), *edge], (text, encode_graph6(g))
+            # enough copies to batch the vertex solves of orders 3 to 12
+            copies = SOLVER._BATCH_LEAST.get(g.n, 1)
+            calls.clear()
+            scan([encode_graph6(g)] * copies, pred)
+            assert sorted(calls, key=str) == sorted([("vertex", None), *edge] * copies, key=str)
             capped += edge != [] and hi is not None
             skipped += edge == []
     assert capped > 50 and skipped > 10
@@ -357,6 +370,45 @@ def test_solved_dims_caps_the_edge_search_at_the_window_top(monkeypatch):
     calls.clear()
     _census_order(4)
     assert set(calls) == {("vertex", None), ("edge", None)}
+
+
+def test_scan_batches_report_what_per_graph_solves_give(monkeypatch):
+    # the batched vertex solves of orders 3 to 12 leave every report as
+    # per-graph solved_dims makes it: mixed orders 1 to 16, disconnected
+    # and malformed records, every predicate, batch sizes that give no
+    # batched slice (7), padded ones and a few graphs solved alone (64),
+    # and full slices of 64 with a padded one (512), and 1 or 2 workers
+    rng = random.Random(61)
+    lines = []
+    for i in range(260):
+        n = rng.randrange(1, 17) if i % 3 == 0 else 10
+        density = rng.choice([0.25, 0.4, 0.6, 0.9])
+        pairs = [p for p in combinations(range(n), 2) if rng.random() < density]
+        lines.append(encode_graph6(Graph.from_edges(n, pairs)))
+    for params in ((6, 1, 2), (5, 1, 2), (6, 1, 3)):  # orders 11, 10, 12; two have edim < dim
+        lines.insert(rng.randrange(len(lines)), encode_graph6(make_gadget(*params).graph))
+    lines[:0] = [">>graph6<<"]
+    lines.insert(100, "??bad??")
+    cpus = os.cpu_count() or 1
+    for text in _PREDICATE_ORACLES:
+        pred = Predicate.parse(text)
+        want, connected = [], 0
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                dims = solved_dims(decode_graph6(line), pred.edim_window)
+            except (Graph6Error, DisconnectedGraph):
+                continue
+            connected += 1
+            if dims is not None:
+                want.append((line_no, *dims))
+        for size in (7, 64, 512):
+            monkeypatch.setattr(SCAN, "BATCH_SIZE", size)
+            for jobs in range(1, min(2, cpus) + 1):
+                report = scan(lines, pred, jobs=jobs)
+                assert [(m.line, m.dim, m.edim) for m in report.matches] == want, (text, size, jobs)
+                assert (report.total, report.decoded, report.connected) == (264, 263, connected)
+                assert report.errors == [(101, report.errors[0][1])]
+    assert connected > 2 * 64
 
 
 def test_scan_checkpoint_resume(tmp_path, monkeypatch):
@@ -487,6 +539,32 @@ def test_scan_refuses_a_checkpoint_of_another_input(tmp_path):
     resumed = scan(lines, lt, checkpoint=str(ckpt))
     assert _summary(resumed) == _summary(scan(lines, lt))
     assert key in ckpt.read_text()
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("total", "total=two"),
+        ("first_record", "first_record=1\t2\t3"),
+        ("match", "match=1\tA_\t1"),
+    ],
+)
+def test_scan_refuses_a_malformed_checkpoint(tmp_path, key, bad):
+    # a number that does not parse, or a line with the wrong field count,
+    # is refused with the file, the key and the value, not a bare ValueError
+    lines = _sample_stream()
+    lt = Predicate.parse("lt")
+    ckpt = tmp_path / "scan.ckpt"
+    scan(lines[:3], lt, checkpoint=str(ckpt))
+    text = ckpt.read_text()
+    assert f"\n{key}=" in text
+    good = next(l for l in text.splitlines() if l.startswith(f"{key}="))
+    ckpt.write_text(text.replace(good, bad))
+    value = bad.partition("=")[2]
+    with pytest.raises(CheckpointMismatch) as exc:
+        scan(lines, lt, checkpoint=str(ckpt))
+    assert str(ckpt) in str(exc.value) and f"{key}=" in str(exc.value)
+    assert repr(value) in str(exc.value)
 
 
 def test_scan_refuses_jobs_below_one():

@@ -844,6 +844,58 @@ def test_witness_free_solve_matches_the_witnessed_one():
                 assert _dimension(g, kind, cap) == (None if res is None else res.dimension)
 
 
+def test_batched_vertex_solves_match_the_per_graph_solve():
+    # the batched walk and vertex solve against the per-graph ones: every
+    # batched order, sparse to complete, at widths 1, 2, 63, 64 and 65, full
+    # or not, and a path and a complete graph (dimension 1 and n - 1) in each
+    rng = random.Random(53)
+    for n in solver._BATCH_LEAST:
+        for width in (1, 2, 63, 64, 65):
+            count = width if rng.random() < 0.5 else rng.randrange(1, width + 1)
+            graphs = [
+                random_connected_graph(rng, n, extra=rng.randrange(n * (n - 1) // 2))
+                for _ in range(count)
+            ]
+            graphs[rng.randrange(count)] = make_path(n)
+            graphs[rng.randrange(count)] = make_complete(n)
+            assert all(solver.batch_signatures(graphs, width))
+            want = [_dimension(Graph(n, g.adj), "vertex") for g in graphs]
+            assert solver._batch_dimensions(graphs, width) == want, (n, width)
+    solver._lane_mask.cache_clear()  # the tables of the widths tried here
+
+
+def test_solved_dims_of_matches_per_graph_solved_dims():
+    # mixed orders 1 to 16 in one list, connected and disconnected: every
+    # window gives what solved_dims gives graph by graph, and the
+    # disconnected graphs are left out.  The 131 order-10 graphs make two
+    # full slices of 64 and a remainder solved alone; up to the cut, a
+    # full slice and a padded one.  The other orders are solved alone.
+    rng = random.Random(59)
+    graphs = []
+    for _ in range(170):
+        n = 10 if len(graphs) % 4 else rng.randrange(1, 17)
+        density = rng.choice([0.2, 0.35, 0.5, 0.8])
+        graphs.append(Graph.from_edges(n, [p for p in combinations(range(n), 2) if rng.random() < density]))
+    connected = []
+    for i, g in enumerate(graphs):
+        try:
+            Graph(g.n, g.adj).signatures()
+        except DisconnectedGraph:
+            continue
+        connected.append(i)
+    assert 0 < len(connected) < len(graphs)
+    tens = [i for i, g in enumerate(graphs) if g.n == 10]
+    least = solver._BATCH_LEAST[10]
+    assert 128 < len(tens) < 128 + least
+    cut = tens[64 + least + 8]
+    windows = [None] + [Predicate.parse(t).edim_window for t in ("lt", "gt", "eq", "diff:-1", "ratio:3/2")]
+    for window in windows:
+        for part in (graphs, graphs[:cut]):
+            kept = [i for i in connected if i < len(part)]
+            want = {i: solver.solved_dims(Graph(part[i].n, part[i].adj), window) for i in kept}
+            assert solver.solved_dims_of([Graph(g.n, g.adj) for g in part], window) == want
+
+
 def test_edge_signatures_match_resolution_vectors():
     rng = random.Random(67)
     graphs = [make_path(2), make_cycle(5), make_path(300), make_cycle(300)]
