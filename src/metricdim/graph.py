@@ -13,12 +13,6 @@ per-source walk on G(n, 1/2) up to order 64 and on paths up to about order
 48 (on 2 vCPUs, 78 against 649 µs on G(64, 1/2), but 1,571 against 1,369 µs
 on ``path:64``).  ``Graph.edge_signatures`` reads the edges' distances off
 the rows; only the API and the naive oracle derive the edge list.
-
-``batch_signatures`` walks up to ``width`` graphs of one order n <= 16 at
-once, one word lane per source of each graph.  Bit w of a lane's next
-frontier comes from adding ``2**(n+w) - 1`` to its frontier ANDed with row
-w, which is below ``2**n``: the sum reaches bit ``n + w`` exactly when they
-meet and never carries into the next lane.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 DistanceMatrix = tuple[tuple[int, ...], ...]
@@ -136,12 +130,12 @@ class Graph:
         return self.adj[v].bit_count()
 
     def is_connected(self) -> bool:
-        return sum(self._levels(0)) == (1 << self.n) - 1
+        return sum(self._levels(1)) == (1 << self.n) - 1  # from vertex 0
 
-    def _levels(self, src: int) -> list[int]:
-        """The BFS levels from ``src``: item d is the set at distance d."""
+    def _levels(self, sources: int) -> list[int]:
+        """The BFS levels from the vertex set ``sources``: item d is the set at distance d."""
         levels = []
-        seen = frontier = 1 << src
+        seen = frontier = sources
         adj = self.adj
         while frontier:
             levels.append(frontier)
@@ -163,7 +157,7 @@ class Graph:
             rows = []
             for src in range(self.n):
                 row = [-1] * self.n
-                for d, level in enumerate(self._levels(src)):
+                for d, level in enumerate(self._levels(1 << src)):
                     for v in iter_bits(level):
                         row[v] = d
                 if -1 in row:
@@ -265,7 +259,7 @@ class Graph:
         bits = [()]  # bits[d]: the set bits of d
         sigs = []
         for src in range(n):
-            levels = self._levels(src)
+            levels = self._levels(1 << src)
             if sum(levels) != full:
                 raise self._disconnected()
             while len(bits) < len(levels):
@@ -294,56 +288,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-
-@cache
-def _batch_lanes(n: int, width: int) -> tuple[int, int, int, list[tuple[int, int]], tuple]:
-    """``batch_signatures``'s constants: lanes of ones, full and diagonal, carries, K_n."""
-    ones = ((1 << 64 * n * width) - 1) // ((1 << 64) - 1)  # bit 0 of every word lane
-    diag = array("Q", [1 << v for v in range(n) for _ in range(width)]).tobytes()
-    carry = [((ones << n + w) - ones, ones << n + w) for w in range(n)]
-    complete = tuple(((1 << n) - 1) ^ 1 << v for v in range(n))
-    return ones, ones * ((1 << n) - 1), int.from_bytes(diag, _ORDER), carry, complete
-
-
-def batch_signatures(graphs: Sequence[Graph], width: int) -> list[bool]:
-    """``signatures`` of up to ``width`` graphs of one order n <= 16 at once; which are connected.
-
-    Word lane ``v * width + b`` holds source v of graph b; K_n pads.  Each
-    lane counts its non-empty levels, and a graph's most is its diameter.
-    A connected graph's cache gets what ``signatures`` returns; one that
-    source 0 does not reach whole raises nothing and gets no cache.
-    """
-    n = graphs[0].n
-    ones, full, diag, carry, complete = _batch_lanes(n, width)
-    pad = [complete] * (width - len(graphs))
-    cols = [array("Q", col).tobytes() for col in zip(*[g.adj for g in graphs], *pad)]
-    frontier = int.from_bytes(b"".join(cols), _ORDER)
-    rows = [int.from_bytes(col * n, _ORDER) for col in cols]
-    reach = frontier | diag
-    planes = [0] * (n - 1).bit_length()
-    ecc = level = 0
-    while frontier:
-        level += 1
-        bits = level
-        while bits:
-            planes[(bits & -bits).bit_length() - 1] |= frontier
-            bits &= bits - 1
-        ecc += (frontier + full) & ones << n  # bit n: the frontier is not empty
-        if reach == full:
-            break
-        nxt = 0
-        for row, (fill, bit) in zip(rows, carry):
-            nxt |= (row & frontier) + fill & bit
-        frontier = nxt >> n & ~reach
-        reach |= frontier
-    size = 8 * n * width
-    sigs = array("Q", sum(plane << b * n for b, plane in enumerate(planes)).to_bytes(size, _ORDER))
-    eccs = (ecc << 56 - n).to_bytes(size, "little")[7::8]  # each lane's top byte, at any byte order
-    missed = array("Q", (reach ^ full).to_bytes(size, _ORDER)[: 8 * len(graphs)])  # from source 0
-    for b, g in enumerate(graphs):
-        if not missed[b]:
-            g._sigs = tuple(sigs[b::width]), max(eccs[b::width])
-    return [not m for m in missed]
 
 
 def _put_edge(adj: list[int], u: int, v: int) -> None:

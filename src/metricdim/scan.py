@@ -3,12 +3,12 @@
 ``scan`` takes the records of a line-oriented graph6 stream from
 ``graph6.record_lines`` and records the connected graphs matching a dim/edim
 predicate.  Each batch goes to the solver's ``solved_dims_of`` with the
-predicate's ``edim_window`` (the census passes none to ``solved_dims``):
-vertex dimensions are solved exactly, 64 graphs of one order 3..12 at a time
-in lanes that nothing crosses (``solver.py``), and each edge search stops at
-the window's top for that ``dim``, so the exact ``edim`` is computed in full
-only where a match is possible.  Reports are deterministic regardless of
-worker count: counts are additive and matches are sorted by line at the end.
+predicate's ``edim_window``: vertex dimensions are solved exactly, 64 graphs
+of one order 3..12 at a time in lanes that nothing crosses (``solver.py``),
+and each edge search stops at the window's top for that ``dim``, so the
+exact ``edim`` is computed in full only where a match is possible.  Reports
+are deterministic regardless of worker count: counts are additive and
+matches are sorted by line at the end.
 
 ``verify_small_orders`` exhausts every labelled connected graph up to order
 seven.  Both dimensions are isomorphism invariants, so one exact solve per
@@ -17,8 +17,10 @@ at bit j) counts for its ``n!/|Aut|`` labelled graphs.  Read's orderly
 generation grows each orbit's representative, its largest mask, from a
 smaller one by one edge below its lowest, and reads canonicity and ``|Aut|``
 off one big int of its images under all ``n!`` permutations.  One with fewer
-than n - 1 edges cannot be connected and is skipped.  Order seven has 1,044
-orbits over 2**21 masks; its census takes 0.3 s.  The naive oracle re-solves
+than n - 1 edges cannot be connected and gets no graph; the rest of an
+order go to ``solved_dims_of`` together, as a scan's batch does, each orbit
+keeping only its representative and size.  Order seven has 1,044 orbits
+over 2**21 masks; its census takes 0.3 s.  The naive oracle re-solves
 every member of an orbit with ``edim < dim`` and a fixed sample of masks:
 one connected graph at each of orders 3 to 5, three at 6 and 188 at 7.
 """
@@ -38,9 +40,9 @@ from functools import cache
 from itertools import chain, combinations, permutations
 from typing import Iterable, Iterator
 
-from .graph import DisconnectedGraph, Graph
+from .graph import Graph
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, record_lines
-from .solver import edge_metric_dimension_naive, metric_dimension_naive, solved_dims, solved_dims_of
+from .solver import edge_metric_dimension_naive, metric_dimension_naive, solved_dims_of
 
 MAX_ENUM_ORDER = 7
 MAX_ERROR_DETAILS = 1000  # diagnostics kept verbatim; the rest only counted
@@ -404,35 +406,36 @@ def _orbit_representatives(n: int) -> Iterator[tuple[int, int, int]]:
         raise AssertionError(f"order-{n} orbits cover {swept} of {1 << top} edge masks")
 
 
+def _images(n: int, mask: int) -> array:
+    """The masks of ``mask``'s images under all ``n!`` relabellings, in ``_pair_columns``' slots."""
+    code, size, _, columns = _pair_columns(n)
+    images = sum(column for i, column in enumerate(columns) if mask >> i & 1)
+    return array(code, images.to_bytes(size, sys.byteorder))
+
+
 def _census_order(n: int) -> tuple[dict[int, int], list[str]]:
     """Histogram and offenders (graph6, by mask) of the order-n census.
 
-    One exact solve per relabelling orbit; the orbit's size is its count.
+    One exact solve per relabelling orbit, through ``solved_dims_of`` with
+    the other representatives of its order; the orbit's size is its count.
     The naive oracle re-solves every sampled member and every member of an
     offending orbit, so a solver fault cannot pass unnoticed through the
     orbits it shares.  The sample starts at the stride modulo the mask
     count, so orders 3 to 5 sample a connected graph, not the empty mask 0.
     """
     pairs = list(combinations(range(n), 2))
-    code, size, _, columns = _pair_columns(n)
     sampled: dict[int, list[int]] = {}  # sampled masks by their orbit's representative
     for x in range(_SELF_CHECK_STRIDE % (1 << len(pairs)), 1 << len(pairs), _SELF_CHECK_STRIDE):
-        images = sum(column for i, column in enumerate(columns) if x >> i & 1)
-        sampled.setdefault(max(array(code, images.to_bytes(size, sys.byteorder))), []).append(x)
+        sampled.setdefault(max(_images(n, x)), []).append(x)
+    # too few edges to connect n vertices: no Graph
+    orbits = [(rep, size) for rep, size, _ in _orbit_representatives(n) if rep.bit_count() >= n - 1]
+    graphs = (Graph(n, _mask_rows(rep, pairs, n), _validate=False) for rep, _ in orbits)
     hist: dict[int, int] = {}
     offenders: list[tuple[int, str]] = []
-    for rep, orbit_size, images in _orbit_representatives(n):
-        if rep.bit_count() < n - 1:
-            continue  # too few edges to connect n vertices
-        g = Graph(n, _mask_rows(rep, pairs, n), _validate=False)
-        try:
-            dim, edim = solved_dims(g)
-        except DisconnectedGraph:
-            continue
+    for i, (dim, edim) in sorted(solved_dims_of(graphs).items()):
+        rep, orbit_size = orbits[i]
         hist[dim - edim] = hist.get(dim - edim, 0) + orbit_size
-        members = sampled.get(rep, [])
-        if edim < dim:
-            members = set(array(code, images.to_bytes(size, sys.byteorder)))
+        members = set(_images(n, rep)) if edim < dim else sampled.get(rep, [])
         for x in sorted(members):
             h = Graph(n, _mask_rows(x, pairs, n), _validate=False)
             naive = metric_dimension_naive(h).dimension, edge_metric_dimension_naive(h).dimension

@@ -149,12 +149,16 @@ distances give uw and vw equal ones, since d(uw, z) = min(d(u, z), d(w, z)).
 The generator checks (``is_metric_generator`` and its edge twin) compare
 the signatures restricted to the landmark set in every plane.
 
-A scan solves the vertex dimensions of its graphs of each order 3..12 (no
-twins forced) 64 at a time, graph b in block b of ``2**n`` bits of one
-lattice int (``solved_dims_of``).  The walk never carries into another
-lane, a word's fold reads only its own word (``n << len(shifts) <= 64``),
-each graph marks only its own block, and ``>> 2**i`` moves only sets that
-hold landmark i, so the closure never leaves a block.
+Scans and the census solve the vertex dimensions of their graphs of each
+order 3..12 (no twins forced) 64 at a time, from adjacency rows to
+dimensions in one kernel (``_batch_dimensions``).  Its walk gives word lane
+``v * 64 + b`` to source v of graph b; adding ``2**(n+w) - 1`` to a
+frontier ANDed with row w (below ``2**n``) reaches bit ``n + w`` exactly
+when they meet, and never the next lane.  Graph b marks block b of
+``2**n`` bits of one lattice int.  A word's fold reads only its own word
+(``n << len(shifts) <= 64``), each graph marks only its own block, and
+``>> 2**i`` moves only sets that hold landmark i, so the closure never
+leaves a block.
 
 A deliberately dumb reference implementation (materialise every distance
 vector per subset, no partition machinery) is kept alongside as an oracle
@@ -170,7 +174,7 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .graph import _ORDER, DisconnectedGraph, Edge, Graph, batch_signatures, iter_bits
+from .graph import _ORDER, DisconnectedGraph, Edge, Graph, iter_bits
 
 NAIVE_MAX_ORDER = 16
 LATTICE_MAX_ORDER = 16  # most landmarks the subset lattice takes at once
@@ -417,17 +421,24 @@ def _lattice_hitting_set(masks: Iterable[int], n: int, max_k: int) -> tuple[int,
     return tuple(iter_bits(c.bit_length() - 1))
 
 
+def _missed_sets(marks: Iterable[int], size: int, hi: Sequence[int]) -> int:
+    """The sets that miss a marked mask: mark p sets bit ``size - 1 - p``, closed down by ``hi``.
+
+    In a block of ``2**n`` bits, that bit is the complement of mask p.
+    """
+    chars = bytearray(b"0") * size
+    for p in marks:
+        chars[p] = 49
+    bad = int(chars, 2)
+    for i, h in enumerate(hi):
+        bad |= (bad & h) >> (1 << i)
+    return bad
+
+
 def _resolving_sets(masks: Iterable[int], n: int, max_k: int) -> int:
     """The smallest sets of at most ``max_k`` landmarks hitting every mask, set s at bit s; or 0."""
-    # Character s of the string stands for bit full ^ s of the int, the
-    # complement of mask s.
-    marks = bytearray(b"0" * (1 << n))
-    for m in masks:
-        marks[m] = 49
     hi, pop = _tables(n)
-    bad = int(marks, 2)
-    for i in range(n):
-        bad |= (bad & hi[i]) >> (1 << i)
+    bad = _missed_sets(masks, 1 << n, hi)
     for k in range(max_k + 1):
         c = pop[k] & ~bad
         if c:
@@ -435,47 +446,84 @@ def _resolving_sets(masks: Iterable[int], n: int, max_k: int) -> int:
     return 0
 
 
-def _batch_dimensions(graphs: Sequence[Graph], width: int) -> list[int]:
-    """The metric dimensions of up to ``width`` connected graphs of one order 3..12 at once.
+@cache
+def _batch_lanes(n: int, width: int) -> tuple:
+    """``_batch_dimensions``' constants for one order and width.
 
-    ``_packed_masks`` and ``_resolving_sets`` over many graphs, with tables
-    repeated per graph.  Word ``v * width + b`` holds vertex v of graph b,
-    and mask m of graph b marks bit ``b * 2**n + (full ^ m)``.  A block's
-    bits below its top, added to its resolving k-sets (k < n), reach its top
-    exactly when there is one; those sets are closed upwards, so a dimension
-    is the last k tried plus one, less the number of k with one.  Missing
-    graphs' zero signatures never resolve.
+    The walk's: bit 0 of every word lane, every lane full, the diagonal,
+    the carries and K_n's rows for each pad.  The solve's: the mark offsets
+    and the lane mask of every pair's word, and ``_tables``, each block's
+    top and the bits below it, repeated per block.
     """
-    n, count = graphs[0].n, len(graphs)
+    ones = ((1 << 64 * n * width) - 1) // ((1 << 64) - 1)  # bit 0 of every word lane
+    diag = int.from_bytes(array("Q", [1 << v for v in range(n) for _ in range(width)]), _ORDER)
+    carry = [((ones << n + w) - ones, ones << n + w) for w in range(n)]
+    pads = [tuple(((1 << n) - 1) ^ 1 << v for v in range(n))] * width  # K_n's rows
     step, words = 1 << n - 3, n // 2 * (n + 1)  # bytes per block, words per graph
+    offsets = _lane_mask(array("Q", [width - 1 - b << n for b in range(width)]).tobytes(), words)
+    lane = _lane_mask(((1 << n) - 1).to_bytes(8, _ORDER), width * words)
     hi, pop = ([_lane_mask(x.to_bytes(step, _ORDER), width) for x in t] for t in _tables(n))
     top = _lane_mask((1 << (1 << n) - 1).to_bytes(step, _ORDER), width)
-    lane = _lane_mask(((1 << n) - 1).to_bytes(8, _ORDER), width * words)
-    offsets = _lane_mask(array("Q", [width - 1 - b << n for b in range(width)]).tobytes(), words)
-    sigs = [g.signatures() for g in graphs] + [((0,) * n, 0)] * (width - count)
-    buf = array("Q", chain.from_iterable(zip(*[s for s, _ in sigs]))).tobytes()
+    fill = top - (top >> (1 << n) - 1)
+    return ones, ones * ((1 << n) - 1), diag, carry, pads, offsets, lane, hi, pop, top, fill
+
+
+def _batch_dimensions(graphs: Sequence[Graph], width: int) -> list[int | None]:
+    """The vertex dimensions of up to ``width`` graphs of one order 3..12; None if disconnected.
+
+    Word lane ``v * width + b`` of the walk holds source v of graph b; K_n
+    pads.  Each lane counts its non-empty levels, a graph's most being its
+    diameter, and a connected graph's cache gets what ``signatures``
+    returns.  The planes, read as bytes, are the slots of ``_cycle_pairs``,
+    each one vertex of every graph, and mask m of graph b marks bit
+    ``b * 2**n + (full ^ m)``.  A block's bits below its top, added to its
+    resolving k-sets (k < n), reach its top exactly when there is one; those
+    sets are closed upwards, so a dimension is the last k tried plus one,
+    less the number of k with one.  No block of a pad or of a disconnected
+    graph is waited for.
+    """
+    n, count = graphs[0].n, len(graphs)
+    ones, full, diag, carry, pads, offsets, lane, hi, pop, top, fill = _batch_lanes(n, width)
+    cols = [array("Q", col).tobytes() for col in zip(*[g.adj for g in graphs], *pads[count:])]
+    frontier = int.from_bytes(b"".join(cols), _ORDER)
+    rows = [(int.from_bytes(col * n, _ORDER), add, bit) for col, (add, bit) in zip(cols, carry)]
+    reach = frontier | diag
+    planes = [0] * (n - 1).bit_length()
+    ecc = level = 0
+    while frontier:
+        level += 1
+        for plane in iter_bits(level):
+            planes[plane] |= frontier
+        ecc += (frontier + full) & ones << n  # bit n: the frontier is not empty
+        if reach == full:
+            break
+        # row w's carry reaches bit n + w alone, so the sum is an OR
+        frontier = sum((row & frontier) + add & bit for row, add, bit in rows) >> n & ~reach
+        reach |= frontier
+    buf = sum(plane << b * n for b, plane in enumerate(planes)).to_bytes(8 * n * width, _ORDER)
+    sigs = array("Q", buf)
+    eccs = (ecc << 56 - n).to_bytes(len(buf), "little")[7::8]  # each lane's top byte, any byte order
+    missed = array("Q", (reach ^ full).to_bytes(len(buf), _ORDER)[: 8 * count])  # from source 0
     left, right, size = _cycle_pairs(buf, 8 * width, n // 2)  # a slot: one vertex of every graph
     d = left ^ right
-    for shift in _fold_shifts(n, max(diam for _, diam in sigs).bit_length()):
+    for shift in _fold_shifts(n, level.bit_length()):
         d |= d >> shift
-    marks = bytearray(b"0") * (width << n)
-    view = memoryview((d & lane | offsets).to_bytes(size, _ORDER)).cast("Q")
-    for k in range(1, n // 2 + 1):  # each pair once: no slot n, half of slot n // 2
-        start = (k - 1) * (n + 1) * width
-        for p in view[start : start + (k if 2 * k == n else n) * width]:
-            marks[p] = 49
-    bad = int(marks, 2)
-    for i, h in enumerate(hi):
-        bad |= (bad & h) >> (1 << i)
-    used, fill = top & (1 << (count << n)) - 1, top - (top >> (1 << n) - 1)
+    marks = memoryview((d & lane | offsets).to_bytes(size, _ORDER)).cast("Q")  # some twice
+    bad = _missed_sets(marks, width << n, hi)
+    used = top & (1 << (count << n)) - 1
+    for b, g in enumerate(graphs):
+        if missed[b]:
+            used ^= 1 << (b + 1 << n) - 1  # block b's top
+        else:
+            g._sigs = tuple(sigs[b::width]), max(eccs[b::width])
     good, decided = ~bad, 0
     for k in range(1, n):
         found = (pop[k] & good) + fill & top
         decided += found >> (1 << n) - 1
         if found & used == used:
             break
-    counts = decided.to_bytes(width * step, "little")  # each block's low byte first
-    return [k + 1 - c for c in counts[: count * step : step]]
+    counts = decided.to_bytes(width << n - 3, "little")[:: 1 << n - 3]  # each block's low byte
+    return [None if m else k + 1 - c for m, c in zip(missed, counts)]
 
 
 def _lex_least_hitting_set(
@@ -753,9 +801,10 @@ def solved_dims_of(graphs: Iterable[Graph], window=None) -> dict[int, tuple[int,
     """``solved_dims`` of each connected graph of ``graphs``, by its index.
 
     Vertex dimensions of the orders in ``_BATCH_LEAST`` go ``_BATCH_WIDTH``
-    at a time while that many of the order are left, the last slice padded
-    (µs a graph, full slice against alone: 2 to 7 at order 3, 11 to 19 at
-    10, 26 to 30 at 12).  The rest go one at a time, each let go once solved.
+    at a time through ``_batch_dimensions`` while that many of the order
+    are left, the last slice padded (µs a graph, full slice against alone:
+    1.5 to 7 at order 3, 11.5 to 19 at 10, 25 to 29 at 12).  The rest go one
+    at a time, each let go once solved.
     """
     solved: dict[int, tuple[int, int] | None] = {}
     groups: dict[int, list[tuple[int, Graph]]] = {}
@@ -765,10 +814,9 @@ def solved_dims_of(graphs: Iterable[Graph], window=None) -> dict[int, tuple[int,
         n, rest = groups.popitem()
         while n in _BATCH_LEAST and len(rest) >= _BATCH_LEAST[n]:
             part, rest = rest[:_BATCH_WIDTH], rest[_BATCH_WIDTH:]
-            flags = batch_signatures([g for _, g in part], _BATCH_WIDTH)
-            kept = [item for item, connected in zip(part, flags) if connected]
-            dims = _batch_dimensions([g for _, g in kept], _BATCH_WIDTH) if kept else []
-            solved.update((i, solved_dims(g, window, dim)) for (i, g), dim in zip(kept, dims))
+            for (i, g), dim in zip(part, _batch_dimensions([g for _, g in part], _BATCH_WIDTH)):
+                if dim is not None:  # else disconnected
+                    solved[i] = solved_dims(g, window, dim)
         while rest:
             i, g = rest.pop()
             try:
@@ -818,21 +866,22 @@ def _generates(g: Graph, landmarks: Iterable[int], kind: str) -> bool:
 def resolution_vector(
     g: Graph, item: int | Edge, landmarks: Sequence[int]
 ) -> tuple[int, ...]:
-    """Ordered distances from one vertex (int) or edge (pair) to the landmarks."""
-    for z in landmarks:
-        if not 0 <= z < g.n:
-            raise ValueError(f"landmark {z} out of range for order {g.n}")
+    """Ordered distances from one vertex (int) or edge (pair) to the landmarks.
+
+    One BFS from the item's ends gives every landmark's distance: an edge's
+    is the nearer end's.  Raises DisconnectedGraph if it misses a vertex.
+    """
     ends = item if isinstance(item, tuple) else (item,)
-    for v in ends:
+    for what, v in [("landmark", z) for z in landmarks] + [("vertex", v) for v in ends]:
         if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for order {g.n}")
-    dm = g.distance_matrix()
-    if isinstance(item, tuple):
-        u, v = item
-        if not g.has_edge(u, v):
-            raise ValueError(f"edge ({u},{v}) not in graph")
-        return tuple(min(dm[u][z], dm[v][z]) for z in landmarks)
-    return tuple(dm[item][z] for z in landmarks)
+            raise ValueError(f"{what} {v} out of range for order {g.n}")
+    if isinstance(item, tuple) and not g.has_edge(*item):
+        raise ValueError(f"edge ({item[0]},{item[1]}) not in graph")
+    levels = g._levels(sum(1 << v for v in ends))
+    if sum(levels) != (1 << g.n) - 1:
+        raise g._disconnected()
+    dist = {z: d for d, level in enumerate(levels) for z in iter_bits(level)}
+    return tuple(dist[z] for z in landmarks)
 
 
 def _vector_rows(g: Graph, kind: str) -> list[tuple[int, ...]]:

@@ -20,7 +20,8 @@ from metricdim import (
     make_gadget,
     make_path,
 )
-from metricdim.graph import PACKED_MAX_ORDER, batch_signatures
+from metricdim import solver
+from metricdim.graph import PACKED_MAX_ORDER
 from conftest import labelled_graphs, random_connected_graph, reference_distances, relabel
 
 
@@ -170,37 +171,43 @@ def test_lane_walk_matches_queue_bfs_and_per_source_walk():
 
 
 def test_batch_walk_matches_the_per_graph_walk():
-    # sparse and dense, connected and disconnected graphs of every order to
-    # 16, walked together at widths 1, 2, 63, 64 and 65, full or not: each
-    # connected graph gets the signatures and diameter of its own walk, each
-    # disconnected one none, and a flag that says which
+    # the walk inside the batched vertex solve against the per-graph one:
+    # sparse and dense, connected and disconnected graphs of every batched
+    # order, walked together at widths 1, 2, 63, 64 and 65, full or not,
+    # and per order one slice of disconnected graphs alone.  Each connected
+    # graph gets the signatures and diameter of its own walk, each
+    # disconnected one no cache and None for a dimension.
     rng = random.Random(41)
     connected = disconnected = 0
-    for n in range(1, 17):
+    for n in solver._BATCH_LEAST:
+        pairs = list(combinations(range(n), 2))
+        slices = []
         for width in (1, 2, 63, 64, 65):
             count = width if rng.random() < 0.5 else rng.randrange(1, width + 1)
-            batch = []
-            for _ in range(count):
-                density = rng.choice([0.1, 0.3, 0.5, 0.9])
-                pairs = combinations(range(n), 2)
-                batch.append(Graph.from_edges(n, [p for p in pairs if rng.random() < density]))
-            if n > 1:  # a path: the largest diameter of its order
-                batch[rng.randrange(count)] = make_path(n)
-            flags = batch_signatures(batch, width)
-            assert len(flags) == count
-            for g, flag in zip(batch, flags):
+            density = [rng.choice([0.1, 0.3, 0.5, 0.9]) for _ in range(count)]
+            batch = [Graph.from_edges(n, [p for p in pairs if rng.random() < q]) for q in density]
+            batch[rng.randrange(count)] = make_path(n)  # the largest diameter of its order
+            slices.append((batch, width))
+        apart = [p for p in pairs if n - 1 not in p]  # vertex n - 1 alone
+        slices.append(([Graph.from_edges(n, [p for p in apart if rng.random() < 0.6]) for _ in range(40)], 64))
+        for batch, width in slices:
+            dims = solver._batch_dimensions(batch, width)
+            assert len(dims) == len(batch)
+            for g, dim in zip(batch, dims):
                 alone = Graph(n, g.adj)
                 try:
                     want = alone.signatures()
                 except DisconnectedGraph:
-                    assert not flag and g._sigs is None
+                    assert dim is None and g._sigs is None, (n, width, g.adj)
                     with pytest.raises(DisconnectedGraph):
                         g.signatures()
                     disconnected += 1
                 else:
-                    assert flag and g._sigs == want, (n, width, g.adj)
+                    assert dim is not None and g._sigs == want, (n, width, g.adj)
                     connected += 1
     assert connected > 500 and disconnected > 500
+    solver._lane_mask.cache_clear()  # the tables of the widths tried here
+    solver._batch_lanes.cache_clear()
 
 
 def test_edges_are_derived_on_first_use_in_row_order():

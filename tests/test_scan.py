@@ -338,8 +338,9 @@ def test_solved_dims_caps_the_edge_search_at_the_window_top(monkeypatch):
         return solve(g, kind, max_k)
 
     def batched(graphs, width):
-        calls.extend([("vertex", None)] * len(graphs))
-        return batch(graphs, width)
+        dims = batch(graphs, width)
+        calls.extend(("vertex", None) for dim in dims if dim is not None)
+        return dims
 
     monkeypatch.setattr(SOLVER, "_dimension", recorded)
     monkeypatch.setattr(SOLVER, "_batch_dimensions", batched)
@@ -744,16 +745,17 @@ def test_census_matches_naive_oracle():
 
 def test_census_walks_no_orbit_too_sparse_to_connect(monkeypatch):
     # fewer than n - 1 edges cannot connect n vertices, so such a
-    # representative gets no Graph and no lane walk: 173 walks for the 205
-    # representatives of orders 3 to 6
+    # representative gets no Graph and is not handed to solved_dims_of:
+    # 173 graphs for the 205 representatives of orders 3 to 6
     walks = Counter()
-    real = Graph._lane_signatures
+    real = SCAN.solved_dims_of
 
-    def counted(self):
-        walks[self.n] += 1
-        return real(self)
+    def counted(graphs, window=None):
+        graphs = list(graphs)
+        walks.update(g.n for g in graphs)
+        return real(graphs, window)
 
-    monkeypatch.setattr(Graph, "_lane_signatures", counted)
+    monkeypatch.setattr(SCAN, "solved_dims_of", counted)
     results = {n: _census_order(n) for n in range(3, 7)}
     assert sum(walks.values()) == 173
     for n in range(3, 7):

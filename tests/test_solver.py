@@ -126,6 +126,20 @@ def test_resolution_vectors():
     assert resolution_vector(g.graph, g.vertex("c"), [g.vertex("a", 4)]) == (4,)
 
 
+def test_resolution_vector_needs_no_distance_matrix(monkeypatch):
+    # one BFS from the item, never the all-pairs distance matrix, which
+    # takes seconds on path:1000; a disconnected graph still raises
+    def refused(self):
+        raise AssertionError("distance_matrix called")
+
+    monkeypatch.setattr(Graph, "distance_matrix", refused)
+    path = make_path(1000)
+    assert resolution_vector(path, 500, [0, 999]) == (500, 499)
+    assert resolution_vector(path, (10, 11), [0, 999, 11]) == (10, 988, 0)
+    with pytest.raises(DisconnectedGraph):
+        resolution_vector(Graph.from_edges(4, [(0, 1), (2, 3)]), 0, [0])
+
+
 def test_resolution_vector_rejects_non_edges():
     with pytest.raises(ValueError):
         resolution_vector(make_path(3), (0, 2), [0])
@@ -845,23 +859,72 @@ def test_witness_free_solve_matches_the_witnessed_one():
 
 
 def test_batched_vertex_solves_match_the_per_graph_solve():
-    # the batched walk and vertex solve against the per-graph ones: every
-    # batched order, sparse to complete, at widths 1, 2, 63, 64 and 65, full
-    # or not, and a path and a complete graph (dimension 1 and n - 1) in each
+    # the batched vertex solve against the per-graph one: every batched
+    # order at widths 1, 2, 63, 64 and 65, full or not.  Per order and width
+    # one slice of connected graphs, sparse to complete, and one of sparse
+    # and dense graphs, many disconnected at any slot; each holds a path and
+    # a complete graph (dimension 1 and n - 1).  Per order one more slice
+    # holds only disconnected graphs.  Each connected graph gets its own
+    # dimension, each disconnected one None.
     rng = random.Random(53)
+    connected = disconnected = interior = 0
     for n in solver._BATCH_LEAST:
+        pairs = list(combinations(range(n), 2))
+        slices = []
         for width in (1, 2, 63, 64, 65):
             count = width if rng.random() < 0.5 else rng.randrange(1, width + 1)
-            graphs = [
-                random_connected_graph(rng, n, extra=rng.randrange(n * (n - 1) // 2))
-                for _ in range(count)
-            ]
-            graphs[rng.randrange(count)] = make_path(n)
-            graphs[rng.randrange(count)] = make_complete(n)
-            assert all(solver.batch_signatures(graphs, width))
-            want = [_dimension(Graph(n, g.adj), "vertex") for g in graphs]
-            assert solver._batch_dimensions(graphs, width) == want, (n, width)
+            tied = [random_connected_graph(rng, n, extra=rng.randrange(len(pairs))) for _ in range(count)]
+            density = [rng.choice([0.1, 0.3, 0.5, 0.9]) for _ in range(count)]
+            mixed = [Graph.from_edges(n, [p for p in pairs if rng.random() < q]) for q in density]
+            for graphs in (tied, mixed):
+                graphs[rng.randrange(count)] = make_path(n)
+                graphs[rng.randrange(count)] = make_complete(n)
+                slices.append((graphs, width))
+        apart = [p for p in pairs if n - 1 not in p]  # vertex n - 1 alone
+        slices.append(([Graph.from_edges(n, [p for p in apart if rng.random() < 0.6]) for _ in range(40)], 64))
+        for graphs, width in slices:
+            dims = solver._batch_dimensions(graphs, width)
+            assert len(dims) == len(graphs)
+            for b, (g, dim) in enumerate(zip(graphs, dims)):
+                alone = Graph(n, g.adj)
+                try:
+                    alone.signatures()
+                except DisconnectedGraph:
+                    assert dim is None, (n, width, g.adj)
+                    disconnected += 1
+                    interior += 0 < b < len(graphs) - 1
+                else:
+                    assert dim == _dimension(alone, "vertex"), (n, width, g.adj)
+                    connected += 1
+    assert connected > 1000 and disconnected > 500 and interior > 400
     solver._lane_mask.cache_clear()  # the tables of the widths tried here
+    solver._batch_lanes.cache_clear()
+
+
+def test_batch_kernel_waits_for_no_disconnected_block(monkeypatch):
+    # the lattice rounds stop at the largest dimension among the connected
+    # graphs: a disconnected graph whose masks no landmark set hits (two
+    # isolated vertices tell no landmark apart) is not waited for, so a
+    # slice of paths, dimension 1, reads the 1-sets alone
+    reads = []
+
+    class Recorded(list):
+        def __getitem__(self, k):
+            reads.append(k)
+            return super().__getitem__(k)
+
+    real = solver._batch_lanes
+
+    def recorded(n, width):
+        *head, pop, top, fill = real(n, width)
+        return (*head, Recorded(pop), top, fill)
+
+    monkeypatch.setattr(solver, "_batch_lanes", recorded)
+    for n in (5, 10):
+        apart = Graph.from_edges(n, [(v, v + 1) for v in range(n - 3)])
+        reads.clear()
+        assert solver._batch_dimensions([make_path(n)] * 3 + [apart, make_path(n)], 64) == [1, 1, 1, None, 1]
+        assert reads == [1]
 
 
 def test_solved_dims_of_matches_per_graph_solved_dims():
